@@ -26,6 +26,7 @@ from .arith import (
     NotFound,
     NotInvertible,
     TooLarge,
+    VerificationFailed,
     factorize,
     is_perfect_square,
     is_prime,
@@ -120,6 +121,7 @@ __all__ = [
     "SweepResult",
     "TooLarge",
     "TwoDAP",
+    "VerificationFailed",
     "balanced_n",
     "box_minima",
     "brute_force_small_square",

@@ -52,6 +52,10 @@ class NotFound(RuntimeError):
     """A bounded search exhausted its range without finding the object."""
 
 
+class VerificationFailed(RuntimeError):
+    """A result failed the independent check that must pass before it is emitted."""
+
+
 # Trial division handles everything below this bound; above it, primality
 # uses deterministic Miller-Rabin and factoring falls back to Brent's method.
 _TRIAL_BOUND = 1_000_000
@@ -369,6 +373,17 @@ def sqrt_mod(a: int, m: int) -> int | None:
                     break
             return best
         raise
+    return sqrt_mod_factored(a, m, factors)
+
+
+def sqrt_mod_factored(a: int, m: int, factors: dict[int, int]) -> int | None:
+    """`sqrt_mod(a, m)` given `factors = factorize(m)`.
+
+    For callers that solve several residues modulo one m: they factor m
+    once instead of once per residue.  Requires gcd(a, m) = 1.
+    """
+    if math.gcd(a, m) != 1:
+        raise NotCoprime(f"sqrt_mod requires gcd(a, m) = 1, got gcd = {math.gcd(a, m)}")
     # Roots modulo each prime power.
     branch_roots: list[tuple[int, list[int]]] = []
     for p, k in factors.items():

@@ -47,7 +47,6 @@ from .progression import (
     TwoDAP,
     brute_force_witness,
     certify_square_free,
-    find_square_witness,
     is_proper,
 )
 from .small_squares import balanced_n, construct_small_square
@@ -139,19 +138,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_witness(args):
     a = TwoDAP(args.q1, args.q2, args.x1, args.x2)
-    w = find_square_witness(a, args.t)
+    cert = certify_square_free(a, args.t)
     base = a.to_json() | {"t": enc_int(args.t)}
-    if w is not None:
+    if cert.kind == "witness":
+        w = cert.witness
         rec = {"kind": "Witness"} | base | w.to_json()
         return [rec], EXIT_WITNESS, f"witness ({w.x1}, {w.x2}, {w.n})"
-    cert = certify_square_free(a, args.t)
     rec = {"kind": "SquareFree"} | base | {"n_max": enc_int(cert.n_max)}
     return [rec], EXIT_OK, f"square-free up to {args.t} (roots to {cert.n_max})"
 
 
 def _cmd_verify(args):
     a = TwoDAP(args.q1, args.q2, args.x1, args.x2)
-    w = find_square_witness(a, args.t)
+    cert = certify_square_free(a, args.t)
+    w = cert.witness
     base = a.to_json() | {"t": enc_int(args.t)}
     try:
         bw = brute_force_witness(a, args.t, guard=args.guard)
@@ -164,11 +164,11 @@ def _cmd_verify(args):
             "brute_route": json.dumps(None if bw is None else bw.to_json()),
         }
         return [rec], EXIT_ERROR, "internal disagreement between routes"
-    if w is not None:
+    if cert.kind == "witness":
         rec = {"kind": "Witness"} | base | w.to_json() | {"brute_force": brute}
         return [rec], EXIT_WITNESS, f"witness ({w.x1}, {w.x2}, {w.n}); brute force: {brute}"
     rec = {"kind": "SquareFree"} | base | {
-        "n_max": enc_int(certify_square_free(a, args.t).n_max),
+        "n_max": enc_int(cert.n_max),
         "brute_force": brute,
     }
     return [rec], EXIT_OK, f"square-free up to {args.t}; brute force: {brute}"

@@ -9,9 +9,10 @@ non-zero perfect squares up to an ambient bound T.
 
 Witness search runs two independent routes:
 
-* `find_square_witness` walks n = 1, 2, ... and solves the congruence
-  x1*q1 = n^2 (mod q2) in the reduced modulus, touching only candidates
-  in the admissible residue class;
+* `find_square_witness` walks n = 1, 2, ... up to sqrt(min(T, value
+  bound)).  For each root the admissible x1 are one residue class modulo
+  q2/gcd(q1, q2) intersected with one interval, so the least-|x1| member
+  has a closed form: O(1) integer operations per root, whatever the radii;
 * `brute_force_witness` enumerates the whole coefficient box.
 
 Both apply the same deterministic tie-break (smallest n, then smallest
@@ -142,42 +143,54 @@ def is_proper(a: TwoDAP) -> bool:
     return not (a.q2 // d <= 2 * a.b1 and a.q1 // d <= 2 * a.b2)
 
 
-def _witness_key(x1: int) -> tuple[int, bool]:
-    return (abs(x1), x1 < 0)
-
-
 def find_square_witness(a: TwoDAP, t: int) -> SquareWitness | None:
     """Smallest-square witness in a, with n^2 <= min(t, value bound).
 
-    Walks n upward; for each n, the admissible x1 form one residue class
-    modulo q2/gcd(q1,q2), so only ~2*X1*d/q2 + 1 candidates are touched.
-    Tie-break for fixed n: smallest |x1|, then positive x1 first.
+    Walks n = 1 .. isqrt(min(t, value bound)) with O(1) work per root, so a
+    search costs O(sqrt(min(t, value bound))) root steps.  With
+    d = gcd(q1, q2) and k = n^2/d, the solutions of x1*q1 + x2*q2 = n^2 with
+    |x2| <= X2 are the x1 = k*(q1/d)^-1 (mod q2/d) in
+    [(k - X2*q2/d) / (q1/d), (k + X2*q2/d) / (q1/d)] clipped to [-X1, X1],
+    whose upper end is never negative because k >= 1.  Tie-break for fixed
+    n: smallest |x1|, then positive x1 first.
     """
     if t < 0:
         raise DomainError(f"ambient bound must be non-negative, got {t}")
     cap = min(t, a.value_bound())
     if cap < 1:
         return None
-    q1, q2, b1, b2 = a.q1, a.q2, a.b1, a.b2
+    q1, q2, b1 = a.q1, a.q2, a.b1
     d = math.gcd(q1, q2)
     q1d, q2d = q1 // d, q2 // d
+    slack = a.b2 * q2d  # |x2| <= X2 as a bound on x1*q1d around k
     inv = mod_inverse(q1d % q2d, q2d) if q2d > 1 else 0
     for n in range(1, isqrt(cap) + 1):
         nn = n * n
         if nn % d:
             continue
         k = nn // d
-        x0 = (k % q2d) * inv % q2d
-        first = x0 - q2d * ((x0 + b1) // q2d)
-        best: tuple[tuple[int, bool], int, int] | None = None
-        for x1 in range(first, b1 + 1, q2d):
-            x2 = (k - x1 * q1d) // q2d
-            if -b2 <= x2 <= b2:
-                key = _witness_key(x1)
-                if best is None or key < best[0]:
-                    best = (key, x1, x2)
-        if best is not None:
-            return SquareWitness(best[1], best[2], n)
+        hi = (k + slack) // q1d
+        if hi > b1:
+            hi = b1
+        lo = -((slack - k) // q1d)
+        if lo < -b1:
+            lo = -b1
+        if lo > hi:
+            continue
+        if lo >= 0:
+            # Least class member >= lo.
+            x1 = lo + (k * inv - lo) % q2d
+            if x1 > hi:
+                continue
+        else:
+            # lo < 0 <= hi: the least non-negative member x1 against the
+            # greatest negative one, x1 - q2d; ties go to the positive.
+            x1 = k * inv % q2d
+            if x1 > hi or (q2d - x1 < x1 and x1 - q2d >= lo):
+                x1 -= q2d
+                if x1 < lo:
+                    continue
+        return SquareWitness(x1, (k - x1 * q1d) // q2d, n)
     return None
 
 

@@ -22,16 +22,26 @@ x1, which is what makes the representation "small".
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import DomainError, NotFound, TooLarge, iroot, mod_inverse, sqrt_mod
+from .arith import (
+    DomainError,
+    NotFound,
+    TooLarge,
+    factorize,
+    iroot,
+    mod_inverse,
+    sqrt_mod_factored,
+)
 from .formats import enc_int
 from .progression import SquareWitness
 
 COVER_HEIGHT_GUARD = 100_000
 # Below this modulus a cached table of canonical square roots is used;
-# above it each root is computed by factoring the modulus.
+# above it the modulus is factored once per scan and each root solved
+# from that factorization.
 _SQRT_TABLE_BOUND = 50_000
 
 
@@ -79,10 +89,12 @@ def _sqrt_table(m: int) -> dict[int, int]:
     return table
 
 
-def _canonical_sqrt(a: int, m: int) -> int | None:
+def _sqrt_solver(m: int) -> Callable[[int], int | None]:
+    """Maps a unit in [0, m) to its smallest square root modulo m, or None."""
     if m <= _SQRT_TABLE_BOUND:
-        return _sqrt_table(m).get(a % m)
-    return sqrt_mod(a, m)
+        return _sqrt_table(m).get
+    factors = factorize(m)
+    return lambda a: sqrt_mod_factored(a, m, factors)
 
 
 def convergent_denominators(num: int, den: int) -> list[int]:
@@ -152,11 +164,12 @@ class SmallSquareTrace:
 
 def _scan_b(q1: int, q2: int) -> tuple[int, int]:
     """First b (order 1, -1, 2, -2, ...) with b*q2 a square mod q1, and its root."""
+    root = _sqrt_solver(q1)
     for mag in range(1, q1 + 2):
         if math.gcd(mag, q1) != 1:
             continue
         for b in (mag, -mag):
-            c = _canonical_sqrt(b * q2 % q1, q1)
+            c = root(b * q2 % q1)
             if c is not None:
                 return b, c
     raise NotFound(f"no admissible b for ({q1}, {q2})")  # pragma: no cover

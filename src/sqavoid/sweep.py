@@ -33,7 +33,7 @@ from random import Random
 
 import numpy as np
 
-from .arith import DomainError, isqrt
+from .arith import DomainError, VerificationFailed, isqrt
 from .lowerbound import MIN_PRIME, build_instance, residue_certificate
 from .progression import TwoDAP, cardinality, certify_square_free, is_proper
 
@@ -159,7 +159,8 @@ def _lower_bound_family(t: int, threads: int) -> FamilyBest | None:
             shards = list(pool.map(_lower_shard, chunks))
     size, _, p = max(s for s in shards if s is not None)
     inst = build_instance(p)
-    assert residue_certificate(inst).ok
+    if not residue_certificate(inst).ok:
+        raise VerificationFailed(f"residue certificate failed for p = {p}")
     return FamilyBest("lower_bound", inst.progression, inst.size)
 
 
@@ -262,9 +263,12 @@ def sweep(config: SweepConfig) -> SweepResult:
     )
     # Verification is part of emission: never report an unverified box.
     for fb in bests:
-        assert is_proper(fb.progression), fb
-        assert certify_square_free(fb.progression, t).kind == "square_free", fb
-        assert cardinality(fb.progression) == fb.size, fb
+        if not is_proper(fb.progression):
+            raise VerificationFailed(f"{fb.family} box is not proper: {fb.progression}")
+        if certify_square_free(fb.progression, t).kind != "square_free":
+            raise VerificationFailed(f"{fb.family} box holds a square <= {t}: {fb.progression}")
+        if cardinality(fb.progression) != fb.size:
+            raise VerificationFailed(f"{fb.family} box size is not {fb.size}: {fb.progression}")
     r1 = best.size / t ** (20 / 27)
     r2 = best.size / (math.sqrt(t) * math.log(t))
     return SweepResult(config, bests, best, f"{r1:.6f}", f"{r2:.6f}")

@@ -7,6 +7,7 @@ import csv
 import json
 from fractions import Fraction
 
+from sqavoid import cli, progression
 from sqavoid.cli import main
 from sqavoid.formats import SCHEMA_VERSION
 
@@ -40,6 +41,23 @@ def test_verify_witness_exits_one(capsys):
     assert code == 1
     assert recs[0]["kind"] == "Witness"
     assert (recs[0]["x1"], recs[0]["x2"], recs[0]["n"]) == ("2", "-1", "1")
+
+
+def test_square_free_verify_walks_the_roots_once(capsys, monkeypatch):
+    calls = []
+    walk = progression.find_square_witness
+
+    def counted(a, t):
+        calls.append((a, t))
+        return walk(a, t)
+
+    monkeypatch.setattr(progression, "find_square_witness", counted)
+    monkeypatch.setattr(cli, "find_square_witness", counted, raising=False)
+    code, recs, _ = run(
+        capsys, "verify", "--q1", "13", "--q2", "15", "--x1", "12", "--x2", "1", "--t", "338"
+    )
+    assert code == 0 and recs[0]["kind"] == "SquareFree"
+    assert len(calls) == 1
 
 
 def test_witness_command_matches_verify(capsys):

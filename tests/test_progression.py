@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqavoid.arith import DomainError, TooLarge, isqrt
 from sqavoid.progression import (
@@ -146,6 +148,42 @@ def test_find_matches_brute_force_random():
         a = random_instance(rng)
         t = rng.choice([a.value_bound(), a.value_bound() // 2, 10**6])
         assert find_square_witness(a, t) == brute_force_witness(a, t), a
+
+
+@st.composite
+def boxes_and_bounds(draw) -> tuple[TwoDAP, int]:
+    """Boxes that reach the walk's edge cases, with t below or above the value bound.
+
+    A common factor g makes gcd(q1, q2) > 1; drawing q1 as a multiple of q2
+    gives q2/gcd = 1, where every x1 in one interval is admissible.  Radii
+    include 0 and non-integers.
+    """
+    g = draw(st.integers(1, 12))
+    q2 = draw(st.integers(1, 40))
+    q1 = q2 * draw(st.integers(1, 8)) if draw(st.booleans()) else draw(st.integers(1, 40))
+    radius = st.builds(Fraction, st.integers(0, 120), st.integers(1, 4))
+    a = TwoDAP(g * q1, g * q2, draw(radius), draw(radius))
+    vb = a.value_bound()
+    t = draw(st.one_of(st.integers(0, vb), st.integers(vb, 3 * vb + 10)))
+    return a, t
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(boxes_and_bounds())
+def test_find_matches_brute_force_hypothesis(case):
+    a, t = case
+    assert find_square_witness(a, t) == brute_force_witness(a, t)
+
+
+def test_degenerate_one_d_box_matches_brute_force():
+    # The sweep's one_d winner at T = 10^8: q2/gcd = 1, 19,999 pairs and
+    # 10,000 roots, each with 19,999 admissible x1 before the closed form.
+    a = TwoDAP(10001, 1, 9999, 0)
+    t = 10**8
+    assert cardinality(a) == 19_999
+    assert find_square_witness(a, t) is None
+    assert brute_force_witness(a, t) is None
+    assert certify_square_free(a, t) == Certificate("square_free", None, 9999)
 
 
 def test_numpy_and_pure_brute_force_agree():

@@ -8,11 +8,12 @@ from fractions import Fraction
 
 import pytest
 
+from sqavoid import arith, small_squares
 from sqavoid.arith import DomainError, TooLarge, sqrt_mod
 from sqavoid.progression import SquareWitness
 from sqavoid.small_squares import (
     SmallSquareTrace,
-    _canonical_sqrt,
+    _sqrt_solver,
     _sqrt_table,
     balanced_n,
     brute_force_small_square,
@@ -220,8 +221,27 @@ def test_canonical_sqrt_routes_agree():
         for a in range(m):
             if math.gcd(a, m) != 1:
                 continue
-            assert _canonical_sqrt(a, m) == sqrt_mod(a, m), (a, m)
+            assert _sqrt_solver(m)(a) == sqrt_mod(a, m), (a, m)
     _sqrt_table.cache_clear()
+
+
+def test_large_modulus_is_factored_once(monkeypatch):
+    # Above the table bound the scan tries 11 multipliers b; one
+    # factorization of q1 serves all of them.
+    calls = []
+    factor = arith.factorize
+
+    def counted(n):
+        calls.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(arith, "factorize", counted)
+    monkeypatch.setattr(small_squares, "factorize", counted, raising=False)
+    q1, q2 = 15014789789234235, 15014789789234252
+    tr = construct_small_square(q1, q2, balanced_n(q1, q2))
+    assert calls == [q1]
+    assert (tr.b, tr.c, tr.c_bar, tr.n, tr.m, tr.approx_d) == (17, 17, 10598675145341813, 17, -12, 1)
+    assert tr.witness == SquareWitness(-17, 17, 17)
 
 
 # --------------------------------------------------- brute-force existence

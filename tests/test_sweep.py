@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -155,3 +161,45 @@ def test_sweep_family_subset():
 def test_sweep_deterministic_across_calls():
     cfg = SweepConfig(t=10_000, seed=123, budget=50)
     assert sweep(cfg) == sweep(cfg)
+
+
+_REJECT_ALL = textwrap.dedent(
+    """
+    import importlib
+    import sys
+    from sqavoid import cli
+    from sqavoid.arith import VerificationFailed
+    from sqavoid.progression import Certificate, SquareWitness
+
+    if not sys.flags.optimize:
+        sys.exit("expected to run under python -O")
+    sweep_module = importlib.import_module("sqavoid.sweep")  # the package's `sweep` is the function
+    # Every box now looks as if it held the square 1 = 1*q1 + 0*q2.
+    sweep_module.certify_square_free = lambda a, t: Certificate(
+        "witness", SquareWitness(1, 0, 1), 1
+    )
+    try:
+        sweep_module.sweep(sweep_module.SweepConfig(t=1000, budget=20))
+    except VerificationFailed:
+        pass
+    else:
+        sys.exit("sweep reported a box its check rejected")
+    sys.exit(cli.main(["sweep", "--t", "1000", "--budget", "20"]))
+    """
+)
+
+
+def test_emission_checks_survive_optimized_mode():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _REJECT_ALL],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    rec = json.loads(proc.stdout.splitlines()[-1])
+    assert (rec["kind"], rec["error"]) == ("Error", "VerificationFailed")
