@@ -7,8 +7,8 @@ enumeration, and an independent brute-force pass confirms it.  The box's
 size beats sqrt(T), which is why these instances anchor the lower-bound
 side of the size question.
 
-The sweep harness pits that family against exhaustive one-dimensional
-search and a seeded randomized hill-climb, re-verifying everything it
+The sweep harness pits that family against the best one-dimensional
+progression and a seeded randomized hill-climb, re-verifying everything it
 reports.
 """
 
@@ -47,7 +47,7 @@ for r in least_nonresidue_scan(10**4):
 # Sweep three families under the same ambient bound and compare.
 t = 2 * 997**2
 result = sweep(SweepConfig(t=t, families=("one_d", "lower_bound", "random_local"),
-                           budget=60, seed=7, threads=2))
+                           budget=60, seed=7))
 print(f"\nsweep under T = {t}:")
 for fb in result.family_bests:
     a = fb.progression

@@ -14,11 +14,8 @@ identical results.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from functools import lru_cache
-
-Int = int
-Rat = Fraction
+from collections.abc import Iterator
+from itertools import compress
 
 gcd = math.gcd
 isqrt = math.isqrt
@@ -408,14 +405,23 @@ def sqrt_mod_factored(a: int, m: int, factors: dict[int, int]) -> int | None:
     return min(combos)
 
 
-@lru_cache(maxsize=None)
-def _primes_below(limit: int) -> tuple[int, ...]:
-    """Primes below limit via a bytearray sieve."""
-    if limit < 3:
-        return ()
-    sieve = bytearray([1]) * limit
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(limit - 1) + 1):
+# One byte per integer: the sieve below holds at most about 100 MB.
+PRIME_SIEVE_LIMIT = 100_000_000
+
+
+def primes_up_to(n: int) -> Iterator[int]:
+    """The primes p <= n in ascending order, by the sieve of Eratosthenes.
+
+    The sieve is built at call time, so an n above PRIME_SIEVE_LIMIT
+    raises DomainError at once; the primes are then read off it lazily.
+    """
+    if n > PRIME_SIEVE_LIMIT:
+        raise DomainError(f"prime sieve capped at 10^8, got {n}")
+    if n < 2:
+        return iter(())
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(n) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return tuple(i for i in range(limit) if sieve[i])
+            sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
+    return compress(range(n + 1), sieve)

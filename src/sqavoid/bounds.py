@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DomainError, iroot
+from .arith import DomainError, iroot, squarefree_kernel
 from .small_squares import SmallSquareTrace, balanced_n, construct_small_square
 from .progression import SquareWitness
 
@@ -46,8 +46,6 @@ def one_d_bound(q: int, t: int) -> int:
         raise DomainError(f"step must be positive, got {q}")
     if t < 0:
         raise DomainError(f"ambient bound must be non-negative, got {t}")
-    from .arith import squarefree_kernel
-
     return min(t // q, squarefree_kernel(q) - 1)
 
 

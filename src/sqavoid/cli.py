@@ -20,8 +20,8 @@ All integer input and output travels as decimal strings of arbitrary
 length (JSON numbers would silently lose precision past 2^53).  Records
 go to --output (default stdout) as JSON lines or CSV; a short human
 summary goes to stderr.  Exit codes: 0 success/certified, 1 witness
-found, 2 usage or domain error.  Field names and columns are documented
-in docs/schema.md and stamped with schema_version.
+found, 2 usage, domain or internal error.  Field names and columns are
+documented in docs/schema.md and stamped with schema_version.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None, help="write records here instead of stdout")
     common.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    common.add_argument("--threads", type=int, default=1, help="worker shards for the sweep")
     common.add_argument("--seed", type=_int, default=0, help="seed for randomized search")
     common.add_argument(
         "--guard",
@@ -128,7 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(FAMILIES),
         help=f"comma-separated subset of {{{','.join(FAMILIES)}}}",
     )
-    sp.add_argument("--budget", type=_int, default=200)
+    sp.add_argument(
+        "--budget",
+        type=_int,
+        default=200,
+        help="random_local's work, in full certifications: budget * isqrt(T) root steps",
+    )
 
     return p
 
@@ -304,7 +308,6 @@ def _cmd_sweep(args):
         families=tuple(f for f in args.families.split(",") if f),
         budget=args.budget,
         seed=args.seed,
-        threads=args.threads,
     )
     result = sweep(config)
     records = []
@@ -378,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         records, code, summary = _HANDLERS[args.command](args)
-    except (DomainError, RuntimeError, ValueError, ZeroDivisionError) as e:
+    except Exception as e:  # exit 1 means a witness, so any failure maps to exit 2
         records = [{"kind": "Error", "error": type(e).__name__, "message": str(e)}]
         code, summary = EXIT_ERROR, f"error: {e}"
     if args.output:

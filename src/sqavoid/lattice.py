@@ -19,7 +19,7 @@ All gauge comparisons are decided on the squared, denominator-cleared
 side: with U = un/ud, the integer quantity max(x1^2*un^2, x2^2*ud^2)
 equals un*ud*g(x)^2, so verdicts never touch irrational numbers.  The
 second Minkowski theorem pins d/2 <= lambda1*lambda2 <= d exactly (the
-gauge ball has volume 4), which is asserted on every computation.
+gauge ball has volume 4), which is checked on every computation.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DomainError, TooLarge, isqrt
+from .arith import DomainError, TooLarge, VerificationFailed, isqrt
 from .formats import enc_int, enc_rat
 from .progression import (
     TwoDAP,
@@ -110,8 +110,8 @@ def congruence_lattice(d: int, qt1: int, qt2: int) -> Lattice2:
         )
     rows = _hnf_from_generators([(d, 0), (0, d), (qt2, -qt1)])
     lat = Lattice2(d, qt1, qt2, rows)
-    assert rows[0][0] * rows[1][1] == d, "HNF determinant must equal d"
-    assert lat.contains(*rows[0]) and lat.contains(*rows[1])
+    if rows[0][0] * rows[1][1] != d or not (lat.contains(*rows[0]) and lat.contains(*rows[1])):
+        raise VerificationFailed(f"HNF rows {rows} are not a basis of determinant {d}")
     return lat
 
 
@@ -206,8 +206,10 @@ def box_minima(
     lam1_sq, lam2_sq = F(key1[0], scale), F(key2[0], scale)
     # Second Minkowski theorem for the volume-4 gauge ball, both sides.
     prod_sq = lam1_sq * lam2_sq
-    assert 4 * prod_sq >= lat.d * lat.d, "Minkowski lower bound violated"
-    assert prod_sq <= lat.d * lat.d, "Minkowski upper bound violated"
+    if not lat.d * lat.d <= 4 * prod_sq <= 4 * lat.d * lat.d:
+        raise VerificationFailed(
+            f"minima {lam1_sq}, {lam2_sq} break Minkowski's window for d = {lat.d}"
+        )
     return (lam1_sq, u), (lam2_sq, v)
 
 
@@ -336,7 +338,8 @@ def reduce_step(
     (lam1_sq, u), (lam2_sq, v) = box_minima(lat, u_ratio)
     p1, r1 = divmod(u[0] * qt1 + u[1] * qt2, d)
     p2, r2 = divmod(v[0] * qt1 + v[1] * qt2, d)
-    assert r1 == 0 and r2 == 0, "attainers must satisfy the congruence"
+    if r1 != 0 or r2 != 0:
+        raise VerificationFailed(f"attainers {u}, {v} miss the congruence mod {d}")
     # Xt_i^2 = (X1 * X2) / (4 * lambda_i^2), an exact rational.
     area = x1b * x2b
     xt1_sq = area / (4 * lam1_sq)

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import BadPrime, DomainError, is_prime, isqrt, jacobi, least_qnr
+from .arith import BadPrime, is_prime, isqrt, jacobi, least_qnr, primes_up_to
 from .formats import enc_int
 from .progression import TwoDAP, cardinality
 
@@ -160,19 +160,13 @@ def least_nonresidue_scan(
 ) -> list[NonResidueRecord]:
     """n(p) for every prime p = 1 (mod 4) in [p_min, p_max], with running
     records.  Verdict fields are exact; the ratio fields are floats for
-    display and never feed back into any decision.
+    display and never feed back into any decision.  A p_max above the
+    prime sieve's cap of 10^8 raises DomainError.
     """
-    if p_max > 100_000_000:
-        raise DomainError(f"scan sieve capped at 10^8, got {p_max}")
-    sieve = bytearray([1]) * (max(p_max, 1) + 1)
-    sieve[:2] = b"\x00" * min(2, len(sieve))
-    for i in range(2, isqrt(p_max) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
     out: list[NonResidueRecord] = []
     best = 0
-    for p in range(max(p_min, 0), p_max + 1):
-        if p % 4 != 1 or not sieve[p]:
+    for p in primes_up_to(p_max):
+        if p % 4 != 1 or p < p_min:
             continue
         n = least_qnr(p)
         rec = n > best

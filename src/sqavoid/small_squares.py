@@ -30,6 +30,7 @@ from .arith import (
     DomainError,
     NotFound,
     TooLarge,
+    VerificationFailed,
     factorize,
     iroot,
     mod_inverse,
@@ -128,24 +129,28 @@ class SmallSquareTrace:
     witness: SquareWitness
 
     def validate(self, check_cover: bool = False) -> None:
-        """Assert every structural invariant of the trace.
+        """Check every structural invariant of the trace.
 
-        The cover-height bound |b| <= H(q1) is mathematically guaranteed
-        but costs O(q1 * H) to confirm, so it is only checked on demand.
+        Raises VerificationFailed if any fails.  The cover-height bound
+        |b| <= H(q1) is mathematically guaranteed but costs O(q1 * H) to
+        confirm, so it is only checked on demand.
         """
         q1, q2, w = self.q1, self.q2, self.witness
-        assert math.gcd(self.b, q1) == 1
-        assert (self.b * q2 - self.c * self.c) % q1 == 0
-        assert 0 <= self.c < max(q1, 1)
-        assert (self.c * self.c_bar - 1) % q1 == 0
-        assert 1 <= self.n <= self.n_cap
-        assert self.approx_d == self.n * self.c_bar + self.m * q1
-        assert abs(self.approx_d) * self.n_cap <= q1
-        assert w.n == self.n
-        assert w.x2 == self.b * self.approx_d**2
-        assert w.x1 * q1 + w.x2 * q2 == self.n * self.n
-        if check_cover:
-            assert abs(self.b) <= square_cover_height(q1)
+        ok = (
+            math.gcd(self.b, q1) == 1
+            and (self.b * q2 - self.c * self.c) % q1 == 0
+            and 0 <= self.c < max(q1, 1)
+            and (self.c * self.c_bar - 1) % q1 == 0
+            and 1 <= self.n <= self.n_cap
+            and self.approx_d == self.n * self.c_bar + self.m * q1
+            and abs(self.approx_d) * self.n_cap <= q1
+            and w.n == self.n
+            and w.x2 == self.b * self.approx_d**2
+            and w.x1 * q1 + w.x2 * q2 == self.n * self.n
+            and (not check_cover or abs(self.b) <= square_cover_height(q1))
+        )
+        if not ok:
+            raise VerificationFailed(f"small-square trace breaks an invariant: {self}")
 
     def to_json(self) -> dict:
         return {
@@ -179,7 +184,7 @@ def construct_small_square(q1: int, q2: int, n_cap: int) -> SmallSquareTrace:
     """Constructive representation with 1 <= n <= n_cap; see module docstring.
 
     Requires gcd(q1, q2) = 1 and n_cap >= 1.  Every trace invariant is
-    asserted before returning.
+    checked before returning.
     """
     if q1 < 1 or q2 < 1:
         raise DomainError(f"steps must be positive, got ({q1}, {q2})")
@@ -202,7 +207,8 @@ def construct_small_square(q1: int, q2: int, n_cap: int) -> SmallSquareTrace:
     x2 = b * approx_d * approx_d
     num = n * n - b * q2 * approx_d * approx_d
     x1, rem = divmod(num, q1)
-    assert rem == 0, "construction must land on a multiple of q1"
+    if rem != 0:
+        raise VerificationFailed(f"construction for ({q1}, {q2}) misses a multiple of q1")
     trace = SmallSquareTrace(
         q1, q2, n_cap, b, c, c_bar, n, m, approx_d, SquareWitness(x1, x2, n)
     )

@@ -1,11 +1,12 @@
 """Extremal-search sweep: how large can a square-avoiding box get below T?
 
-Three candidate families are searched, each deterministic given the
-configuration:
+Three candidate families are searched, one after another, each
+deterministic given the configuration:
 
-* ``one_d``      - exhaustive over single steps q: the radius is pinned
-                   exactly by min(T // q, kernel(q) - 1), so this family
-                   realizes the classical sqrt(T)-scale floor.
+* ``one_d``      - the best single step q: the radius is pinned exactly by
+                   min(T // q, kernel(q) - 1), so this family realizes the
+                   classical sqrt(T)-scale floor.  A short walk out from
+                   q = isqrt(T) finds the best q among all q >= 1.
 * ``lower_bound``- the non-residue construction over every prime
                    p = 1 (mod 4) with 2*p^2 <= T; its value bound sits
                    below 2*p^2, so avoidance extends to all of [-T, T].
@@ -13,37 +14,31 @@ configuration:
                    using `certify_square_free` as the feasibility oracle
                    and cardinality as the objective (algorithm: alternate
                    exponential-then-binary radius growth per axis, with
-                   random coprime restarts until the evaluation budget is
-                   spent).
+                   random coprime restarts until the budget is spent).
+                   The budget is counted in full certifications at T:
+                   budget * isqrt(T) root steps, each probe charged the
+                   roots its walk visits, so a cheap refutation costs
+                   little and every seed does the same work to within
+                   one probe.
 
-Families run concurrently when asked; within a family the candidate space
-is sharded by worker and merged deterministically (max size, ties to the
-lexicographically smallest (q1, q2)).  Every emitted best instance is
-re-certified and properness-checked at emission time; the sweep refuses
-to report anything it cannot verify.
+Within a family ties go to the lexicographically smallest steps; the
+overall best is the largest box, ties to the smallest (q1, q2).  Every
+emitted best instance is re-certified and properness-checked at emission
+time; the sweep refuses to report anything it cannot verify.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 
-import numpy as np
-
-from .arith import DomainError, VerificationFailed, isqrt
+from .arith import PRIME_SIEVE_LIMIT, DomainError, VerificationFailed, isqrt, primes_up_to
+from .bounds import one_d_bound
 from .lowerbound import MIN_PRIME, build_instance, residue_certificate
 from .progression import TwoDAP, cardinality, certify_square_free, is_proper
 
-F = Fraction
-
 FAMILIES = ("one_d", "lower_bound", "random_local")
-
-# Exhaustive single-step scans beyond this T switch to the provably
-# sufficient window around sqrt(T) (radii for q > 4*sqrt(T) are dominated).
-_ONE_D_EXHAUSTIVE_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -52,15 +47,15 @@ class SweepConfig:
     families: tuple[str, ...] = FAMILIES
     budget: int = 200
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.t < 100:
             raise DomainError(f"sweep needs T >= 100, got {self.t}")
+        # lower_bound sieves the primes up to sqrt(T / 2).
+        if self.t > 2 * PRIME_SIEVE_LIMIT**2:
+            raise DomainError(f"sweep needs T <= 2*10^16, got {self.t}")
         if self.budget < 1:
             raise DomainError(f"budget must be >= 1, got {self.budget}")
-        if self.threads < 1:
-            raise DomainError(f"threads must be >= 1, got {self.threads}")
         bad = [f for f in self.families if f not in FAMILIES]
         if bad:
             raise DomainError(f"unknown families: {bad}")
@@ -83,85 +78,48 @@ class SweepResult:
     ratio_to_sqrt_t_log_t: str  # size / (sqrt(T) * log T), display
 
 
-def _kernel_table(n: int) -> np.ndarray:
-    """kernel(q) for q = 0..n: q divided by its largest square divisor."""
-    q = np.arange(n + 1, dtype=np.int64)
-    biggest_sq = np.ones(n + 1, dtype=np.int64)
-    for d in range(2, isqrt(n) + 1):
-        biggest_sq[d * d :: d * d] = d * d  # ascending d: last write wins
-    kern = q.copy()
-    kern[1:] //= biggest_sq[1:]
-    return kern
+def _one_d_family(t: int) -> FamilyBest:
+    """The step q >= 1 of largest radius one_d_bound(q, t), ties to the smallest q.
+
+    Since kernel(q) <= q, the radius is at most u(q) = min(t // q, q - 1).
+    With s = isqrt(t): for q <= s, t // q >= s >= q, so u(q) = q - 1, which
+    rises with q; for q > s, t // q <= t // (s + 1) <= s <= q - 1 (as
+    t < (s + 1)^2), so u(q) = t // q, which never rises.  Walking down from
+    s, once q - 1 falls below the best radius no smaller q can reach it;
+    walking up from s + 1, once t // q falls to the best radius no larger q
+    can beat it, and a tie would lose to the smaller q already seen.  Near
+    s some q is squarefree and reaches about s - 1, so both walks are short.
+    """
+    s = isqrt(t)
+    best_r, best_q = -1, 0
+    q = s
+    while q >= 1 and q - 1 >= best_r:
+        r = one_d_bound(q, t)
+        if r >= best_r:  # walking down: a tie moves to the smaller q
+            best_r, best_q = r, q
+        q -= 1
+    q = s + 1
+    while t // q > best_r:
+        r = one_d_bound(q, t)
+        if r > best_r:
+            best_r, best_q = r, q
+        q += 1
+    return FamilyBest("one_d", TwoDAP(best_q, 1, best_r, 0), 2 * best_r + 1)
 
 
-def _one_d_shard(t: int, lo: int, hi: int) -> tuple[int, int] | None:
-    """Best (size, q) over q in [lo, hi)."""
-    if hi <= lo:
-        return None
-    kern = _kernel_table(hi - 1)[lo:hi]
-    q = np.arange(lo, hi, dtype=np.int64)
-    radius = np.minimum(t // q, kern - 1)
-    i = int(np.argmax(radius))  # first max = smallest q on ties
-    return int(2 * radius[i] + 1), int(q[i])
-
-
-def _one_d_family(t: int, threads: int) -> FamilyBest:
-    q_max = t if t <= _ONE_D_EXHAUSTIVE_LIMIT else 4 * isqrt(t) + 4
-    shards = []
-    step = max(1, (q_max - 1) // threads + 1)
-    bounds = [(lo, min(lo + step, q_max + 1)) for lo in range(1, q_max + 1, step)]
-    if threads == 1:
-        shards = [_one_d_shard(t, lo, hi) for lo, hi in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            shards = list(pool.map(lambda b: _one_d_shard(t, *b), bounds))
-    best = max(
-        ((s, -q) for s, q in shards if s is not None),
-        key=lambda x: x,
-    )
-    size, q = best[0], -best[1]
-    radius = (size - 1) // 2
-    return FamilyBest("one_d", TwoDAP(q, 1, radius, 0), size)
-
-
-def _primes_1_mod_4_up_to(n: int) -> list[int]:
-    if n < MIN_PRIME:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = b"\x00\x00"
-    for i in range(2, isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    return [p for p in range(MIN_PRIME, n + 1) if sieve[p] and p % 4 == 1]
-
-
-def _lower_shard(ps: list[int]) -> tuple[int, int, int] | None:
-    """Best (size, -p, p) over the given primes."""
+def _lower_bound_family(t: int) -> FamilyBest | None:
     best = None
-    for p in ps:
+    for p in primes_up_to(isqrt(t // 2)):
+        if p % 4 != 1 or p < MIN_PRIME:
+            continue
         inst = build_instance(p)
-        cand = (inst.size, -p, p)
-        if best is None or cand > best:
-            best = cand
-    return best
-
-
-def _lower_bound_family(t: int, threads: int) -> FamilyBest | None:
-    p_cap = isqrt(t // 2)
-    primes = _primes_1_mod_4_up_to(p_cap)
-    if not primes:
+        if best is None or inst.size > best.size:  # ties to the smaller p
+            best = inst
+    if best is None:
         return None
-    if threads == 1:
-        shards = [_lower_shard(primes)]
-    else:
-        chunks = [primes[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            shards = list(pool.map(_lower_shard, chunks))
-    size, _, p = max(s for s in shards if s is not None)
-    inst = build_instance(p)
-    if not residue_certificate(inst).ok:
-        raise VerificationFailed(f"residue certificate failed for p = {p}")
-    return FamilyBest("lower_bound", inst.progression, inst.size)
+    if not residue_certificate(best).ok:
+        raise VerificationFailed(f"residue certificate failed for p = {best.p}")
+    return FamilyBest("lower_bound", best.progression, best.size)
 
 
 def _grow_axis(
@@ -178,10 +136,11 @@ def _grow_axis(
     def feasible(r: int) -> bool:
         if budget[0] <= 0:
             return False
-        budget[0] -= 1
         box = (x1, r) if axis else (r, x2)
-        a = TwoDAP(q1, q2, box[0], box[1])
-        return certify_square_free(a, t).kind == "square_free"
+        cert = certify_square_free(TwoDAP(q1, q2, box[0], box[1]), t)
+        # Charge the roots the walk visited: up to the witness's n, else all.
+        budget[0] -= max(1, cert.n_max if cert.witness is None else cert.witness.n)
+        return cert.kind == "square_free"
 
     lo = x2 if axis else x1
     hi = lo + 1
@@ -198,10 +157,10 @@ def _grow_axis(
     return (x1, lo) if axis else (lo, x2)
 
 
-def _random_local_shard(t: int, seed: int, budget: int) -> tuple[int, int, int, TwoDAP] | None:
+def _random_local_family(t: int, seed: int, budget: int) -> FamilyBest | None:
     rng = Random(seed)
-    remaining = [budget]
     root = isqrt(t)
+    remaining = [budget * root]
     best: tuple[int, int, int, TwoDAP] | None = None
     while remaining[0] > 0:
         q1 = rng.randint(2, max(3, 2 * root))
@@ -218,23 +177,8 @@ def _random_local_shard(t: int, seed: int, budget: int) -> tuple[int, int, int, 
         cand = (cardinality(a), -q1, -q2, a)
         if best is None or cand[:3] > best[:3]:
             best = cand
-    return best
-
-
-def _random_local_family(
-    t: int, seed: int, budget: int, threads: int
-) -> FamilyBest | None:
-    if threads == 1:
-        shards = [_random_local_shard(t, seed, budget)]
-    else:
-        per = max(1, budget // threads)
-        args = [(t, seed * 1_000_003 + i, per) for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            shards = list(pool.map(lambda a: _random_local_shard(*a), args))
-    shards = [s for s in shards if s is not None]
-    if not shards:
+    if best is None:
         return None
-    best = max(shards, key=lambda s: s[:3])
     return FamilyBest("random_local", best[3], best[0])
 
 
@@ -242,18 +186,11 @@ def sweep(config: SweepConfig) -> SweepResult:
     """Run the configured families and report the verified best instance."""
     t = config.t
     runners = {
-        "one_d": lambda: _one_d_family(t, config.threads),
-        "lower_bound": lambda: _lower_bound_family(t, config.threads),
-        "random_local": lambda: _random_local_family(
-            t, config.seed, config.budget, config.threads
-        ),
+        "one_d": lambda: _one_d_family(t),
+        "lower_bound": lambda: _lower_bound_family(t),
+        "random_local": lambda: _random_local_family(t, config.seed, config.budget),
     }
-    names = list(config.families)
-    if config.threads > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=len(names)) as pool:
-            results = list(pool.map(lambda n: runners[n](), names))
-    else:
-        results = [runners[n]() for n in names]
+    results = [runners[n]() for n in config.families]
     bests = tuple(r for r in results if r is not None)
     if not bests:
         raise DomainError("no family produced a candidate")

@@ -25,6 +25,7 @@ from sqavoid.arith import (
     jacobi,
     least_qnr,
     mod_inverse,
+    primes_up_to,
     sqrt_mod,
     squarefree_kernel,
 )
@@ -208,6 +209,13 @@ def test_is_prime_matches_trial_division():
     # Straddle the internal trial-division/Miller-Rabin switch.
     for n in range(999_980, 1_000_120):
         assert is_prime(n) == oracle_is_prime(n)
+
+
+def test_primes_up_to_matches_trial_division():
+    for n in (-3, 0, 1, 2, 3, 4, 97, 100, 4999):
+        assert list(primes_up_to(n)) == [p for p in range(n + 1) if oracle_is_prime(p)]
+    with pytest.raises(DomainError):
+        primes_up_to(arith.PRIME_SIEVE_LIMIT + 1)  # refused before any allocation
 
 
 def test_least_qnr_matches_scan():

@@ -88,6 +88,24 @@ def test_usage_error_exits_two(capsys):
     capsys.readouterr()
 
 
+def test_huge_sweep_t_is_refused_with_exit_two(capsys):
+    code, recs, _ = run(capsys, "sweep", "--t", str(10**19))
+    assert code == 2
+    assert (recs[0]["kind"], recs[0]["error"]) == ("Error", "DomainError")
+
+
+def test_unexpected_exception_exits_two_not_one(capsys, monkeypatch):
+    # Exit 1 means "witness found": an internal failure must never produce it.
+    def overflow(args):
+        raise OverflowError("int too large to convert")
+
+    monkeypatch.setitem(cli._HANDLERS, "lower", overflow)
+    code, recs, err = run(capsys, "lower", "--p", "13")
+    assert code == 2
+    assert (recs[0]["kind"], recs[0]["error"]) == ("Error", "OverflowError")
+    assert err.startswith("error:")
+
+
 def test_lower_rejects_bad_prime_with_exit_two(capsys):
     code, recs, _ = run(capsys, "lower", "--p", "12")
     assert code == 2 and recs[0]["kind"] == "Error"

@@ -12,14 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from sqavoid.arith import DomainError, is_perfect_square, squarefree_kernel
+from sqavoid.arith import DomainError, is_perfect_square
 from sqavoid.progression import cardinality, certify_square_free, is_proper
 from sqavoid.sweep import (
     SweepConfig,
-    _kernel_table,
     _lower_bound_family,
     _one_d_family,
-    _one_d_shard,
     _random_local_family,
     sweep,
 )
@@ -52,43 +50,32 @@ def oracle_one_d_best(t: int, q_max: int) -> tuple[int, int]:
 # ------------------------------------------------------------- families
 
 
-def test_kernel_table_matches_scalar_kernel():
-    table = _kernel_table(2000)
-    for q in range(1, 2001):
-        assert table[q] == squarefree_kernel(q), q
-
-
-def test_one_d_shard_matches_oracle_small():
-    t = 10_000
-    got = _one_d_shard(t, 1, 201)
-    want = oracle_one_d_best(t, 200)
-    assert got == want
-
-
 def test_one_d_family_frozen_small_t():
-    t = 10_000
-    fb = _one_d_family(t, threads=1)
-    size, q = oracle_one_d_best(t, t)
-    assert fb.size == size
-    assert fb.progression.q1 == q
-    assert fb.progression.q2 == 1 and fb.progression.x2bound == 0
+    # The walk out from sqrt(T) against an exhaustive scan of every q <= T.
+    for t in [*range(100, 1501), 2000, 3599, 3600, 4096, 5000, 9999, 10_000]:
+        fb = _one_d_family(t)
+        size, q = oracle_one_d_best(t, t)
+        assert (fb.size, fb.progression.q1) == (size, q), t
+        assert fb.progression.q2 == 1 and fb.progression.x2bound == 0
 
 
-def test_one_d_family_shard_merge_is_thread_invariant():
-    t = 50_000
-    assert _one_d_family(t, threads=1) == _one_d_family(t, threads=3)
-    assert _one_d_family(t, threads=1) == _one_d_family(t, threads=7)
+def test_one_d_family_frozen_large_t():
+    fb = _one_d_family(10**8)
+    assert (fb.progression.q1, fb.size) == (10001, 19999)
+    # Far past int64 products: exact integers throughout.
+    fb = _one_d_family(10**19)
+    assert (fb.progression.q1, fb.size) == (3162277661, 6324555319)
 
 
 def test_lower_bound_family_frozen_smallest_window():
-    fb = _lower_bound_family(338, threads=1)
+    fb = _lower_bound_family(338)
     assert fb is not None
     assert fb.size == 75
     assert (fb.progression.q1, fb.progression.q2) == (13, 15)
 
 
 def test_lower_bound_family_none_below_first_prime():
-    assert _lower_bound_family(100, threads=1) is None
+    assert _lower_bound_family(100) is None
 
 
 def test_lower_bound_member_at_997():
@@ -99,22 +86,38 @@ def test_lower_bound_member_at_997():
     inst = build_instance(997)
     assert inst.nqr == 2
     assert inst.size == (2 * 996 + 1) * (2 * 1 + 1) == 5979
-    fb = _lower_bound_family(2 * 997 * 997, threads=1)
+    fb = _lower_bound_family(2 * 997 * 997)
     assert fb is not None and fb.size >= inst.size
 
 
-def test_lower_bound_family_thread_invariant():
-    t = 2 * 10**6
-    assert _lower_bound_family(t, 1) == _lower_bound_family(t, 4)
-
-
 def test_random_local_family_is_deterministic():
-    a = _random_local_family(10_000, seed=5, budget=40, threads=1)
-    b = _random_local_family(10_000, seed=5, budget=40, threads=1)
+    a = _random_local_family(10_000, seed=5, budget=40)
+    b = _random_local_family(10_000, seed=5, budget=40)
     assert a == b
-    c = _random_local_family(10_000, seed=6, budget=40, threads=1)
+    c = _random_local_family(10_000, seed=6, budget=40)
     assert c is not None and a is not None
     assert is_proper(a.progression) and is_proper(c.progression)
+
+
+def test_random_local_work_is_its_budget_for_every_seed(monkeypatch):
+    """The roots walked come to budget * isqrt(T), plus at most one probe."""
+    import importlib
+
+    sweep_module = importlib.import_module("sqavoid.sweep")  # the package's `sweep` is the function
+    walked = [0]
+
+    def counted(a, t):
+        cert = certify_square_free(a, t)
+        walked[0] += max(1, cert.n_max if cert.witness is None else cert.witness.n)
+        return cert
+
+    monkeypatch.setattr(sweep_module, "certify_square_free", counted)
+    t, budget = 1_000_000, 30
+    root = math.isqrt(t)
+    for seed in range(5):
+        walked[0] = 0
+        _random_local_family(t, seed=seed, budget=budget)
+        assert budget * root <= walked[0] <= (budget + 1) * root, (seed, walked[0])
 
 
 # ------------------------------------------------------------ full sweep
@@ -123,6 +126,8 @@ def test_random_local_family_is_deterministic():
 def test_sweep_config_validation():
     with pytest.raises(DomainError):
         SweepConfig(t=50)
+    with pytest.raises(DomainError):
+        SweepConfig(t=2 * 10**16 + 1)  # lower_bound would sieve past 10^8
     with pytest.raises(DomainError):
         SweepConfig(t=1000, budget=0)
     with pytest.raises(DomainError):
@@ -189,17 +194,59 @@ _REJECT_ALL = textwrap.dedent(
 )
 
 
-def test_emission_checks_survive_optimized_mode():
+_FORGED = textwrap.dedent(
+    """
+    import dataclasses
+    import sys
+    from sqavoid import lattice
+    from sqavoid.arith import VerificationFailed
+    from sqavoid.progression import SquareWitness
+    from sqavoid.small_squares import construct_small_square
+
+    if not sys.flags.optimize:
+        sys.exit("expected to run under python -O")
+    trace = construct_small_square(5, 7, 3)
+    w = trace.witness
+    # x1*q1 + x2*q2 = n^2 + q1 no longer holds.
+    forged = dataclasses.replace(trace, witness=SquareWitness(w.x1 + 1, w.x2, w.n))
+    try:
+        forged.validate()
+    except VerificationFailed:
+        pass
+    else:
+        sys.exit("a forged trace passed validate()")
+    # A Hermite form of the wrong determinant.
+    lattice._hnf_from_generators = lambda gens: ((1, 0), (0, 1))
+    try:
+        lattice.congruence_lattice(6, 1, 1)
+    except VerificationFailed:
+        pass
+    else:
+        sys.exit("a basis of determinant 1 passed for d = 6")
+    """
+)
+
+
+def _run_optimized(script: str) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _REJECT_ALL],
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def test_emission_checks_survive_optimized_mode():
+    proc = _run_optimized(_REJECT_ALL)
     assert proc.returncode == 2, proc.stderr
     rec = json.loads(proc.stdout.splitlines()[-1])
     assert (rec["kind"], rec["error"]) == ("Error", "VerificationFailed")
+
+
+def test_trace_and_lattice_checks_survive_optimized_mode():
+    proc = _run_optimized(_FORGED)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
