@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
-import numpy as np
-
 from sqavoid import ExponentPoint, case_exponent, exponent_supremum
 
 # A few individual points, with the regime that decides each.
@@ -35,17 +33,20 @@ print(f"restricted to b <= 4/7, first-regime component: {sup_r}")
 
 # Coarse ASCII rendering of the surface (row = b descending, col = a).
 n = 24
-grid = np.full((n + 1, n + 1), np.nan)
-for j in range(n + 1):
-    for i in range(j + 1):
-        grid[j, i] = float(case_exponent(ExponentPoint(F(i, n), F(j, n))).exponent)
+# grid[j][i] is e(i/n, j/n), or None outside the triangle (a > b).
+grid = [
+    [float(case_exponent(ExponentPoint(F(i, n), F(j, n))).exponent) if i <= j else None
+     for i in range(n + 1)]
+    for j in range(n + 1)
+]
 shades = " .:-=+*#%@"
-lo, hi = np.nanmin(grid), np.nanmax(grid)
+values = [v for row in grid for v in row if v is not None]
+lo, hi = min(values), max(values)
 print(f"\nsurface, {lo:.3f} (' ') to {hi:.3f} ('@'), a rightward, b upward:")
 for j in range(n, -1, -1):
-    row = ""
-    for i in range(n + 1):
-        v = grid[j, i]
-        row += " " if np.isnan(v) else shades[int((v - lo) / (hi - lo) * (len(shades) - 1))]
+    row = "".join(
+        " " if v is None else shades[int((v - lo) / (hi - lo) * (len(shades) - 1))]
+        for v in grid[j]
+    )
     print("  |" + row)
 print("  +" + "-" * (n + 1))

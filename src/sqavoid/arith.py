@@ -341,16 +341,14 @@ def _roots_mod_two_power(a: int, k: int) -> list[int] | None:
     return sorted({r % mod, (-r) % mod, (r + half) % mod, (-r + half) % mod})
 
 
-SQRT_SCAN_BOUND = 1_000_000
-
-
 def sqrt_mod(a: int, m: int) -> int | None:
     """Smallest c in [0, m) with c*c = a (mod m), or None if no root exists.
 
     Requires gcd(a, m) = 1.  The modulus is factored; roots of each prime
     power are combined over all CRT branches and the minimum is returned, so
-    the result is canonical.  If factoring fails (enormous m with large prime
-    factors) and m <= SQRT_SCAN_BOUND, an exhaustive scan is used instead.
+    the result is canonical.  Factoring cannot fail for m < 10^12 (trial
+    division to 10^6 leaves a prime cofactor); beyond that it raises
+    FactorizationFailed only for a cofactor that Brent's method cannot split.
     """
     if m < 1:
         raise DomainError(f"modulus must be positive, got {m}")
@@ -359,18 +357,7 @@ def sqrt_mod(a: int, m: int) -> int | None:
     a %= m
     if math.gcd(a, m) != 1:
         raise NotCoprime(f"sqrt_mod requires gcd(a, m) = 1, got gcd = {math.gcd(a, m)}")
-    try:
-        factors = factorize(m)
-    except FactorizationFailed:
-        if m <= SQRT_SCAN_BOUND:
-            best = None
-            for c in range(m):
-                if c * c % m == a:
-                    best = c
-                    break
-            return best
-        raise
-    return sqrt_mod_factored(a, m, factors)
+    return sqrt_mod_factored(a, m, factorize(m))
 
 
 def sqrt_mod_factored(a: int, m: int, factors: dict[int, int]) -> int | None:

@@ -179,6 +179,8 @@ def exponent_supremum(
         raise DomainError(f"resolution must be positive, got {resolution}")
     if component not in ("overall", "case1", "case2"):
         raise DomainError(f"unknown component {component!r}")
+    if b_max is not None and b_max < 0:  # every point has b >= 0
+        raise DomainError(f"b_max = {b_max} leaves no point of the simplex")
     pts: set[ExponentPoint] = set()
     for j in range(resolution + 1):
         for i in range(j + 1):
@@ -197,7 +199,6 @@ def exponent_supremum(
             best, attaining = val, [p]
         elif val == best:
             attaining.append(p)
-    assert best is not None
     return best, attaining
 
 

@@ -75,13 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None, help="write records here instead of stdout")
     common.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    common.add_argument("--seed", type=_int, default=0, help="seed for randomized search")
-    common.add_argument(
-        "--guard",
-        type=_int,
-        default=BRUTE_FORCE_GUARD,
-        help="enumeration cap for brute-force verification",
-    )
 
     p = argparse.ArgumentParser(
         prog="sqavoid",
@@ -97,7 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--t", type=_int, required=True)
 
     box_args(sub.add_parser("witness", parents=[common], help="minimal square witness"))
-    box_args(sub.add_parser("verify", parents=[common], help="dual-route square-freeness check"))
+    sp = sub.add_parser("verify", parents=[common], help="dual-route square-freeness check")
+    box_args(sp)
+    sp.add_argument("--guard", type=_int, default=BRUTE_FORCE_GUARD, help="brute-force pair cap")
 
     sp = sub.add_parser("construct", parents=[common], help="small-square witness with trace")
     sp.add_argument("--q1", type=_int, required=True)
@@ -133,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=200,
         help="random_local's work, in full certifications: budget * isqrt(T) root steps",
     )
+    sp.add_argument("--seed", type=_int, default=0, help="seed for random_local's search")
 
     return p
 

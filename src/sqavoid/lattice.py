@@ -76,7 +76,8 @@ def _hnf_from_generators(
         if h11:
             k = a // h11
             a, b = a - k * vec[0], b - k * vec[1]
-        assert a == 0
+        if a != 0:
+            raise VerificationFailed(f"HNF elimination left first coordinate {a} in {gens}")
         if b:
             seconds.append(abs(b))
     h22 = math.gcd(*seconds) if seconds else 0
@@ -201,7 +202,8 @@ def box_minima(
         if u[0] * p[1] - u[1] * p[0] != 0:
             key2, v = key, p
             break
-    assert v is not None and key2 is not None, "lattice must contain 2 minima"
+    if v is None:
+        raise VerificationFailed(f"no candidate independent of {u}: lattice must contain 2 minima")
     scale = un * ud
     lam1_sq, lam2_sq = F(key1[0], scale), F(key2[0], scale)
     # Second Minkowski theorem for the volume-4 gauge ball, both sides.
@@ -398,7 +400,8 @@ def divide_out_step(
 
 def _exact_sqrt_fraction(x: Fraction) -> Fraction:
     r = F(isqrt(x.numerator), isqrt(x.denominator))
-    assert r * r == x, "expected an exact square of a rational"
+    if r * r != x:
+        raise VerificationFailed(f"expected an exact square of a rational, got {x}")
     return r
 
 

@@ -13,7 +13,9 @@ Witness search runs two independent routes:
   bound)).  For each root the admissible x1 are one residue class modulo
   q2/gcd(q1, q2) intersected with one interval, so the least-|x1| member
   has a closed form: O(1) integer operations per root, whatever the radii;
-* `brute_force_witness` enumerates the whole coefficient box.
+* `brute_force_witness` enumerates the whole coefficient box, row by row
+  (one row per x2) against the set of squares up to the bound, with no
+  residue-class arithmetic.
 
 Both apply the same deterministic tie-break (smallest n, then smallest
 |x1|, positive x1 before negative), so their results are comparable
@@ -25,16 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from operator import mul
 
 from .arith import DomainError, TooLarge, isqrt, mod_inverse
 from .formats import dec_int, dec_rat, enc_int, enc_rat
 
 BRUTE_FORCE_GUARD = 100_000_000
-# Values below 2^52 are exactly representable in float64, so the vectorized
-# square detector (floor-sqrt plus one-step correction) is exact there.
-_NUMPY_VALUE_LIMIT = 1 << 52
 
 
 @dataclass(frozen=True)
@@ -206,24 +204,43 @@ def certify_square_free(a: TwoDAP, t: int) -> Certificate:
     return Certificate("witness", w, n_max)
 
 
-def _brute_force_numpy(a: TwoDAP, cap: int) -> SquareWitness | None:
-    x1 = np.arange(-a.b1, a.b1 + 1, dtype=np.int64)
-    x2 = np.arange(-a.b2, a.b2 + 1, dtype=np.int64)
-    vals = x1[:, None] * a.q1 + x2[None, :] * a.q2
-    in_range = (vals >= 1) & (vals <= cap)
-    safe = np.where(in_range, vals, 1)
-    s = np.floor(np.sqrt(safe.astype(np.float64))).astype(np.int64)
-    s = np.where((s + 1) * (s + 1) <= safe, s + 1, s)
-    s = np.where(s * s > safe, s - 1, s)
-    hits = in_range & (s * s == safe)
-    if not hits.any():
-        return None
-    i, j = np.nonzero(hits)
-    nvals = s[i, j]
-    x1v = x1[i]
-    order = np.lexsort((x1v < 0, np.abs(x1v), nvals))
-    k = order[0]
-    return SquareWitness(int(x1v[k]), int(x2[j][k]), int(nvals[k]))
+def _least(hits) -> SquareWitness | None:
+    """The minimal (n, x1, x2) under the tie-break (n, |x1|, x1 < 0)."""
+    best = min(hits, key=lambda h: (h[0], abs(h[1]), h[1] < 0), default=None)
+    return None if best is None else SquareWitness(best[1], best[2], best[0])
+
+
+def _row_scan(a: TwoDAP, cap: int) -> SquareWitness | None:
+    """Brute force one row (fixed x2) at a time against the set of squares.
+
+    A row's values x1*q1 + x2*q2 in [1, cap] form one range with step q1;
+    intersecting it with {1, 4, ..., isqrt(cap)^2} tests every pair by hash
+    lookup at C speed.  A row's least square is its only candidate: it
+    alone has the row's smallest n.
+    """
+    r = range(1, isqrt(cap) + 1)
+    squares = set(map(mul, r, r))
+    q1, b1 = a.q1, a.b1
+    hits = []
+    for x2 in range(-a.b2, a.b2 + 1):
+        base = x2 * a.q2
+        lo = max(-b1, -((base - 1) // q1))  # least x1 with base + x1*q1 >= 1
+        hi = min(b1, (cap - base) // q1)
+        row = squares.intersection(range(base + lo * q1, base + hi * q1 + 1, q1))
+        if row:
+            v = min(row)
+            hits.append((isqrt(v), (v - base) // q1, x2))
+    return _least(hits)
+
+
+def _pair_scan(a: TwoDAP, cap: int) -> SquareWitness | None:
+    """Brute force pair by pair, with an integer square root per value."""
+    return _least(
+        (isqrt(v), x1, x2)
+        for x1 in range(-a.b1, a.b1 + 1)
+        for x2 in range(-a.b2, a.b2 + 1)
+        if 1 <= (v := x1 * a.q1 + x2 * a.q2) <= cap and isqrt(v) ** 2 == v
+    )
 
 
 def brute_force_witness(
@@ -233,23 +250,14 @@ def brute_force_witness(
 
     Applies the same tie-break as `find_square_witness` ((n, |x1|, sign of
     x1)).  If t is omitted the full value bound is searched.  Refuses boxes
-    with more than `guard` coefficient pairs.
+    with more than `guard` coefficient pairs.  Exact at any integer size.
+    Scans by rows, unless the box has fewer pairs than there are squares up
+    to the cap (small boxes of huge values), so memory stays O(pairs).
     """
-    if cardinality(a) > guard:
-        raise TooLarge(f"box has {cardinality(a)} pairs, guard is {guard}")
+    pairs = cardinality(a)
+    if pairs > guard:
+        raise TooLarge(f"box has {pairs} pairs, guard is {guard}")
     cap = a.value_bound() if t is None else min(t, a.value_bound())
     if cap < 1:
         return None
-    if cap < _NUMPY_VALUE_LIMIT and cardinality(a) >= 512:
-        return _brute_force_numpy(a, cap)
-    best: tuple[tuple[int, int, bool], SquareWitness] | None = None
-    for x1 in range(-a.b1, a.b1 + 1):
-        for x2 in range(-a.b2, a.b2 + 1):
-            v = x1 * a.q1 + x2 * a.q2
-            if 1 <= v <= cap:
-                r = isqrt(v)
-                if r * r == v:
-                    key = (r, abs(x1), x1 < 0)
-                    if best is None or key < best[0]:
-                        best = (key, SquareWitness(x1, x2, r))
-    return None if best is None else best[1]
+    return _pair_scan(a, cap) if isqrt(cap) > pairs else _row_scan(a, cap)

@@ -130,6 +130,13 @@ def test_supremum_restricted_case1():
     assert sup2 == F(20, 27)
 
 
+def test_supremum_refuses_an_empty_region():
+    # Every point of the simplex has b >= 0; b_max = 0 still keeps (0, 0).
+    with pytest.raises(DomainError):
+        exponent_supremum(4, b_max=F(-1))
+    assert exponent_supremum(4, b_max=F(0))[1] == [ExponentPoint(F(0), F(0))]
+
+
 def test_supremum_matches_dense_scan():
     # Independent certification on a fine grid: no value above 20/27 and the
     # maximum is attained.

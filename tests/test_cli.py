@@ -106,6 +106,19 @@ def test_unexpected_exception_exits_two_not_one(capsys, monkeypatch):
     assert err.startswith("error:")
 
 
+def test_flags_belong_to_the_one_command_that_reads_them(capsys):
+    box = ["--q1", "3", "--q2", "5", "--x1", "2", "--x2", "2", "--t", "25"]
+    assert main(["witness", *box, "--guard", "5"]) == 2
+    assert main(["verify", *box, "--seed", "5"]) == 2
+    capsys.readouterr()
+
+
+def test_exponent_empty_region_exits_two(capsys):
+    code, recs, _ = run(capsys, "exponent", "--grid", "4", "--b-max", "-1")
+    assert code == 2
+    assert (recs[0]["kind"], recs[0]["error"]) == ("Error", "DomainError")
+
+
 def test_lower_rejects_bad_prime_with_exit_two(capsys):
     code, recs, _ = run(capsys, "lower", "--p", "12")
     assert code == 2 and recs[0]["kind"] == "Error"
@@ -231,6 +244,26 @@ def test_big_integers_survive_as_decimal_strings(capsys):
     rec = recs[0]
     assert rec["q1"] == big  # exact decimal round-trip, no float mangling
     json.dumps(rec)  # and still valid JSON
+
+
+def test_verify_is_exact_past_int64(capsys):
+    # 7*q1 = 1 (mod 2^64), and 2^63 + 7 does not fit an int64 at all.
+    for q1 in ("7905747460161236407", str(2**63 + 7)):
+        code, recs, _ = run(
+            capsys, "verify", "--q1", q1, "--q2", "1000000", "--x1", "8", "--x2", "16", "--t", "100"
+        )
+        assert code == 0
+        assert (recs[0]["kind"], recs[0]["brute_force"]) == ("SquareFree", "agree")
+
+
+def test_cli_import_loads_no_numpy(run_python):
+    proc = run_python(
+        "-c",
+        "import sqavoid.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_verify_guard_skip_path(capsys):

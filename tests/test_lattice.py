@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,39 @@ def test_hnf_shape_and_membership():
         for x1 in range(-d, d + 1):
             for x2 in range(-d, d + 1):
                 assert member_via_rows(lat, x1, x2) == lat.contains(x1, x2)
+
+
+_FORGED_INTERNALS = textwrap.dedent(
+    """
+    import math
+    import sys
+    from fractions import Fraction
+    from sqavoid import lattice
+    from sqavoid.arith import VerificationFailed
+
+    if not sys.flags.optimize:
+        sys.exit("expected to run under python -O")
+
+    def refused(what, call):
+        try:
+            call()
+        except VerificationFailed:
+            return
+        sys.exit(what + " passed")
+
+    refused("an inexact rational square root", lambda: lattice._exact_sqrt_fraction(Fraction(2)))
+    lat = lattice.congruence_lattice(5, 1, 2)
+    lattice._normalize_sign = lambda x1, x2: (0, 1)  # every candidate on one line
+    refused("a single line of minima candidates", lambda: lattice.box_minima(lat, Fraction(1)))
+    lattice._xgcd = lambda a, b: (math.gcd(a, b), 0, 0)  # Bezout pair that combines nothing
+    refused("an HNF elimination with a first coordinate left", lambda: lattice.congruence_lattice(6, 1, 1))
+    """
+)
+
+
+def test_internal_checks_survive_optimized_mode(run_python):
+    proc = run_python("-O", "-c", _FORGED_INTERNALS)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_congruence_lattice_rejects_bad_input():

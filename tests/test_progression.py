@@ -15,7 +15,8 @@ from sqavoid.progression import (
     Certificate,
     SquareWitness,
     TwoDAP,
-    _brute_force_numpy,
+    _pair_scan,
+    _row_scan,
     brute_force_witness,
     cardinality,
     certify_square_free,
@@ -186,14 +187,45 @@ def test_degenerate_one_d_box_matches_brute_force():
     assert certify_square_free(a, t) == Certificate("square_free", None, 9999)
 
 
-def test_numpy_and_pure_brute_force_agree():
-    rng = random.Random(5)
-    for _ in range(300):
-        a = random_instance(rng, qmax=40, xmax=6)
-        cap = a.value_bound()
-        if cap < 1:
-            continue
-        assert _brute_force_numpy(a, cap) == oracle_witness(a, cap), a
+@st.composite
+def huge_step_boxes(draw) -> tuple[TwoDAP, int]:
+    """Boxes with steps up to about 2^73 that still hold squares below a small t.
+
+    q1 = m1*B + d1 and q2 = m2*B + d2 share the large part B, so
+    m2*q1 - m1*q2 = m2*d1 - m1*d2 is small and pairs along that relation
+    give small values although each step is huge (m = 0 gives small steps).
+    Radii include 0 and non-integers; t keeps the set of squares small.
+    """
+    k = draw(st.integers(0, 70))
+    big = draw(st.integers(2**k, 2 ** (k + 1)))  # log-uniform, so steps past 2^63 are common
+    q1 = draw(st.integers(0, 3)) * big + draw(st.integers(1, 50))
+    q2 = draw(st.integers(0, 3)) * big + draw(st.integers(1, 50))
+    radius = st.builds(Fraction, st.integers(0, 60), st.integers(1, 3))
+    return TwoDAP(q1, q2, draw(radius), draw(radius)), draw(st.integers(0, 10**6))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(huge_step_boxes())
+def test_row_scan_matches_pair_scan_hypothesis(case):
+    a, t = case
+    w = find_square_witness(a, t)
+    assert brute_force_witness(a, t) == w
+    cap = min(t, a.value_bound())
+    if cap >= 1:
+        assert _row_scan(a, cap) == _pair_scan(a, cap) == oracle_witness(a, cap) == w
+
+
+def test_brute_force_exact_past_int64():
+    # 7*q1 = 1 (mod 2^64): a 64-bit product would wrap to the square 1.
+    q1 = 7905747460161236407
+    assert 7 * q1 % 2**64 == 1
+    a = TwoDAP(q1, 10**6, 8, 16)
+    assert brute_force_witness(a, 100) is None
+    assert find_square_witness(a, 100) is None
+    # Steps past 2^63, with and without a square in range.
+    assert brute_force_witness(TwoDAP(2**63 + 7, 10**6, 8, 16), 100) is None
+    a = TwoDAP(2**64 + 1, 2**64, 8, 16)
+    assert brute_force_witness(a, 100) == find_square_witness(a, 100) == SquareWitness(1, -1, 1)
 
 
 def test_brute_force_guard():

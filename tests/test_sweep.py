@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import pytest
 
@@ -227,26 +223,13 @@ _FORGED = textwrap.dedent(
 )
 
 
-def _run_optimized(script: str) -> subprocess.CompletedProcess:
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-
-
-def test_emission_checks_survive_optimized_mode():
-    proc = _run_optimized(_REJECT_ALL)
+def test_emission_checks_survive_optimized_mode(run_python):
+    proc = run_python("-O", "-c", _REJECT_ALL)
     assert proc.returncode == 2, proc.stderr
     rec = json.loads(proc.stdout.splitlines()[-1])
     assert (rec["kind"], rec["error"]) == ("Error", "VerificationFailed")
 
 
-def test_trace_and_lattice_checks_survive_optimized_mode():
-    proc = _run_optimized(_FORGED)
+def test_trace_and_lattice_checks_survive_optimized_mode(run_python):
+    proc = run_python("-O", "-c", _FORGED)
     assert proc.returncode == 0, proc.stdout + proc.stderr
