@@ -8,8 +8,8 @@ size beats sqrt(T), which is why these instances anchor the lower-bound
 side of the size question.
 
 The sweep harness pits that family against the best one-dimensional
-progression and a seeded randomized hill-climb, re-verifying everything it
-reports.
+progression and seeded random step pairs, whose radii grow by exact root
+walks inside [-T, T], re-verifying everything it reports.
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ Witness search runs two independent routes:
 * `find_square_witness` walks n = 1, 2, ... up to sqrt(min(T, value
   bound)).  For each root the admissible x1 are one residue class modulo
   q2/gcd(q1, q2) intersected with one interval, so the least-|x1| member
-  has a closed form: O(1) integer operations per root, whatever the radii;
+  has a closed form: O(1) integer operations per root, whatever the radii.
+  `max_radius` walks the roots once with the same kernel to find the
+  largest square-free radius on one axis;
 * `brute_force_witness` enumerates the whole coefficient box, row by row
   (one row per x2) against the set of squares up to the bound, with no
   residue-class arithmetic.
@@ -33,6 +35,8 @@ from .arith import DomainError, TooLarge, isqrt, mod_inverse
 from .formats import dec_int, dec_rat, enc_int, enc_rat
 
 BRUTE_FORCE_GUARD = 100_000_000
+# Roots one witness walk may visit: isqrt of the largest sweep T, 10^16.
+ROOT_WALK_LIMIT = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -141,28 +145,21 @@ def is_proper(a: TwoDAP) -> bool:
     return not (a.q2 // d <= 2 * a.b1 and a.q1 // d <= 2 * a.b2)
 
 
-def find_square_witness(a: TwoDAP, t: int) -> SquareWitness | None:
-    """Smallest-square witness in a, with n^2 <= min(t, value bound).
+def _first_root(q1: int, q2: int, b1: int, b2: int, n_lo: int, n_hi: int) -> SquareWitness | None:
+    """Least-|x1| witness at the first root n in [n_lo, n_hi] that has one.
 
-    Walks n = 1 .. isqrt(min(t, value bound)) with O(1) work per root, so a
-    search costs O(sqrt(min(t, value bound))) root steps.  With
-    d = gcd(q1, q2) and k = n^2/d, the solutions of x1*q1 + x2*q2 = n^2 with
-    |x2| <= X2 are the x1 = k*(q1/d)^-1 (mod q2/d) in
-    [(k - X2*q2/d) / (q1/d), (k + X2*q2/d) / (q1/d)] clipped to [-X1, X1],
-    whose upper end is never negative because k >= 1.  Tie-break for fixed
-    n: smallest |x1|, then positive x1 first.
+    With d = gcd(q1, q2) and k = n^2/d, the solutions of x1*q1 + x2*q2 = n^2
+    with |x2| <= b2 are the x1 = k*(q1/d)^-1 (mod q2/d) in
+    [(k - b2*q2/d) / (q1/d), (k + b2*q2/d) / (q1/d)] clipped to [-b1, b1],
+    whose upper end is never negative because k >= 1: O(1) work per root.
+    Ties at one n go to the smallest |x1|, then to positive x1.  A range
+    reaching past ROOT_WALK_LIMIT with no witness before it raises TooLarge.
     """
-    if t < 0:
-        raise DomainError(f"ambient bound must be non-negative, got {t}")
-    cap = min(t, a.value_bound())
-    if cap < 1:
-        return None
-    q1, q2, b1 = a.q1, a.q2, a.b1
     d = math.gcd(q1, q2)
     q1d, q2d = q1 // d, q2 // d
-    slack = a.b2 * q2d  # |x2| <= X2 as a bound on x1*q1d around k
+    slack = b2 * q2d  # |x2| <= b2 as a bound on x1*q1d around k
     inv = mod_inverse(q1d % q2d, q2d) if q2d > 1 else 0
-    for n in range(1, isqrt(cap) + 1):
+    for n in range(n_lo, min(n_hi, ROOT_WALK_LIMIT) + 1):
         nn = n * n
         if nn % d:
             continue
@@ -189,7 +186,40 @@ def find_square_witness(a: TwoDAP, t: int) -> SquareWitness | None:
                 if x1 < lo:
                     continue
         return SquareWitness(x1, (k - x1 * q1d) // q2d, n)
+    if n_hi > ROOT_WALK_LIMIT:
+        raise TooLarge(f"the walk needs roots up to {n_hi}, limit is {ROOT_WALK_LIMIT}")
     return None
+
+
+def find_square_witness(a: TwoDAP, t: int) -> SquareWitness | None:
+    """Smallest-square witness in a, with n^2 <= min(t, value bound).
+
+    One walk of n = 1 .. isqrt(min(t, value bound)), O(1) work per root;
+    TooLarge if it would pass ROOT_WALK_LIMIT roots with no witness.
+    """
+    if t < 0:
+        raise DomainError(f"ambient bound must be non-negative, got {t}")
+    cap = min(t, a.value_bound())
+    if cap < 1:
+        return None
+    return _first_root(a.q1, a.q2, a.b1, a.b2, 1, isqrt(cap))
+
+
+def max_radius(q: int, other_q: int, other_r: int, t: int) -> int:
+    """Largest r with TwoDAP(q, other_q, r, other_r) in [-t, t] and square-free.
+
+    Starts from the room the other axis leaves.  A hit at root n with least
+    |x1| = x caps r at x - 1, which keeps every root below n clear, so the
+    walk resumes at n + 1 up to the new value bound: at most isqrt(t) roots
+    in all.  Returns -1 when even r = 0 holds a square.
+    """
+    base = TwoDAP(q, other_q, 0, other_r).value_bound()  # DomainError on bad steps or radius
+    if base > t:
+        raise DomainError(f"the other axis reaches {base}, past t = {t}")
+    r, n = (t - base) // q, 1
+    while r >= 0 and (w := _first_root(q, other_q, r, other_r, n, isqrt(base + r * q))):
+        r, n = abs(w.x1) - 1, w.n + 1
+    return r
 
 
 def certify_square_free(a: TwoDAP, t: int) -> Certificate:

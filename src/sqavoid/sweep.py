@@ -8,23 +8,23 @@ deterministic given the configuration:
                    classical sqrt(T)-scale floor.  A short walk out from
                    q = isqrt(T) finds the best q among all q >= 1.
 * ``lower_bound``- the non-residue construction over every prime
-                   p = 1 (mod 4) with 2*p^2 <= T; its value bound sits
-                   below 2*p^2, so avoidance extends to all of [-T, T].
-* ``random_local``- a seeded coordinate hill-climb over (q1, q2, X1, X2)
-                   using `certify_square_free` as the feasibility oracle
-                   and cardinality as the objective (algorithm: alternate
-                   exponential-then-binary radius growth per axis, with
-                   random coprime restarts until the budget is spent).
-                   The budget is counted in full certifications at T:
-                   budget * isqrt(T) root steps, each probe charged the
-                   roots its walk visits, so a cheap refutation costs
-                   little and every seed does the same work to within
-                   one probe.
+                   p = 1 (mod 4) whose box lies in [-T, T]; that value
+                   bound sits below 2*p^2, where its certificate holds.
+* ``random_local``- seeded random coprime pairs q1 < q2 up to 2*sqrt(T):
+                   X1 = one_d_bound(q1, T), exact while X2 = 0, then
+                   X2 = max_radius(q2, q1, X1, T) in the room X1 leaves.
+                   X1 leaves room for X2 >= 1 exactly when
+                   q1*(kernel(q1) - 1) <= T - q2; otherwise (as when
+                   q1*(kernel(q1) - 1) >= T and X1 = T // q1 takes all the
+                   room) the box is one-dimensional and never beats
+                   ``one_d``.  The budget counts pairs, one walk of at
+                   most isqrt(T) roots each.
 
 Within a family ties go to the lexicographically smallest steps; the
 overall best is the largest box, ties to the smallest (q1, q2).  Every
-emitted best instance is re-certified and properness-checked at emission
-time; the sweep refuses to report anything it cannot verify.
+emitted best instance is re-certified, properness-checked and checked to
+lie in [-T, T] at emission time; the sweep refuses to report anything it
+cannot verify.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from random import Random
 from .arith import PRIME_SIEVE_LIMIT, DomainError, VerificationFailed, isqrt, primes_up_to
 from .bounds import one_d_bound
 from .lowerbound import MIN_PRIME, build_instance, residue_certificate
-from .progression import TwoDAP, cardinality, certify_square_free, is_proper
+from .progression import TwoDAP, cardinality, certify_square_free, is_proper, max_radius
 
 FAMILIES = ("one_d", "lower_bound", "random_local")
 
@@ -51,9 +51,9 @@ class SweepConfig:
     def __post_init__(self):
         if self.t < 100:
             raise DomainError(f"sweep needs T >= 100, got {self.t}")
-        # lower_bound sieves the primes up to sqrt(T / 2).
-        if self.t > 2 * PRIME_SIEVE_LIMIT**2:
-            raise DomainError(f"sweep needs T <= 2*10^16, got {self.t}")
+        # lower_bound sieves up to isqrt(T); walks need isqrt(T) <= ROOT_WALK_LIMIT.
+        if self.t > PRIME_SIEVE_LIMIT**2:
+            raise DomainError(f"sweep needs T <= 10^16, got {self.t}")
         if self.budget < 1:
             raise DomainError(f"budget must be >= 1, got {self.budget}")
         bad = [f for f in self.families if f not in FAMILIES]
@@ -109,10 +109,12 @@ def _one_d_family(t: int) -> FamilyBest:
 
 def _lower_bound_family(t: int) -> FamilyBest | None:
     best = None
-    for p in primes_up_to(isqrt(t // 2)):
+    for p in primes_up_to(isqrt(t)):
         if p % 4 != 1 or p < MIN_PRIME:
             continue
         inst = build_instance(p)
+        if inst.progression.value_bound() > t:
+            continue
         if best is None or inst.size > best.size:  # ties to the smaller p
             best = inst
     if best is None:
@@ -122,56 +124,20 @@ def _lower_bound_family(t: int) -> FamilyBest | None:
     return FamilyBest("lower_bound", best.progression, best.size)
 
 
-def _grow_axis(
-    q1: int, q2: int, x1: int, x2: int, axis: int, t: int, budget: list[int]
-) -> tuple[int, int]:
-    """Largest feasible radius on one axis, by doubling then bisection.
-
-    Radii are capped at t // q so the whole box stays inside [-t, t];
-    beyond that, growth adds no values below the ambient bound and the
-    size comparison would be meaningless.
-    """
-    cap = t // (q2 if axis else q1)
-
-    def feasible(r: int) -> bool:
-        if budget[0] <= 0:
-            return False
-        box = (x1, r) if axis else (r, x2)
-        cert = certify_square_free(TwoDAP(q1, q2, box[0], box[1]), t)
-        # Charge the roots the walk visited: up to the witness's n, else all.
-        budget[0] -= max(1, cert.n_max if cert.witness is None else cert.witness.n)
-        return cert.kind == "square_free"
-
-    lo = x2 if axis else x1
-    hi = lo + 1
-    while hi <= cap and feasible(hi):
-        lo = hi
-        hi = 2 * hi + 1
-    ub = min(hi, cap + 1)
-    while lo + 1 < ub:
-        mid = (lo + ub) // 2
-        if feasible(mid):
-            lo = mid
-        else:
-            ub = mid
-    return (x1, lo) if axis else (lo, x2)
-
-
 def _random_local_family(t: int, seed: int, budget: int) -> FamilyBest | None:
     rng = Random(seed)
     root = isqrt(t)
-    remaining = [budget * root]
     best: tuple[int, int, int, TwoDAP] | None = None
-    while remaining[0] > 0:
+    pairs = 0
+    while pairs < budget:
         q1 = rng.randint(2, max(3, 2 * root))
         q2 = rng.randint(2, max(3, 2 * root))
         if math.gcd(q1, q2) != 1:
             continue
+        pairs += 1
         q1, q2 = min(q1, q2), max(q1, q2)
-        x1, x2 = 0, 0
-        for axis in (0, 1, 0, 1):
-            x1, x2 = _grow_axis(q1, q2, x1, x2, axis, t, remaining)
-        a = TwoDAP(q1, q2, x1, x2)
+        x1 = one_d_bound(q1, t)
+        a = TwoDAP(q1, q2, x1, max_radius(q2, q1, x1, t))
         if not is_proper(a):
             continue
         cand = (cardinality(a), -q1, -q2, a)
@@ -206,6 +172,8 @@ def sweep(config: SweepConfig) -> SweepResult:
             raise VerificationFailed(f"{fb.family} box holds a square <= {t}: {fb.progression}")
         if cardinality(fb.progression) != fb.size:
             raise VerificationFailed(f"{fb.family} box size is not {fb.size}: {fb.progression}")
+        if fb.progression.value_bound() > t:
+            raise VerificationFailed(f"{fb.family} box leaves [-{t}, {t}]: {fb.progression}")
     r1 = best.size / t ** (20 / 27)
     r2 = best.size / (math.sqrt(t) * math.log(t))
     return SweepResult(config, bests, best, f"{r1:.6f}", f"{r2:.6f}")

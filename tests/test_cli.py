@@ -94,6 +94,16 @@ def test_huge_sweep_t_is_refused_with_exit_two(capsys):
     assert (recs[0]["kind"], recs[0]["error"]) == ("Error", "DomainError")
 
 
+def test_walk_past_the_root_limit_exits_two(capsys, monkeypatch):
+    # Square-free up to 10^8, so the walk would need all 10^4 roots.
+    monkeypatch.setattr(progression, "ROOT_WALK_LIMIT", 1000)
+    box = ["--q1", "10001", "--q2", "1", "--x1", "9999", "--x2", "0", "--t", str(10**8)]
+    for command in ("witness", "verify"):
+        code, recs, _ = run(capsys, command, *box)
+        assert code == 2, command
+        assert (recs[0]["kind"], recs[0]["error"]) == ("Error", "TooLarge")
+
+
 def test_unexpected_exception_exits_two_not_one(capsys, monkeypatch):
     # Exit 1 means "witness found": an internal failure must never produce it.
     def overflow(args):

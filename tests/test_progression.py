@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqavoid import progression
 from sqavoid.arith import DomainError, TooLarge, isqrt
+from sqavoid.bounds import one_d_bound
 from sqavoid.progression import (
     Certificate,
     SquareWitness,
@@ -22,6 +24,7 @@ from sqavoid.progression import (
     certify_square_free,
     find_square_witness,
     is_proper,
+    max_radius,
 )
 
 
@@ -50,6 +53,15 @@ def oracle_witness(a: TwoDAP, t: int) -> SquareWitness | None:
                     if best is None or key < best[0]:
                         best = (key, SquareWitness(x1, x2, r))
     return None if best is None else best[1]
+
+
+def oracle_max_radius(q: int, other_q: int, other_r: int, t: int) -> int:
+    """Radius by radius: the largest r whose box fits in [-t, t] and has no square."""
+    room = (t - other_r * other_q) // q
+    r = -1
+    while r < room and brute_force_witness(TwoDAP(q, other_q, r + 1, other_r), t) is None:
+        r += 1
+    return r
 
 
 def random_instance(rng: random.Random, qmax: int = 60, xmax: int = 8) -> TwoDAP:
@@ -226,6 +238,56 @@ def test_brute_force_exact_past_int64():
     assert brute_force_witness(TwoDAP(2**63 + 7, 10**6, 8, 16), 100) is None
     a = TwoDAP(2**64 + 1, 2**64, 8, 16)
     assert brute_force_witness(a, 100) == find_square_witness(a, 100) == SquareWitness(1, -1, 1)
+
+
+@st.composite
+def radius_cases(draw) -> tuple[int, int, int, int]:
+    """(q, other_q, other_r, t) with the other axis inside [-t, t]; gcd > 1 too."""
+    g = draw(st.integers(1, 6))
+    q = g * draw(st.integers(1, 40))
+    other_q = g * draw(st.integers(1, 40))
+    other_r = draw(st.integers(0, 12))
+    t = other_r * other_q + draw(st.integers(0, 3000))
+    return q, other_q, other_r, t
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(radius_cases())
+def test_max_radius_matches_radius_by_radius_oracle(case):
+    q, other_q, other_r, t = case
+    r = max_radius(q, other_q, other_r, t)
+    assert r == oracle_max_radius(q, other_q, other_r, t)
+    assert max_radius(q, other_q, 0, t) == one_d_bound(q, t)
+
+
+def test_max_radius_frozen():
+    # The lower-bound box (13, 15, 12, 1): x1 = 13 gives 13^2.
+    assert max_radius(13, 15, 1, 10**6) == 12
+    # Containment alone: 13 + 15 > 27 leaves room for x1 <= 0 only.
+    assert max_radius(13, 15, 1, 27) == 0
+    # The square 4 = 4*1 + 0*5 at r = 0: no radius works.
+    assert max_radius(5, 4, 1, 100) == -1
+    with pytest.raises(DomainError):
+        max_radius(13, 15, 1, 14)  # the other axis alone reaches 15
+    with pytest.raises(DomainError):
+        max_radius(0, 15, 1, 100)
+    with pytest.raises(DomainError):
+        max_radius(13, 15, -1, 100)
+
+
+def test_root_walk_limit(monkeypatch):
+    # A witness within the limit is an answer, however far the cap reaches.
+    a = TwoDAP(10**30, 10**30 + 1, 2, 2)
+    assert isqrt(a.value_bound()) > progression.ROOT_WALK_LIMIT
+    assert find_square_witness(a, 10**62) == SquareWitness(-1, 1, 1)
+    # A square-free walk that would pass the limit is refused.
+    monkeypatch.setattr(progression, "ROOT_WALK_LIMIT", 1000)
+    one_d = TwoDAP(10001, 1, 9999, 0)  # square-free up to 10^8: 10^4 roots
+    with pytest.raises(TooLarge):
+        find_square_witness(one_d, 10**8)
+    assert find_square_witness(one_d, 10**6) is None  # 1000 roots: within
+    with pytest.raises(TooLarge):
+        max_radius(10001, 1, 0, 10**8)
 
 
 def test_brute_force_guard():

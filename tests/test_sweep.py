@@ -9,7 +9,7 @@ import textwrap
 import pytest
 
 from sqavoid.arith import DomainError, is_perfect_square
-from sqavoid.progression import cardinality, certify_square_free, is_proper
+from sqavoid.progression import cardinality, certify_square_free, is_proper, max_radius
 from sqavoid.sweep import (
     SweepConfig,
     _lower_bound_family,
@@ -64,10 +64,19 @@ def test_one_d_family_frozen_large_t():
 
 
 def test_lower_bound_family_frozen_smallest_window():
+    # p = 17 fits: its box reaches 312 <= 338, though 2*17^2 > 338.
     fb = _lower_bound_family(338)
     assert fb is not None
-    assert fb.size == 75
-    assert (fb.progression.q1, fb.progression.q2) == (13, 15)
+    assert fb.size == 165
+    assert (fb.progression.q1, fb.progression.q2) == (17, 20)
+
+
+def test_lower_bound_family_full_reach():
+    # Every prime p <= isqrt(T) whose box lies in [-T, T], not only 2*p^2 <= T.
+    for t, p, size in ((10**6, 769, 19_981), (10**7, 2689, 134_425)):
+        fb = _lower_bound_family(t)
+        assert (fb.progression.q1, fb.size) == (p, size), t
+        assert fb.progression.value_bound() <= t < 2 * p * p
 
 
 def test_lower_bound_family_none_below_first_prime():
@@ -96,24 +105,24 @@ def test_random_local_family_is_deterministic():
 
 
 def test_random_local_work_is_its_budget_for_every_seed(monkeypatch):
-    """The roots walked come to budget * isqrt(T), plus at most one probe."""
+    """One max_radius walk per coprime pair: exactly `budget` walks."""
     import importlib
 
     sweep_module = importlib.import_module("sqavoid.sweep")  # the package's `sweep` is the function
-    walked = [0]
+    walks = []
 
-    def counted(a, t):
-        cert = certify_square_free(a, t)
-        walked[0] += max(1, cert.n_max if cert.witness is None else cert.witness.n)
-        return cert
+    def counted(q, other_q, other_r, t):
+        walks.append((q, other_q, other_r))
+        return max_radius(q, other_q, other_r, t)
 
-    monkeypatch.setattr(sweep_module, "certify_square_free", counted)
+    monkeypatch.setattr(sweep_module, "max_radius", counted)
     t, budget = 1_000_000, 30
-    root = math.isqrt(t)
     for seed in range(5):
-        walked[0] = 0
-        _random_local_family(t, seed=seed, budget=budget)
-        assert budget * root <= walked[0] <= (budget + 1) * root, (seed, walked[0])
+        walks.clear()
+        fb = _random_local_family(t, seed=seed, budget=budget)
+        assert len(walks) == budget, seed
+        assert all(math.gcd(q, other_q) == 1 for q, other_q, _ in walks)
+        assert fb.progression.value_bound() <= t
 
 
 # ------------------------------------------------------------ full sweep
@@ -123,7 +132,8 @@ def test_sweep_config_validation():
     with pytest.raises(DomainError):
         SweepConfig(t=50)
     with pytest.raises(DomainError):
-        SweepConfig(t=2 * 10**16 + 1)  # lower_bound would sieve past 10^8
+        SweepConfig(t=10**16 + 1)  # lower_bound would sieve, and walks pass, 10^8
+    assert SweepConfig(t=10**16).t == 10**16
     with pytest.raises(DomainError):
         SweepConfig(t=1000, budget=0)
     with pytest.raises(DomainError):
@@ -145,6 +155,15 @@ def test_sweep_emits_only_verified_instances():
         a = res.best.progression
         cap = (2 * (t // a.q1) + 1) * (2 * (t // a.q2) + 1)
         assert res.best.size <= cap
+
+
+def test_sweep_boxes_lie_in_the_interval():
+    # Growing each radius up to t // q on its own once gave
+    # TwoDAP(1234, 1661, 810, 2) here, whose values reach 1,002,862.
+    t = 10**6
+    res = sweep(SweepConfig(t=t, seed=0))
+    for fb in res.family_bests:
+        assert fb.progression.value_bound() <= t, fb
 
 
 def test_sweep_best_dominates_families():
@@ -190,6 +209,33 @@ _REJECT_ALL = textwrap.dedent(
 )
 
 
+_UNCONTAINED = textwrap.dedent(
+    """
+    import importlib
+    import sys
+    from sqavoid import cli
+    from sqavoid.arith import VerificationFailed
+    from sqavoid.progression import TwoDAP, cardinality
+
+    if not sys.flags.optimize:
+        sys.exit("expected to run under python -O")
+    sweep_module = importlib.import_module("sqavoid.sweep")  # the package's `sweep` is the function
+    # Proper and square-free up to 10^6, but its values reach 1,002,862.
+    box = TwoDAP(1234, 1661, 810, 2)
+    sweep_module._random_local_family = lambda t, seed, budget: sweep_module.FamilyBest(
+        "random_local", box, cardinality(box)
+    )
+    try:
+        sweep_module.sweep(sweep_module.SweepConfig(t=10**6))
+    except VerificationFailed:
+        pass
+    else:
+        sys.exit("sweep reported a box that leaves [-T, T]")
+    sys.exit(cli.main(["sweep", "--t", "1000000"]))
+    """
+)
+
+
 _FORGED = textwrap.dedent(
     """
     import dataclasses
@@ -228,6 +274,14 @@ def test_emission_checks_survive_optimized_mode(run_python):
     assert proc.returncode == 2, proc.stderr
     rec = json.loads(proc.stdout.splitlines()[-1])
     assert (rec["kind"], rec["error"]) == ("Error", "VerificationFailed")
+
+
+def test_containment_check_survives_optimized_mode(run_python):
+    proc = run_python("-O", "-c", _UNCONTAINED)
+    assert proc.returncode == 2, proc.stderr
+    rec = json.loads(proc.stdout.splitlines()[-1])
+    assert (rec["kind"], rec["error"]) == ("Error", "VerificationFailed")
+    assert "leaves" in rec["message"]
 
 
 def test_trace_and_lattice_checks_survive_optimized_mode(run_python):
