@@ -5,10 +5,10 @@ Everything in this module computes over arbitrary-precision Python integers
 any verdict: inequalities involving fractional powers are decided by integer
 cross-multiplication, and square roots by `math.isqrt`.
 
-The factor-dependent routines (`squarefree_kernel`, `sqrt_mod`) rely on
-`factorize`, which combines trial division below 10**6 with Brent's cycle
-method driven by a deterministic parameter schedule, so repeated runs give
-identical results.
+The factor-dependent routines (`squarefree_kernel`, `sqrt_mod`,
+`sqrt_classes`) rely on `factorize`, which combines trial division below
+10**6 with Brent's cycle method driven by a deterministic parameter
+schedule, so repeated runs give identical results.
 """
 
 from __future__ import annotations
@@ -364,32 +364,49 @@ def sqrt_mod_factored(a: int, m: int, factors: dict[int, int]) -> int | None:
     """`sqrt_mod(a, m)` given `factors = factorize(m)`.
 
     For callers that solve several residues modulo one m: they factor m
-    once instead of once per residue.  Requires gcd(a, m) = 1.
+    once instead of once per residue.  Requires gcd(a, m) = 1, so the
+    classes of `sqrt_classes` are taken modulo m itself.
     """
     if math.gcd(a, m) != 1:
         raise NotCoprime(f"sqrt_mod requires gcd(a, m) = 1, got gcd = {math.gcd(a, m)}")
-    # Roots modulo each prime power.
-    branch_roots: list[tuple[int, list[int]]] = []
+    _, residues = sqrt_classes(a, factors)
+    return min(residues, default=None)
+
+
+def sqrt_classes(a: int, factors: dict[int, int]) -> tuple[int, list[int]]:
+    """The square roots of any a modulo m, where `factors = factorize(m)`.
+
+    Returns (M, residues) with M | m: n*n = a (mod m) iff n mod M is one of
+    `residues` (empty when a has no root).  Per prime power p^k of m, with
+    j the valuation of a at p: j odd has no root; j >= k needs
+    n = 0 (mod p^ceil(k/2)); otherwise n = p^(j/2)*s (mod p^(k - j/2)) for
+    the roots s of the unit a/p^j modulo p^(k - j).  Reducing the moduli
+    this way keeps at most 4*2^omega(m) classes, however square m is.
+    """
+    mod, residues = 1, [0]
     for p, k in factors.items():
         pk = p**k
-        roots = _roots_mod_two_power(a, k) if p == 2 else _roots_mod_odd_prime_power(a % pk, p, k)
-        if roots is None:
-            return None
-        branch_roots.append((pk, roots))
-    # CRT combination over every branch; keep the smallest representative.
-    combos = [0]
-    mod = 1
-    for pk, roots in branch_roots:
-        inv = mod_inverse(mod % pk, pk) if mod % pk else 0
-        new: list[int] = []
-        for x in combos:
-            for r in roots:
-                # x + mod * t = r (mod pk)
-                t = (r - x) * inv % pk if mod % pk else r
-                new.append(x + mod * t)
-        mod *= pk
-        combos = new
-    return min(combos)
+        u, j = a % pk, 0
+        if u == 0:
+            pm, roots = p ** ((k + 1) // 2), [0]
+        else:
+            while u % p == 0:
+                u //= p
+                j += 1
+            if j % 2:
+                return 1, []
+            e = k - j
+            roots = _roots_mod_two_power(u, e) if p == 2 else _roots_mod_odd_prime_power(u, p, e)
+            if roots is None:
+                return 1, []
+            scale = p ** (j // 2)
+            pm = p ** (k - j // 2)
+            roots = [scale * s for s in roots]
+        # Chinese remaindering: x + mod*t = r (mod pm) for each class pair.
+        inv = mod_inverse(mod, pm)
+        residues = [x + mod * ((r - x) * inv % pm) for x in residues for r in roots]
+        mod *= pm
+    return mod, residues
 
 
 # One byte per integer: the sieve below holds at most about 100 MB.

@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=_int,
         default=200,
-        help="random_local's coprime step pairs, one root walk of at most isqrt(T) roots each",
+        help="random_local's coprime step pairs, one max_radius row walk each",
     )
     sp.add_argument("--seed", type=_int, default=0, help="seed for random_local's search")
 

@@ -12,9 +12,7 @@ Witness search runs two independent routes:
 * `find_square_witness` walks n = 1, 2, ... up to sqrt(min(T, value
   bound)).  For each root the admissible x1 are one residue class modulo
   q2/gcd(q1, q2) intersected with one interval, so the least-|x1| member
-  has a closed form: O(1) integer operations per root, whatever the radii.
-  `max_radius` walks the roots once with the same kernel to find the
-  largest square-free radius on one axis;
+  has a closed form: O(1) integer operations per root, whatever the radii;
 * `brute_force_witness` enumerates the whole coefficient box, row by row
   (one row per x2) against the set of squares up to the bound, with no
   residue-class arithmetic.
@@ -22,6 +20,12 @@ Witness search runs two independent routes:
 Both apply the same deterministic tie-break (smallest n, then smallest
 |x1|, positive x1 before negative), so their results are comparable
 object-for-object.
+
+`max_radius`, the largest square-free radius on one axis, walks rows, not
+roots: a row of the box holds a square iff a modular square root lands
+near the row's centre.  It takes at most min(r, R) + 1 steps past the
+centre rows, a few modular square roots each, and shares no code with
+`find_square_witness`, which stays an independent check of its boxes.
 """
 
 from __future__ import annotations
@@ -31,11 +35,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .arith import DomainError, TooLarge, isqrt, mod_inverse
+from .arith import DomainError, TooLarge, factorize, isqrt, mod_inverse, sqrt_classes
 from .formats import dec_int, dec_rat, enc_int, enc_rat
 
 BRUTE_FORCE_GUARD = 100_000_000
-# Roots one witness walk may visit: isqrt of the largest sweep T, 10^16.
+# Roots one witness walk, or rows one radius walk, may visit: isqrt of the
+# largest sweep T, 10^16.
 ROOT_WALK_LIMIT = 100_000_000
 
 
@@ -145,21 +150,30 @@ def is_proper(a: TwoDAP) -> bool:
     return not (a.q2 // d <= 2 * a.b1 and a.q1 // d <= 2 * a.b2)
 
 
-def _first_root(q1: int, q2: int, b1: int, b2: int, n_lo: int, n_hi: int) -> SquareWitness | None:
-    """Least-|x1| witness at the first root n in [n_lo, n_hi] that has one.
+def find_square_witness(a: TwoDAP, t: int) -> SquareWitness | None:
+    """Smallest-square witness in a, with n^2 <= min(t, value bound).
 
-    With d = gcd(q1, q2) and k = n^2/d, the solutions of x1*q1 + x2*q2 = n^2
-    with |x2| <= b2 are the x1 = k*(q1/d)^-1 (mod q2/d) in
+    One walk of n = 1 .. isqrt(min(t, value bound)).  With d = gcd(q1, q2)
+    and k = n^2/d, the solutions of x1*q1 + x2*q2 = n^2 with |x2| <= b2
+    are the x1 = k*(q1/d)^-1 (mod q2/d) in
     [(k - b2*q2/d) / (q1/d), (k + b2*q2/d) / (q1/d)] clipped to [-b1, b1],
-    whose upper end is never negative because k >= 1: O(1) work per root.
-    Ties at one n go to the smallest |x1|, then to positive x1.  A range
-    reaching past ROOT_WALK_LIMIT with no witness before it raises TooLarge.
+    whose upper end is never negative because k >= 1: O(1) work per root,
+    whatever the radii.  Ties at one n go to the smallest |x1|, then to
+    positive x1.  TooLarge if the walk would pass ROOT_WALK_LIMIT roots
+    with no witness.
     """
+    if t < 0:
+        raise DomainError(f"ambient bound must be non-negative, got {t}")
+    cap = min(t, a.value_bound())
+    if cap < 1:
+        return None
+    n_hi = isqrt(cap)
+    q1, q2, b1, b2 = a.q1, a.q2, a.b1, a.b2
     d = math.gcd(q1, q2)
     q1d, q2d = q1 // d, q2 // d
     slack = b2 * q2d  # |x2| <= b2 as a bound on x1*q1d around k
     inv = mod_inverse(q1d % q2d, q2d) if q2d > 1 else 0
-    for n in range(n_lo, min(n_hi, ROOT_WALK_LIMIT) + 1):
+    for n in range(1, min(n_hi, ROOT_WALK_LIMIT) + 1):
         nn = n * n
         if nn % d:
             continue
@@ -191,35 +205,67 @@ def _first_root(q1: int, q2: int, b1: int, b2: int, n_lo: int, n_hi: int) -> Squ
     return None
 
 
-def find_square_witness(a: TwoDAP, t: int) -> SquareWitness | None:
-    """Smallest-square witness in a, with n^2 <= min(t, value bound).
+def _nearest_square(center: int, m: int, factors: dict[int, int], t: int) -> int | None:
+    """Least |n^2 - center| over n >= 1 with n^2 <= t and n^2 = center (mod m).
 
-    One walk of n = 1 .. isqrt(min(t, value bound)), O(1) work per root;
-    TooLarge if it would pass ROOT_WALK_LIMIT roots with no witness.
+    `factors = factorize(m)`.  The admissible n are the classes of
+    `sqrt_classes`; |n^2 - center| falls as n climbs to isqrt(center) and
+    rises after it, so each class offers two candidates: its greatest
+    member <= isqrt(center) and its least member above.  None if no n fits.
     """
-    if t < 0:
-        raise DomainError(f"ambient bound must be non-negative, got {t}")
-    cap = min(t, a.value_bound())
-    if cap < 1:
-        return None
-    return _first_root(a.q1, a.q2, a.b1, a.b2, 1, isqrt(cap))
+    mod, residues = sqrt_classes(center, factors)
+    c = isqrt(center) if center > 0 else 0
+    top = isqrt(t)
+    best = None
+    for s in residues:
+        below = c - (c - s) % mod
+        for n in (below, below + mod):
+            if 1 <= n <= top and (best is None or abs(n * n - center) < best):
+                best = abs(n * n - center)
+    return best
 
 
 def max_radius(q: int, other_q: int, other_r: int, t: int) -> int:
     """Largest r with TwoDAP(q, other_q, r, other_r) in [-t, t] and square-free.
 
-    Starts from the room the other axis leaves.  A hit at root n with least
-    |x1| = x caps r at x - 1, which keeps every root below n clear, so the
-    walk resumes at n + 1 up to the new value bound: at most isqrt(t) roots
-    in all.  Returns -1 when even r = 0 holds a square.
+    The box is searched one row at a time, out from the centre, within the
+    room (t - other_r*other_q) // q that the other axis leaves.  Row x
+    (values x*q + y*other_q, |y| <= other_r) holds a square iff the square
+    congruent to x*q modulo other_q that lies nearest x*q is within
+    other_r*other_q of it.  Row y (values y*other_q + x*q, |x| <= room)
+    has its least-|x| square at the square congruent to y*other_q modulo
+    q that lies nearest y*other_q.  Step k reads rows x = +-k, and rows
+    y = +-k while k <= other_r: a square on row x = +-k makes r = k - 1,
+    and once every row y is read, r is the least |x| of their squares,
+    less one.  So the walk ends by step k = min(r + 1, other_r): at most
+    min(r, other_r) + 1 steps past the centre, each a few modular square
+    roots, with both steps factored once per call (`factorize` cannot
+    fail below 10^12; sweep steps stay below 2*10^8).  As r <= min(q - 1,
+    t // q), that is O(sqrt(t)) steps at worst; a walk that would pass
+    step ROOT_WALK_LIMIT raises TooLarge.  Returns -1 when even r = 0
+    holds a square.
     """
     base = TwoDAP(q, other_q, 0, other_r).value_bound()  # DomainError on bad steps or radius
     if base > t:
         raise DomainError(f"the other axis reaches {base}, past t = {t}")
-    r, n = (t - base) // q, 1
-    while r >= 0 and (w := _first_root(q, other_q, r, other_r, n, isqrt(base + r * q))):
-        r, n = abs(w.x1) - 1, w.n + 1
-    return r
+    room = (t - base) // q
+    fq, fo = factorize(q), factorize(other_q)
+    reach = other_r * other_q
+    least = room + 1  # least |x| of a square on the rows y read so far
+    for k in range(min(room, other_r) + 1):
+        if k > ROOT_WALK_LIMIT:
+            raise TooLarge(f"the row walk passes {ROOT_WALK_LIMIT} steps")
+        rows = (k, -k) if k else (0,)
+        for x in rows:
+            gap = _nearest_square(x * q, other_q, fo, t)
+            if gap is not None and gap <= reach:
+                return k - 1
+        for y in rows:
+            gap = _nearest_square(y * other_q, q, fq, t)
+            if gap is not None and gap // q < least:
+                least = gap // q
+    # Rows x up to k are clear: k = room, or every row y is read into least.
+    return min(room, least - 1)
 
 
 def certify_square_free(a: TwoDAP, t: int) -> Certificate:

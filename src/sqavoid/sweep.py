@@ -17,14 +17,16 @@ deterministic given the configuration:
                    q1*(kernel(q1) - 1) <= T - q2; otherwise (as when
                    q1*(kernel(q1) - 1) >= T and X1 = T // q1 takes all the
                    room) the box is one-dimensional and never beats
-                   ``one_d``.  The budget counts pairs, one walk of at
-                   most isqrt(T) roots each.
+                   ``one_d``.  The budget counts pairs, one row walk
+                   each: at most min(X2, X1) + 1 steps past the centre,
+                   a few modular square roots per step.
 
 Within a family ties go to the lexicographically smallest steps; the
 overall best is the largest box, ties to the smallest (q1, q2).  Every
 emitted best instance is re-certified, properness-checked and checked to
 lie in [-T, T] at emission time; the sweep refuses to report anything it
-cannot verify.
+cannot verify.  The re-certification is the root walk of
+`certify_square_free`, which shares no code with `max_radius`'s row walk.
 """
 
 from __future__ import annotations

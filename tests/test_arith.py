@@ -26,6 +26,7 @@ from sqavoid.arith import (
     least_qnr,
     mod_inverse,
     primes_up_to,
+    sqrt_classes,
     sqrt_mod,
     squarefree_kernel,
 )
@@ -254,6 +255,20 @@ def test_sqrt_mod_random_moduli():
             assert got * got % m == a
             # Canonical: no smaller root exists.
             assert all(c * c % m != a for c in range(got))
+
+
+def test_sqrt_classes_matches_scan():
+    # Every residue, units, non-units and 0, for every modulus up to 300.
+    for m in range(1, 301):
+        factors = factorize(m)
+        roots: dict[int, set[int]] = {}
+        for n in range(m):
+            roots.setdefault(n * n % m, set()).add(n)
+        for a in range(m):
+            mod, residues = sqrt_classes(a, factors)
+            assert m % mod == 0, (a, m, mod)
+            got = {r + i * mod for r in residues for i in range(m // mod)}
+            assert got == roots.get(a, set()), (a, m, mod, residues)
 
 
 def test_factorize_reconstructs():

@@ -242,12 +242,19 @@ def test_brute_force_exact_past_int64():
 
 @st.composite
 def radius_cases(draw) -> tuple[int, int, int, int]:
-    """(q, other_q, other_r, t) with the other axis inside [-t, t]; gcd > 1 too."""
+    """(q, other_q, other_r, t) with the other axis inside [-t, t].
+
+    A common factor g gives gcd > 1; steps may carry a prime power (2^k,
+    3^k, 5^2, 7^2), so the square roots modulo a step include non-units
+    and zero with reduced moduli; an other_r of at most 3 beside a wide
+    room makes the rows y decide the radius.
+    """
     g = draw(st.integers(1, 6))
-    q = g * draw(st.integers(1, 40))
-    other_q = g * draw(st.integers(1, 40))
-    other_r = draw(st.integers(0, 12))
-    t = other_r * other_q + draw(st.integers(0, 3000))
+    power = st.sampled_from([1, 2, 4, 8, 16, 32, 3, 9, 27, 25, 49])
+    q = g * draw(st.integers(1, 40)) * draw(power)
+    other_q = g * draw(st.integers(1, 40)) * draw(power)
+    other_r = draw(st.one_of(st.integers(0, 3), st.integers(0, 12)))
+    t = other_r * other_q + draw(st.one_of(st.integers(0, 3000), st.integers(0, 60 * q)))
     return q, other_q, other_r, t
 
 
@@ -286,8 +293,11 @@ def test_root_walk_limit(monkeypatch):
     with pytest.raises(TooLarge):
         find_square_witness(one_d, 10**8)
     assert find_square_witness(one_d, 10**6) is None  # 1000 roots: within
+    # The row walk counts steps: r = 9 needs 10 of them, past a limit of 5.
+    assert max_radius(2834, 2233, 2232, 5_300_000) == 9
+    monkeypatch.setattr(progression, "ROOT_WALK_LIMIT", 5)
     with pytest.raises(TooLarge):
-        max_radius(10001, 1, 0, 10**8)
+        max_radius(2834, 2233, 2232, 5_300_000)
 
 
 def test_brute_force_guard():

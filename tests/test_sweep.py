@@ -9,7 +9,7 @@ import textwrap
 import pytest
 
 from sqavoid.arith import DomainError, is_perfect_square
-from sqavoid.progression import cardinality, certify_square_free, is_proper, max_radius
+from sqavoid.progression import TwoDAP, cardinality, certify_square_free, is_proper, max_radius
 from sqavoid.sweep import (
     SweepConfig,
     _lower_bound_family,
@@ -164,6 +164,18 @@ def test_sweep_boxes_lie_in_the_interval():
     res = sweep(SweepConfig(t=t, seed=0))
     for fb in res.family_bests:
         assert fb.progression.value_bound() <= t, fb
+
+
+def test_sweep_family_bests_frozen_large_t():
+    # All three family bests at T = 10^8; random_local's box is sized by
+    # its max_radius calls.
+    res = sweep(SweepConfig(t=10**8, seed=0))
+    got = {fb.family: (fb.progression, fb.size) for fb in res.family_bests}
+    assert got == {
+        "random_local": (TwoDAP(9894, 10981, 9893, 12), 494_675),
+        "lower_bound": (TwoDAP(8761, 8778, 8760, 16), 578_193),
+        "one_d": (TwoDAP(10001, 1, 9999, 0), 19_999),
+    }
 
 
 def test_sweep_best_dominates_families():
