@@ -104,6 +104,26 @@ def iroot(n: int, k: int) -> int:
     return x
 
 
+def floor_root_ratio(a: int, b: int, k: int) -> int:
+    """Largest integer r >= 0 with r**k * b <= a: floor((a/b)^(1/k)) for b >= 1."""
+    r = iroot(a // b, k)
+    while (r + 1) ** k * b <= a:
+        r += 1
+    while r > 0 and r**k * b > a:
+        r -= 1
+    return r
+
+
+def ceil_root_ratio(a: int, b: int, k: int) -> int:
+    """Smallest integer r >= 0 with r**k * b >= a: ceil((a/b)^(1/k)) for b >= 1."""
+    r = iroot(a // b, k)
+    while r**k * b < a:
+        r += 1
+    while r > 0 and (r - 1) ** k * b >= a:
+        r -= 1
+    return r
+
+
 def _mr_is_composite(n: int, a: int, d: int, r: int) -> bool:
     # n - 1 = d * 2**r with d odd; returns True if a witnesses compositeness.
     x = pow(a, d, n)

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DomainError, iroot, squarefree_kernel
+from .arith import DomainError, ceil_root_ratio, floor_root_ratio, squarefree_kernel
 from .small_squares import SmallSquareTrace, balanced_n, construct_small_square
 from .progression import SquareWitness
 
@@ -219,26 +219,6 @@ def _power_product(pairs: list[tuple[int, Fraction]]) -> tuple[int, int, int]:
     return num, den, k
 
 
-def _floor_root_ratio(a: int, b: int, k: int) -> int:
-    """Largest integer r >= 0 with r**k * b <= a."""
-    r = iroot(a // b, k)
-    while (r + 1) ** k * b <= a:
-        r += 1
-    while r > 0 and r**k * b > a:
-        r -= 1
-    return r
-
-
-def _ceil_root_ratio(a: int, b: int, k: int) -> int:
-    """Smallest integer r >= 0 with r**k * b >= a."""
-    r = iroot(a // b, k)
-    while r**k * b < a:
-        r += 1
-    while r > 0 and (r - 1) ** k * b >= a:
-        r -= 1
-    return r
-
-
 def _window_terms(q1: int, q2: int, t: int, eps: Fraction):
     eps = F(eps)
     upper = [(q1, F(1)), (q2, -(F(1, 2) + eps)), (t, F(20, 27) + 2 * eps)]
@@ -264,11 +244,11 @@ def n_window(
         raise DomainError(f"eps must be non-negative, got {eps}")
     upper, lower1, lower2 = _window_terms(q1, q2, t, eps)
     a, b, k = _power_product(upper)
-    n_hi = _floor_root_ratio(a, b, 2 * k)
+    n_hi = floor_root_ratio(a, b, 2 * k)
     lo = 1
     for terms in (lower1, lower2):
         a, b, k = _power_product(terms)
-        lo = max(lo, _ceil_root_ratio(a, b, 2 * k))
+        lo = max(lo, ceil_root_ratio(a, b, 2 * k))
     if lo > n_hi:
         return None
     return lo, n_hi
@@ -322,7 +302,7 @@ def cutoff_check(
     big2 = x2b * x2b > ceiling * ceiling * q2
     if not (big1 and big2):
         return CutoffVerdict(True, "cutoff-holds", None)
-    cap = _ceil_root_ratio(q2**3, 1, 4)  # ceil(q2^(3/4))
+    cap = ceil_root_ratio(q2**3, 1, 4)  # ceil(q2^(3/4))
     trace = construct_small_square(q1, q2, cap)
     w = trace.witness
     if abs(w.x1) <= x1b and abs(w.x2) <= x2b:

@@ -17,11 +17,13 @@ Eight subcommands map onto the library modules:
 * ``sweep``     - the extremal-search harness over candidate families.
 
 All integer input and output travels as decimal strings of arbitrary
-length (JSON numbers would silently lose precision past 2^53).  Records
-go to --output (default stdout) as JSON lines or CSV; a short human
-summary goes to stderr.  Exit codes: 0 success/certified, 1 witness
-found, 2 usage, domain or internal error.  Field names and columns are
-documented in docs/schema.md and stamped with schema_version.
+length (JSON numbers would silently lose precision past 2^53).  Every
+record field is encoded by `sqavoid.formats`: `record` for a library
+dataclass, `value` for a single field, so JSONL and CSV carry the same
+strings.  Records go to --output (default stdout) as JSON lines or CSV; a
+short human summary goes to stderr.  Exit codes: 0 success/certified,
+1 witness found, 2 usage, domain or internal error.  Field names and
+columns are documented in docs/schema.md and stamped with schema_version.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from fractions import Fraction
 
 from .arith import DomainError, TooLarge
 from .bounds import ExponentPoint, case_exponent, exponent_supremum
-from .formats import SCHEMA_VERSION, enc_int, enc_rat
+from .formats import SCHEMA_VERSION, record, value
 from .lattice import reduce_recursive
 from .lowerbound import (
     build_instance,
@@ -67,10 +69,6 @@ def _rational(s: str) -> Fraction:
     return Fraction(s)
 
 
-def _bool(x: bool) -> str:
-    return "true" if x else "false"
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None, help="write records here instead of stdout")
@@ -101,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("reduce", parents=[common], help="gcd reduction chain")
     box_args(sp)
-    sp.add_argument("--c0", type=_int, default=16, help="small-gcd divide-out cutoff")
 
     sp = sub.add_parser("lower", parents=[common], help="non-residue instance for a prime")
     sp.add_argument("--p", type=_int, required=True)
@@ -139,12 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_witness(args):
     a = TwoDAP(args.q1, args.q2, args.x1, args.x2)
     cert = certify_square_free(a, args.t)
-    base = a.to_json() | {"t": enc_int(args.t)}
+    base = record(a) | {"t": value(args.t)}
     if cert.kind == "witness":
         w = cert.witness
-        rec = {"kind": "Witness"} | base | w.to_json()
+        rec = {"kind": "Witness"} | base | record(w)
         return [rec], EXIT_WITNESS, f"witness ({w.x1}, {w.x2}, {w.n})"
-    rec = {"kind": "SquareFree"} | base | {"n_max": enc_int(cert.n_max)}
+    rec = {"kind": "SquareFree"} | base | {"n_max": value(cert.n_max)}
     return [rec], EXIT_OK, f"square-free up to {args.t} (roots to {cert.n_max})"
 
 
@@ -152,7 +149,7 @@ def _cmd_verify(args):
     a = TwoDAP(args.q1, args.q2, args.x1, args.x2)
     cert = certify_square_free(a, args.t)
     w = cert.witness
-    base = a.to_json() | {"t": enc_int(args.t)}
+    base = record(a) | {"t": value(args.t)}
     try:
         bw = brute_force_witness(a, args.t, guard=args.guard)
         brute = "agree" if bw == w else "MISMATCH"
@@ -160,15 +157,15 @@ def _cmd_verify(args):
         bw, brute = None, "skipped-guard"
     if brute == "MISMATCH":
         rec = {"kind": "Error", "error": "RouteMismatch"} | base | {
-            "certified_route": json.dumps(None if w is None else w.to_json()),
-            "brute_route": json.dumps(None if bw is None else bw.to_json()),
+            "certified_route": json.dumps(None if w is None else record(w)),
+            "brute_route": json.dumps(None if bw is None else record(bw)),
         }
         return [rec], EXIT_ERROR, "internal disagreement between routes"
     if cert.kind == "witness":
-        rec = {"kind": "Witness"} | base | w.to_json() | {"brute_force": brute}
+        rec = {"kind": "Witness"} | base | record(w) | {"brute_force": brute}
         return [rec], EXIT_WITNESS, f"witness ({w.x1}, {w.x2}, {w.n}); brute force: {brute}"
     rec = {"kind": "SquareFree"} | base | {
-        "n_max": enc_int(cert.n_max),
+        "n_max": value(cert.n_max),
         "brute_force": brute,
     }
     return [rec], EXIT_OK, f"square-free up to {args.t}; brute force: {brute}"
@@ -177,32 +174,18 @@ def _cmd_verify(args):
 def _cmd_construct(args):
     n_cap = args.n_cap if args.n_cap is not None else balanced_n(args.q1, args.q2)
     trace = construct_small_square(args.q1, args.q2, n_cap)
-    rec = {"kind": "SmallSquare"} | trace.to_json()
-    rec["witness"] = json.dumps(rec["witness"], sort_keys=True)
+    rec = {"kind": "SmallSquare"} | record(trace)
     w = trace.witness
     return [rec], EXIT_OK, f"n = {trace.n} <= {n_cap}: ({w.x1})*q1 + ({w.x2})*q2 = {trace.n}^2"
 
 
 def _cmd_reduce(args):
-    chain = reduce_recursive(args.q1, args.q2, args.x1, args.x2, args.t, c0=args.c0)
-    records = []
-    for i, step in enumerate(chain):
-        rec = {"kind": "ReductionStep", "index": enc_int(i)} | step.to_json()
-        for key in ("u", "v"):
-            rec[key] = json.dumps(rec[key])
-        records.append(rec)
-    records.append(
-        {
-            "kind": "ReductionChain",
-            "steps": enc_int(len(chain)),
-            "termination": chain.termination,
-            "final_q1": enc_int(chain.final_q1),
-            "final_q2": enc_int(chain.final_q2),
-            "final_x1bound": enc_rat(chain.final_x1bound),
-            "final_x2bound": enc_rat(chain.final_x2bound),
-            "final_t": enc_int(chain.final_t),
-        }
-    )
+    chain = reduce_recursive(args.q1, args.q2, args.x1, args.x2, args.t)
+    records = [
+        {"kind": "ReductionStep", "index": value(i)} | record(step) for i, step in enumerate(chain)
+    ]
+    # The chain record counts its steps; each step has its own record above.
+    records.append({"kind": "ReductionChain"} | record(chain) | {"steps": value(len(chain))})
     return records, EXIT_OK, f"{len(chain)} step(s), terminated: {chain.termination}"
 
 
@@ -211,16 +194,16 @@ def _cmd_lower(args):
     cert = residue_certificate(inst)
     records = [
         {"kind": "LowerBound"}
-        | inst.to_json()
+        | record(inst)
         | {
-            "certificate_ok": _bool(cert.ok),
-            "size_vs_t": enc_rat(size_vs_t(inst)),
-            "proper": _bool(is_proper(inst.progression)),
+            "certificate_ok": value(cert.ok),
+            "size_vs_t": value(size_vs_t(inst)),
+            "proper": value(is_proper(inst.progression)),
         }
     ]
     for name, passed, detail in cert.steps:
         records.append(
-            {"kind": "CertificateStep", "step": name, "passed": _bool(passed), "detail": detail}
+            {"kind": "CertificateStep", "step": name, "passed": value(passed), "detail": detail}
         )
     code = EXIT_OK if cert.ok else EXIT_ERROR
     return records, code, f"p={inst.p}: size {inst.size}, certificate {'ok' if cert.ok else 'FAILED'}"
@@ -228,27 +211,16 @@ def _cmd_lower(args):
 
 def _cmd_scan_nqr(args):
     recs = least_nonresidue_scan(args.p_max, args.p_min)
-    records = [
-        {
-            "kind": "NonResidue",
-            "p": enc_int(r.p),
-            "nqr": enc_int(r.nqr),
-            "is_record": _bool(r.is_record),
-            "sq_ok": _bool(r.sq_ok),
-            "root_ratio": f"{r.root_ratio:.6f}",
-            "burgess_ratio": f"{r.burgess_ratio:.6f}",
-        }
-        for r in recs
-    ]
+    records = [{"kind": "NonResidue"} | record(r) for r in recs]
     if recs:
         top = max(recs, key=lambda r: (r.nqr, -r.p))
         records.append(
             {
                 "kind": "NonResidueSummary",
-                "count": enc_int(len(recs)),
-                "max_nqr": enc_int(top.nqr),
-                "argmax_p": enc_int(top.p),
-                "max_burgess_ratio": f"{max(r.burgess_ratio for r in recs):.6f}",
+                "count": value(len(recs)),
+                "max_nqr": value(top.nqr),
+                "argmax_p": value(top.p),
+                "max_burgess_ratio": value(max(r.burgess_ratio for r in recs)),
             }
         )
     return records, EXIT_OK, f"{len(recs)} primes scanned"
@@ -265,7 +237,7 @@ def _cmd_exponent(args):
             if args.b_max is not None and b > args.b_max:
                 continue
             rep = case_exponent(ExponentPoint(a, b))
-            value = {"overall": rep.exponent, "case1": rep.case1, "case2": rep.case2}[
+            exponent = {"overall": rep.exponent, "case1": rep.case1, "case2": rep.case2}[
                 args.component
             ]
             label = {"overall": rep.case_label, "case1": rep.case1_label, "case2": rep.case2_label}[
@@ -274,9 +246,9 @@ def _cmd_exponent(args):
             records.append(
                 {
                     "kind": "ExponentPoint",
-                    "a": enc_rat(a),
-                    "b": enc_rat(b),
-                    "exponent": enc_rat(value),
+                    "a": value(a),
+                    "b": value(b),
+                    "exponent": value(exponent),
                     "case": label,
                 }
             )
@@ -287,12 +259,12 @@ def _cmd_exponent(args):
     records.append(
         {
             "kind": "ExponentSupremum",
-            "supremum": enc_rat(sup),
-            "grid": enc_int(args.grid),
+            "supremum": value(sup),
+            "grid": value(args.grid),
             "component": args.component,
-            "b_max": "" if args.b_max is None else enc_rat(args.b_max),
-            "argmax": f"{enc_rat(corner.a)},{enc_rat(corner.b)}",
-            "argmax_count": enc_int(len(points)),
+            "b_max": value(args.b_max),
+            "argmax": f"{value(corner.a)},{value(corner.b)}",
+            "argmax_count": value(len(points)),
         }
     )
     return records, EXIT_OK, f"supremum {sup} over {len(records) - 1} grid points"
@@ -306,28 +278,21 @@ def _cmd_sweep(args):
         seed=args.seed,
     )
     result = sweep(config)
-    records = []
-    for fb in result.family_bests:
-        a = fb.progression
-        records.append(
-            {
-                "kind": "FamilyBest",
-                "family": fb.family,
-                "size": enc_int(fb.size),
-            }
-            | a.to_json()
-        )
+    records = [
+        {"kind": "FamilyBest", "family": fb.family, "size": value(fb.size)} | record(fb.progression)
+        for fb in result.family_bests
+    ]
     best = result.best
     records.append(
         {
             "kind": "SweepBest",
             "family": best.family,
-            "size": enc_int(best.size),
-            "t": enc_int(config.t),
-            "ratio_to_T_20_27": result.ratio_to_t_20_27,
-            "ratio_to_sqrtT_logT": result.ratio_to_sqrt_t_log_t,
+            "size": value(best.size),
+            "t": value(config.t),
+            "ratio_to_T_20_27": value(result.ratio_to_t_20_27),
+            "ratio_to_sqrtT_logT": value(result.ratio_to_sqrt_t_log_t),
         }
-        | best.progression.to_json()
+        | record(best.progression)
     )
     return (
         records,

@@ -29,8 +29,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DomainError, TooLarge, VerificationFailed, isqrt
-from .formats import enc_int, enc_rat
+from .arith import (
+    DomainError,
+    TooLarge,
+    VerificationFailed,
+    ceil_root_ratio,
+    floor_root_ratio,
+    isqrt,
+    mod_inverse,
+)
 from .progression import (
     TwoDAP,
     brute_force_witness,
@@ -40,6 +47,9 @@ from .progression import (
 F = Fraction
 
 _ENUM_GUARD = 2_000_000
+# `reduce_recursive` divides a gcd up to this size straight out of both
+# steps (x_i = d*a_i) and keeps full lattice steps for larger gcds.
+SMALL_GCD = 16
 
 
 @dataclass(frozen=True)
@@ -55,46 +65,16 @@ class Lattice2:
         return (x1 * self.qt1 + x2 * self.qt2) % self.d == 0
 
 
-def _hnf_from_generators(
-    gens: list[tuple[int, int]]
-) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Upper-triangular HNF rows (h11, h12), (0, h22) of the generated lattice."""
-    # Combine generators to realize gcd of first coordinates.
-    g, vec = 0, (0, 0)
-    for a, b in gens:
-        if a == 0:
-            continue
-        gg, x, y = _xgcd(g, a)
-        vec = (x * vec[0] + y * a, x * vec[1] + y * b)
-        g = gg
-    h11 = abs(g)
-    if g < 0:
-        vec = (-vec[0], -vec[1])
-    # Eliminate first coordinates; collect what remains in the second.
-    seconds = []
-    for a, b in gens:
-        if h11:
-            k = a // h11
-            a, b = a - k * vec[0], b - k * vec[1]
-        if a != 0:
-            raise VerificationFailed(f"HNF elimination left first coordinate {a} in {gens}")
-        if b:
-            seconds.append(abs(b))
-    h22 = math.gcd(*seconds) if seconds else 0
-    if h11 == 0 or h22 == 0:
-        raise DomainError("generators do not span a rank-2 lattice")
-    h12 = vec[1] % h22
-    return ((h11, h12), (0, h22))
+def _hnf(d: int, qt1: int, qt2: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Hermite rows (g, h12), (0, d/g) of {x : x1*qt1 + x2*qt2 = 0 (mod d)}.
 
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
+    Closed form, for gcd(qt1, qt2, d) = 1: x2*qt2 = 0 (mod d) iff d/g | x2
+    with g = gcd(qt2, d), and the row over x1 = g solves
+    h12*(qt2/g) = -qt1 (mod d/g), where qt2/g is a unit.
+    """
+    g = math.gcd(qt2, d)
+    h22 = d // g
+    return ((g, -qt1 * mod_inverse(qt2 // g, h22) % h22), (0, h22))
 
 
 def congruence_lattice(d: int, qt1: int, qt2: int) -> Lattice2:
@@ -109,7 +89,7 @@ def congruence_lattice(d: int, qt1: int, qt2: int) -> Lattice2:
         raise DomainError(
             f"need gcd(qt1, qt2, d) = 1, got gcd({qt1}, {qt2}, {d}) > 1"
         )
-    rows = _hnf_from_generators([(d, 0), (0, d), (qt2, -qt1)])
+    rows = _hnf(d, qt1, qt2)
     lat = Lattice2(d, qt1, qt2, rows)
     if rows[0][0] * rows[1][1] != d or not (lat.contains(*rows[0]) and lat.contains(*rows[1])):
         raise VerificationFailed(f"HNF rows {rows} are not a basis of determinant {d}")
@@ -282,38 +262,6 @@ class ReductionStep:
     xt1_floor: int
     xt2_floor: int
 
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "swapped": self.swapped,
-            "d": enc_int(self.d),
-            "qt1": enc_int(self.qt1),
-            "qt2": enc_int(self.qt2),
-            "u_ratio": enc_rat(self.u_ratio),
-            "lam1_sq": None if self.lam1_sq is None else enc_rat(self.lam1_sq),
-            "lam2_sq": None if self.lam2_sq is None else enc_rat(self.lam2_sq),
-            "u": [enc_int(self.u[0]), enc_int(self.u[1])],
-            "v": [enc_int(self.v[0]), enc_int(self.v[1])],
-            "p1": enc_int(self.p1),
-            "p2": enc_int(self.p2),
-            "xt1_sq": enc_rat(self.xt1_sq),
-            "xt2_sq": enc_rat(self.xt2_sq),
-            "xt1_floor": enc_int(self.xt1_floor),
-            "xt2_floor": enc_int(self.xt2_floor),
-        }
-
-
-def _floor_sqrt_fraction(x: Fraction) -> int:
-    """Largest integer k >= 0 with k*k <= x."""
-    if x < 0:
-        raise DomainError("negative value has no real square root")
-    k = isqrt(x.numerator // x.denominator)
-    while F((k + 1) * (k + 1)) <= x:
-        k += 1
-    while k > 0 and F(k * k) > x:
-        k -= 1
-    return k
-
 
 def reduce_step(
     q1: int, q2: int, x1bound: Fraction, x2bound: Fraction
@@ -361,8 +309,8 @@ def reduce_step(
         p2,
         xt1_sq,
         xt2_sq,
-        _floor_sqrt_fraction(xt1_sq),
-        _floor_sqrt_fraction(xt2_sq),
+        floor_root_ratio(xt1_sq.numerator, xt1_sq.denominator, 2),
+        floor_root_ratio(xt2_sq.numerator, xt2_sq.denominator, 2),
     )
 
 
@@ -574,26 +522,19 @@ class ReductionChain:
         return self.steps[i]
 
 
-def _ceil_sqrt(t: int) -> int:
-    r = isqrt(t)
-    return r if r * r == t else r + 1
-
-
 def reduce_recursive(
     q1: int,
     q2: int,
     x1bound: Fraction,
     x2bound: Fraction,
     t: int,
-    *,
-    c0: int = 16,
 ) -> ReductionChain:
     """Drive the reduction until the gcd is gone or a terminal case is hit.
 
     Case analysis on d = gcd(q1, q2) at each stage:
 
     * d = 1: stop ("coprime"); no reduction applies.
-    * d <= c0 (small): divide out d when both radii reach d, else stop
+    * d <= SMALL_GCD (small): divide out d when both radii reach d, else stop
       ("small-box": the box is so flat the one-dimensional bound applies).
     * d >= ceil(sqrt(T)): stop ("large-gcd"): for proper inputs one radius
       is already below the complementary reduced step.
@@ -611,7 +552,7 @@ def reduce_recursive(
         if d == 1:
             term = "coprime"
             break
-        if d <= c0:
+        if d <= SMALL_GCD:
             if x1b >= d and x2b >= d:
                 step = divide_out_step(q1, q2, x1b, x2b)
                 steps.append(step)
@@ -621,7 +562,7 @@ def reduce_recursive(
                 continue
             term = "small-box"
             break
-        if d >= _ceil_sqrt(t):
+        if d >= ceil_root_ratio(t, 1, 2):
             term = "large-gcd"
             break
         if x1b < 1 or x2b < 1:

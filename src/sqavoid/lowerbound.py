@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import BadPrime, is_prime, isqrt, jacobi, least_qnr, primes_up_to
-from .formats import enc_int
 from .progression import TwoDAP, cardinality
 
 F = Fraction
@@ -53,17 +52,6 @@ class LowerBoundInstance:
     @property
     def progression(self) -> TwoDAP:
         return TwoDAP(self.p, self.q, self.x1bound, self.x2bound)
-
-    def to_json(self) -> dict:
-        return {
-            "p": enc_int(self.p),
-            "nqr": enc_int(self.nqr),
-            "q": enc_int(self.q),
-            "x1bound": enc_int(self.x1bound),
-            "x2bound": enc_int(self.x2bound),
-            "t": enc_int(self.t),
-            "size": enc_int(self.size),
-        }
 
 
 def build_instance(p: int) -> LowerBoundInstance:

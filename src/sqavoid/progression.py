@@ -36,7 +36,6 @@ from fractions import Fraction
 from operator import mul
 
 from .arith import DomainError, TooLarge, factorize, isqrt, mod_inverse, sqrt_classes
-from .formats import dec_int, dec_rat, enc_int, enc_rat
 
 BRUTE_FORCE_GUARD = 100_000_000
 # Roots one witness walk, or rows one radius walk, may visit: isqrt of the
@@ -75,23 +74,6 @@ class TwoDAP:
         """Largest attainable |value|."""
         return self.b1 * self.q1 + self.b2 * self.q2
 
-    def to_json(self) -> dict:
-        return {
-            "q1": enc_int(self.q1),
-            "q2": enc_int(self.q2),
-            "x1bound": enc_rat(self.x1bound),
-            "x2bound": enc_rat(self.x2bound),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TwoDAP":
-        return cls(
-            dec_int(obj["q1"]),
-            dec_int(obj["q2"]),
-            dec_rat(obj["x1bound"]),
-            dec_rat(obj["x2bound"]),
-        )
-
 
 @dataclass(frozen=True)
 class SquareWitness:
@@ -101,13 +83,6 @@ class SquareWitness:
     x2: int
     n: int
 
-    def to_json(self) -> dict:
-        return {"x1": enc_int(self.x1), "x2": enc_int(self.x2), "n": enc_int(self.n)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SquareWitness":
-        return cls(dec_int(obj["x1"]), dec_int(obj["x2"]), dec_int(obj["n"]))
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -116,22 +91,6 @@ class Certificate:
     kind: str  # "square_free" or "witness"
     witness: SquareWitness | None
     n_max: int
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "witness": None if self.witness is None else self.witness.to_json(),
-            "n_max": enc_int(self.n_max),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Certificate":
-        w = obj.get("witness")
-        return cls(
-            obj["kind"],
-            None if w is None else SquareWitness.from_json(w),
-            dec_int(obj["n_max"]),
-        )
 
 
 def cardinality(a: TwoDAP) -> int:

@@ -36,7 +36,6 @@ from .arith import (
     mod_inverse,
     sqrt_mod_factored,
 )
-from .formats import enc_int
 from .progression import SquareWitness
 
 COVER_HEIGHT_GUARD = 100_000
@@ -151,20 +150,6 @@ class SmallSquareTrace:
         )
         if not ok:
             raise VerificationFailed(f"small-square trace breaks an invariant: {self}")
-
-    def to_json(self) -> dict:
-        return {
-            "q1": enc_int(self.q1),
-            "q2": enc_int(self.q2),
-            "n_cap": enc_int(self.n_cap),
-            "b": enc_int(self.b),
-            "c": enc_int(self.c),
-            "c_bar": enc_int(self.c_bar),
-            "n": enc_int(self.n),
-            "m": enc_int(self.m),
-            "approx_d": enc_int(self.approx_d),
-            "witness": self.witness.to_json(),
-        }
 
 
 def _scan_b(q1: int, q2: int) -> tuple[int, int]:

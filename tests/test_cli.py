@@ -120,6 +120,7 @@ def test_flags_belong_to_the_one_command_that_reads_them(capsys):
     box = ["--q1", "3", "--q2", "5", "--x1", "2", "--x2", "2", "--t", "25"]
     assert main(["witness", *box, "--guard", "5"]) == 2
     assert main(["verify", *box, "--seed", "5"]) == 2
+    assert main(["reduce", *box, "--c0", "16"]) == 2
     capsys.readouterr()
 
 
@@ -156,6 +157,7 @@ def test_reduce_frozen_chain(capsys):
     step, chain = recs
     assert step["kind"] == "ReductionStep" and step["mode"] == "divide_out"
     assert step["d"] == "4"
+    assert step["swapped"] == "false" and step["lam1_sq"] == ""
     assert chain["kind"] == "ReductionChain"
     assert chain["termination"] == "coprime"
     assert (chain["final_q1"], chain["final_q2"]) == ("3", "5")
@@ -220,6 +222,41 @@ def test_sweep_records(capsys):
 
 
 # ------------------------------------------------------ formats & files
+
+SMALL_CALLS = [
+    "witness --q1 3 --q2 5 --x1 2 --x2 2 --t 25",
+    "witness --q1 13 --q2 15 --x1 12 --x2 1 --t 338",
+    "verify --q1 13 --q2 15 --x1 12 --x2 1 --t 338",
+    "verify --q1 3 --q2 5 --x1 2 --x2 2 --t 25 --guard 3",
+    "construct --q1 5 --q2 7 --n-cap 3",
+    "reduce --q1 6 --q2 10 --x1 4 --x2 4 --t 10000",
+    "reduce --q1 3400 --q2 5100 --x1 300 --x2 170 --t 100000000",
+    "lower --p 13",
+    "scan-nqr --p-max 100",
+    "exponent --grid 6 --b-max 2/3",
+    "sweep --t 10000 --seed 3 --budget 20",
+    "witness --q1 0 --q2 5 --x1 1 --x2 1 --t 10",
+]
+
+
+def test_every_field_follows_the_string_rules(capsys, monkeypatch):
+    # Booleans, missing values and nested fields are strings in both formats.
+    assert {call.split()[0] for call in SMALL_CALLS} == set(cli._HANDLERS)
+
+    def check(call):
+        main(call.split())
+        for line in capsys.readouterr().out.splitlines():
+            rec = json.loads(line)
+            assert all(isinstance(v, str) for v in rec.values()), (call, rec)
+        main(call.split() + ["--format", "csv"])
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert len(rows) >= 2, call
+        assert not any(cell in ("True", "False", "None") for row in rows for cell in row), call
+
+    for call in SMALL_CALLS:
+        check(call)
+    monkeypatch.setattr(cli, "brute_force_witness", lambda a, t, guard: None)
+    check("verify --q1 3 --q2 5 --x1 2 --x2 2 --t 25")  # a RouteMismatch record
 
 
 def test_csv_format_round_trip(capsys, tmp_path):

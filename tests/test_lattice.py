@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import textwrap
@@ -10,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from sqavoid.arith import DomainError
+from sqavoid.formats import record
 from sqavoid.lattice import (
     Lattice2,
     ReductionChain,
@@ -127,9 +129,33 @@ def test_hnf_shape_and_membership():
                 assert member_via_rows(lat, x1, x2) == lat.contains(x1, x2)
 
 
+def enumerated_hnf(d: int, qt1: int, qt2: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Hermite rows found by search: the least (0, h22), then the least
+    x1 > 0 on any lattice row, with its x2 reduced into [0, h22)."""
+
+    def inside(x1, x2):
+        return (x1 * qt1 + x2 * qt2) % d == 0
+
+    h22 = next(x2 for x2 in range(1, d + 1) if inside(0, x2))
+    h11, h12 = next(
+        (x1, x2) for x1 in range(1, d + 1) for x2 in range(h22) if inside(x1, x2)
+    )
+    return ((h11, h12), (0, h22))
+
+
+def test_hnf_matches_enumeration_exhaustively():
+    count = 0
+    for d in range(1, 41):
+        for qt1 in range(2 * d):
+            for qt2 in range(2 * d):
+                if math.gcd(qt1, qt2, d) == 1:
+                    assert congruence_lattice(d, qt1, qt2).rows == enumerated_hnf(d, qt1, qt2)
+                    count += 1
+    assert count > 50_000
+
+
 _FORGED_INTERNALS = textwrap.dedent(
     """
-    import math
     import sys
     from fractions import Fraction
     from sqavoid import lattice
@@ -149,8 +175,10 @@ _FORGED_INTERNALS = textwrap.dedent(
     lat = lattice.congruence_lattice(5, 1, 2)
     lattice._normalize_sign = lambda x1, x2: (0, 1)  # every candidate on one line
     refused("a single line of minima candidates", lambda: lattice.box_minima(lat, Fraction(1)))
-    lattice._xgcd = lambda a, b: (math.gcd(a, b), 0, 0)  # Bezout pair that combines nothing
-    refused("an HNF elimination with a first coordinate left", lambda: lattice.congruence_lattice(6, 1, 1))
+    lattice._hnf = lambda d, qt1, qt2: ((1, 1), (0, d))  # determinant d, but 1 + 1 != 0 (mod 6)
+    refused("a Hermite row outside the lattice", lambda: lattice.congruence_lattice(6, 1, 1))
+    lattice._hnf = lambda d, qt1, qt2: ((1, d - 1), (0, 2 * d))  # inside, but determinant 2d
+    refused("a Hermite form of the wrong determinant", lambda: lattice.congruence_lattice(6, 1, 1))
     """
 )
 
@@ -449,10 +477,9 @@ def test_reduction_chain_is_iterable():
 
 
 def test_step_json_round_trip_fields():
-    step = reduce_step(6, 10, 4, 4)
-    blob = step.to_json()
-    assert blob["mode"] == "lattice"
+    blob = record(reduce_step(6, 10, 4, 4))
+    assert blob["mode"] == "lattice" and blob["swapped"] == "false"
     assert blob["d"] == "2"
-    assert blob["u"] == ["1", "1"] and blob["v"] == ["1", "-1"]
+    assert json.loads(blob["u"]) == ["1", "1"] and json.loads(blob["v"]) == ["1", "-1"]
     assert blob["lam1_sq"] == "1"
     assert blob["xt1_sq"] == "4"

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from sqavoid.arith import BadPrime, is_prime
+from sqavoid.formats import record
 from sqavoid.lowerbound import (
     LowerBoundInstance,
     build_instance,
@@ -188,7 +189,7 @@ def test_random_primes_full_pipeline():
 
 
 def test_instance_json_fields():
-    blob = build_instance(13).to_json()
+    blob = record(build_instance(13))
     assert blob == {
         "p": "13",
         "nqr": "2",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from sqavoid import progression
 from sqavoid.arith import DomainError, TooLarge, isqrt
 from sqavoid.bounds import one_d_bound
+from sqavoid.formats import record
 from sqavoid.progression import (
     Certificate,
     SquareWitness,
@@ -339,16 +341,21 @@ def test_value_bound_caps():
 
 
 def test_json_round_trip():
+    # Encode with the record codec, decode as docs/schema.md says to.
     a = TwoDAP(13, 15, Fraction(338, 15), 1)
-    obj = a.to_json()
+    obj = record(a)
     assert obj == {"q1": "13", "q2": "15", "x1bound": "338/15", "x2bound": "1"}
-    assert TwoDAP.from_json(obj) == a
+    q1, q2, x1bound, x2bound = obj.values()
+    assert TwoDAP(int(q1), int(q2), Fraction(x1bound), Fraction(x2bound)) == a
 
     w = SquareWitness(-2, 2, 2)
-    assert w.to_json() == {"x1": "-2", "x2": "2", "n": "2"}
-    assert SquareWitness.from_json(w.to_json()) == w
+    assert record(w) == {"x1": "-2", "x2": "2", "n": "2"}
+    assert SquareWitness(*map(int, record(w).values())) == w
 
     cert = Certificate("witness", w, 5)
-    assert Certificate.from_json(cert.to_json()) == cert
+    obj = record(cert)
+    assert obj == {"kind": "witness", "witness": '{"n": "2", "x1": "-2", "x2": "2"}', "n_max": "5"}
+    nested = {k: int(v) for k, v in json.loads(obj["witness"]).items()}
+    assert Certificate(obj["kind"], SquareWitness(**nested), int(obj["n_max"])) == cert
     free = Certificate("square_free", None, 13)
-    assert Certificate.from_json(free.to_json()) == free
+    assert record(free) == {"kind": "square_free", "witness": "", "n_max": "13"}
