@@ -299,11 +299,17 @@ def least_qnr(p: int) -> int:
 
 
 def _tonelli_shanks(a: int, p: int) -> int | None:
-    """A square root of a modulo an odd prime p, or None.  Assumes p odd prime."""
+    """A square root of a modulo an odd prime p, or None.
+
+    Assumes p is an odd prime (callers take it from `factorize`), so
+    residuosity is Euler's criterion, one `pow`, and the non-residue z is
+    the least n >= 2 that fails it, without re-proving p prime.
+    """
     a %= p
     if a == 0:
         return 0
-    if jacobi(a, p) != 1:
+    half = (p - 1) // 2
+    if pow(a, half, p) != 1:
         return None
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
@@ -312,8 +318,9 @@ def _tonelli_shanks(a: int, p: int) -> int | None:
     while q % 2 == 0:
         q //= 2
         s += 1
-    # Deterministic choice of quadratic non-residue.
-    z = least_qnr(p)
+    z = 2
+    while pow(z, half, p) == 1:
+        z += 1
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         t2, i = t, 0

@@ -405,7 +405,7 @@ def verify_reduction(
         checks.append((name, ok, detail))
 
     d = math.gcd(a.q1, a.q2)
-    q1, q2, x1b, x2b = a.q1, a.q2, a.x1bound, a.x2bound
+    q1, q2, x1b, x2b = a.q1, a.q2, F(a.x1bound), F(a.x2bound)
     if step.swapped:
         q1, q2, x1b, x2b = q2, q1, x2b, x1b
     record(
@@ -572,6 +572,6 @@ def reduce_recursive(
         steps.append(step)
         derived, _ = derived_instance(step)
         q1, q2 = derived.q1, derived.q2
-        x1b, x2b = derived.x1bound, derived.x2bound
+        x1b, x2b = F(derived.x1bound), F(derived.x2bound)
         t //= d * d
     return ReductionChain(tuple(steps), term, q1, q2, x1b, x2b, t)

@@ -10,7 +10,9 @@ non-zero perfect squares up to an ambient bound T.
 Witness search runs two independent routes:
 
 * `find_square_witness` walks n = 1, 2, ... up to sqrt(min(T, value
-  bound)).  For each root the admissible x1 are one residue class modulo
+  bound)), skipping the n whose square is not x2*q2 modulo q1 for any
+  |x2| <= X2 (found once by squaring every residue modulo q1).  For each
+  root it visits, the admissible x1 are one residue class modulo
   q2/gcd(q1, q2) intersected with one interval, so the least-|x1| member
   has a closed form: O(1) integer operations per root, whatever the radii;
 * `brute_force_witness` enumerates the whole coefficient box, row by row
@@ -31,9 +33,12 @@ centre rows, a few modular square roots each, and shares no code with
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import accumulate, compress, repeat
+from operator import mod, mul
 
 from .arith import DomainError, TooLarge, factorize, isqrt, mod_inverse, sqrt_classes
 
@@ -41,6 +46,9 @@ BRUTE_FORCE_GUARD = 100_000_000
 # Roots one witness walk, or rows one radius walk, may visit: isqrt of the
 # largest sweep T, 10^16.
 ROOT_WALK_LIMIT = 100_000_000
+# Largest q1 whose square residues a witness walk scans to skip roots: the
+# scan holds at most this many residues at once.
+RESIDUE_SCAN_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -49,12 +57,15 @@ class TwoDAP:
 
     q1: int
     q2: int
-    x1bound: Fraction
-    x2bound: Fraction
+    x1bound: int | Fraction
+    x2bound: int | Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x1bound", Fraction(self.x1bound))
-        object.__setattr__(self, "x2bound", Fraction(self.x2bound))
+        # Integer radii stay ints (equal and hash-equal to their Fractions);
+        # anything else, a bool included, becomes an exact Fraction.
+        for name in ("x1bound", "x2bound"):
+            if type(getattr(self, name)) is not int:
+                object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.q1 < 1 or self.q2 < 1:
             raise DomainError(f"steps must be positive, got ({self.q1}, {self.q2})")
         if self.x1bound < 0 or self.x2bound < 0:
@@ -109,17 +120,49 @@ def is_proper(a: TwoDAP) -> bool:
     return not (a.q2 // d <= 2 * a.b1 and a.q1 // d <= 2 * a.b2)
 
 
+def _root_blocks(q1: int, q2: int, b2: int, top: int) -> Iterator[Iterable[int]]:
+    """The roots n = 1 .. top a witness can have, ascending, block by block.
+
+    A witness n^2 = x1*q1 + x2*q2 has n^2 = x2*q2 (mod q1) with |x2| <= b2,
+    so n lies in the classes C modulo q1 whose squares are such residues.
+    C is found by squaring s = 0 .. q1 // 2 at C speed (s and q1 - s have
+    one square; 0 is always in C, as x2 = 0 is allowed, and stands for
+    q1), and each block holds one period's members of C.  The filter is
+    used only when it can pay: the residues x2*q2 miss some class
+    (2*b2 + 1 < q1), the walk passes q1 (q1 <= top), the scan's memory is
+    bounded (q1 <= RESIDUE_SCAN_LIMIT) and C holds at most half the
+    classes.  Otherwise every root is a candidate, in one block.
+    """
+    if 2 * b2 + 1 < q1 <= min(top, RESIDUE_SCAN_LIMIT):
+        wanted = set(map(mod, range(-b2 * q2, b2 * q2 + 1, q2), repeat(q1)))
+        half = range(q1 // 2 + 1)
+        squares = map(mod, accumulate(range(1, 2 * len(half) - 1, 2), initial=0), repeat(q1))
+        roots = list(compress(half, map(wanted.__contains__, squares)))  # roots[0] == 0
+        classes = sorted({q1 - s for s in roots}.union(roots[1:]))
+        if 2 * len(classes) <= q1:
+            for base in range(0, top, q1):
+                yield map(base.__add__, classes[: bisect_right(classes, top - base)])
+            return
+    yield range(1, top + 1)
+
+
 def find_square_witness(a: TwoDAP, t: int) -> SquareWitness | None:
     """Smallest-square witness in a, with n^2 <= min(t, value bound).
 
-    One walk of n = 1 .. isqrt(min(t, value bound)).  With d = gcd(q1, q2)
-    and k = n^2/d, the solutions of x1*q1 + x2*q2 = n^2 with |x2| <= b2
-    are the x1 = k*(q1/d)^-1 (mod q2/d) in
+    One walk of n = 1 .. isqrt(min(t, value bound)) in ascending order,
+    over the admissible classes of `_root_blocks` only: n^2 must be
+    x2*q2 modulo q1 for some |x2| <= b2.  With d = gcd(q1, q2) and
+    k = n^2/d, the solutions of x1*q1 + x2*q2 = n^2 with |x2| <= b2 are
+    the x1 = k*(q1/d)^-1 (mod q2/d) in
     [(k - b2*q2/d) / (q1/d), (k + b2*q2/d) / (q1/d)] clipped to [-b1, b1],
     whose upper end is never negative because k >= 1: O(1) work per root,
-    whatever the radii.  Ties at one n go to the smallest |x1|, then to
-    positive x1.  TooLarge if the walk would pass ROOT_WALK_LIMIT roots
-    with no witness.
+    whatever the radii.  So with n_hi the last root and C the classes,
+    the cost is O(min(q1, n_hi)) scan steps at C speed plus
+    O(n_hi*|C|/q1) visited roots.  The filter squares residues itself,
+    sharing nothing with `max_radius`'s modular square roots, so the walk
+    stays an independent check of its boxes.  Ties at one n go to the
+    smallest |x1|, then to positive x1.  TooLarge if the walk would pass
+    ROOT_WALK_LIMIT roots with no witness.
     """
     if t < 0:
         raise DomainError(f"ambient bound must be non-negative, got {t}")
@@ -127,38 +170,40 @@ def find_square_witness(a: TwoDAP, t: int) -> SquareWitness | None:
     if cap < 1:
         return None
     n_hi = isqrt(cap)
+    top = min(n_hi, ROOT_WALK_LIMIT)
     q1, q2, b1, b2 = a.q1, a.q2, a.b1, a.b2
     d = math.gcd(q1, q2)
     q1d, q2d = q1 // d, q2 // d
     slack = b2 * q2d  # |x2| <= b2 as a bound on x1*q1d around k
     inv = mod_inverse(q1d % q2d, q2d) if q2d > 1 else 0
-    for n in range(1, min(n_hi, ROOT_WALK_LIMIT) + 1):
-        nn = n * n
-        if nn % d:
-            continue
-        k = nn // d
-        hi = (k + slack) // q1d
-        if hi > b1:
-            hi = b1
-        lo = -((slack - k) // q1d)
-        if lo < -b1:
-            lo = -b1
-        if lo > hi:
-            continue
-        if lo >= 0:
-            # Least class member >= lo.
-            x1 = lo + (k * inv - lo) % q2d
-            if x1 > hi:
+    for block in _root_blocks(q1, q2, b2, top):
+        for n in block:
+            nn = n * n
+            if nn % d:
                 continue
-        else:
-            # lo < 0 <= hi: the least non-negative member x1 against the
-            # greatest negative one, x1 - q2d; ties go to the positive.
-            x1 = k * inv % q2d
-            if x1 > hi or (q2d - x1 < x1 and x1 - q2d >= lo):
-                x1 -= q2d
-                if x1 < lo:
+            k = nn // d
+            hi = (k + slack) // q1d
+            if hi > b1:
+                hi = b1
+            lo = -((slack - k) // q1d)
+            if lo < -b1:
+                lo = -b1
+            if lo > hi:
+                continue
+            if lo >= 0:
+                # Least class member >= lo.
+                x1 = lo + (k * inv - lo) % q2d
+                if x1 > hi:
                     continue
-        return SquareWitness(x1, (k - x1 * q1d) // q2d, n)
+            else:
+                # lo < 0 <= hi: the least non-negative member x1 against the
+                # greatest negative one, x1 - q2d; ties go to the positive.
+                x1 = k * inv % q2d
+                if x1 > hi or (q2d - x1 < x1 and x1 - q2d >= lo):
+                    x1 -= q2d
+                    if x1 < lo:
+                        continue
+            return SquareWitness(x1, (k - x1 * q1d) // q2d, n)
     if n_hi > ROOT_WALK_LIMIT:
         raise TooLarge(f"the walk needs roots up to {n_hi}, limit is {ROOT_WALK_LIMIT}")
     return None
@@ -204,7 +249,11 @@ def max_radius(q: int, other_q: int, other_r: int, t: int) -> int:
     step ROOT_WALK_LIMIT raises TooLarge.  Returns -1 when even r = 0
     holds a square.
     """
-    base = TwoDAP(q, other_q, 0, other_r).value_bound()  # DomainError on bad steps or radius
+    if q < 1 or other_q < 1:
+        raise DomainError(f"steps must be positive, got ({q}, {other_q})")
+    if other_r < 0:
+        raise DomainError("radii must be non-negative")
+    base = other_r * other_q
     if base > t:
         raise DomainError(f"the other axis reaches {base}, past t = {t}")
     room = (t - base) // q

@@ -257,6 +257,26 @@ def test_sqrt_mod_random_moduli():
             assert all(c * c % m != a for c in range(got))
 
 
+def test_tonelli_shanks_exhaustive(monkeypatch):
+    # p = 1 (mod 8) takes the full Tonelli-Shanks loop (s >= 3).  It must
+    # neither re-prove p prime nor take Jacobi symbols: p comes from factorize.
+    def refuse(*args):
+        raise AssertionError("called from _tonelli_shanks")
+
+    monkeypatch.setattr(arith, "is_prime", refuse)
+    monkeypatch.setattr(arith, "jacobi", refuse)
+    primes = [p for p in range(3, 2000) if oracle_is_prime(p) and p % 8 == 1]
+    assert len(primes) == 68
+    for p in primes:
+        squares = oracle_squares_mod(p)
+        for a in range(p):
+            r = arith._tonelli_shanks(a, p)
+            if a in squares:
+                assert r is not None and r * r % p == a, (a, p, r)
+            else:
+                assert r is None, (a, p, r)
+
+
 def test_sqrt_classes_matches_scan():
     # Every residue, units, non-units and 0, for every modulus up to 300.
     for m in range(1, 301):

@@ -104,6 +104,43 @@ def test_walk_past_the_root_limit_exits_two(capsys, monkeypatch):
         assert (recs[0]["kind"], recs[0]["error"]) == ("Error", "TooLarge")
 
 
+_CERTIFY_UNDER_O = """
+import json, sys
+from sqavoid import progression
+from sqavoid.cli import main
+if __debug__:
+    sys.exit("expected to run under python -O")
+
+def run(command, q1, q2, x1, x2, t):
+    argv = [command, "--q1", str(q1), "--q2", str(q2), "--x1", x1, "--x2", x2, "--t", str(t)]
+    return main(argv)
+
+for p in (1013, 29989):
+    # p = 5 (mod 8): x2 != 0 gives the non-residues +-2 (mod p).
+    print(json.dumps([p, run("verify", p, p + 2, str(p - 1), "1", 2 * p * p)]))
+    print(json.dumps([p, run("verify", p, p + 2, f"{6 * p}/5", "9/7", p * p + p)]))
+# Square-free with n_hi = 1014, one root past a limit that the sieved walk reaches.
+progression.ROOT_WALK_LIMIT = 1013
+for command in ("witness", "verify"):
+    print(json.dumps(["limit", run(command, 1013, 4054, "1012", "1", 1014 * 1015)]))
+"""
+
+
+def test_verify_exit_codes_under_python_O(run_python):
+    proc = run_python("-O", "-c", _CERTIFY_UNDER_O)
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    codes = [line for line in lines if isinstance(line, list)]
+    records = [line for line in lines if isinstance(line, dict)]
+    assert codes == [[1013, 0], [1013, 1], [29989, 0], [29989, 1], ["limit", 2], ["limit", 2]]
+    kinds = [(r["kind"], r.get("brute_force"), r.get("error")) for r in records]
+    free, planted = ("SquareFree", "agree", None), ("Witness", "agree", None)
+    too_large = ("Error", None, "TooLarge")
+    assert kinds == [free, planted, free, planted, too_large, too_large]
+    for r, p in zip(records[1:4:2], (1013, 29989)):
+        assert (r["x1"], r["x2"], r["n"]) == (str(p), "0", str(p))
+
+
 def test_unexpected_exception_exits_two_not_one(capsys, monkeypatch):
     # Exit 1 means "witness found": an internal failure must never produce it.
     def overflow(args):

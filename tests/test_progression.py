@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sqavoid import progression
@@ -20,6 +20,7 @@ from sqavoid.progression import (
     SquareWitness,
     TwoDAP,
     _pair_scan,
+    _root_blocks,
     _row_scan,
     brute_force_witness,
     cardinality,
@@ -86,6 +87,19 @@ def test_construction_and_floors():
         TwoDAP(0, 3, 1, 1)
     with pytest.raises(DomainError):
         TwoDAP(2, 3, -1, 1)
+
+
+def test_integer_radii_stay_integers():
+    a, b = TwoDAP(13, 15, 12, 1), TwoDAP(13, 15, Fraction(12), Fraction(1))
+    assert type(a.x1bound) is int and type(b.x1bound) is Fraction
+    assert a == b and hash(a) == hash(b)
+    assert record(a) == record(b) == {"q1": "13", "q2": "15", "x1bound": "12", "x2bound": "1"}
+    # A bool is normalised, not kept as an int subclass.
+    assert type(TwoDAP(1, 2, True, False).x1bound) is Fraction
+    with pytest.raises(DomainError):
+        TwoDAP(13, 15, -1, 1)
+    with pytest.raises(DomainError):
+        TwoDAP(13, 15, 12, -1)
 
 
 def test_cardinality_frozen():
@@ -188,6 +202,69 @@ def boxes_and_bounds(draw) -> tuple[TwoDAP, int]:
 def test_find_matches_brute_force_hypothesis(case):
     a, t = case
     assert find_square_witness(a, t) == brute_force_witness(a, t)
+
+
+def _sieved(a: TwoDAP, t: int) -> bool:
+    """True iff the walk of a up to t skips roots by their residues."""
+    top = min(isqrt(min(t, a.value_bound())), progression.ROOT_WALK_LIMIT)
+    return not isinstance(next(_root_blocks(a.q1, a.q2, a.b2, top)), range)
+
+
+@st.composite
+def sieved_boxes(draw) -> tuple[TwoDAP, int]:
+    """Boxes whose walk passes q1 with few admissible residues modulo q1.
+
+    q1 may carry 2^k, 9, 25 or 49, so residues and roots include non-units
+    and zero; a common factor g gives gcd(q1, q2) > 1; q2 = g makes some
+    boxes (q, g, r, 0) one-dimensional.  b2 is small, x1's radius passes
+    q1 so the value bound passes q1^2, and t lies below or above it.
+    """
+    g = draw(st.integers(1, 6))
+    power = draw(st.sampled_from([1, 2, 4, 8, 16, 32, 64, 9, 25, 49]))
+    q1 = g * power * draw(st.integers(1, 40))
+    q2 = g * draw(st.one_of(st.just(1), st.integers(1, 200)))
+    x1 = Fraction(draw(st.integers(4 * q1, 12 * q1)), draw(st.integers(1, 4)))
+    x2 = Fraction(draw(st.integers(0, 12)), draw(st.integers(1, 4)))
+    a = TwoDAP(q1, q2, x1, x2)
+    vb = a.value_bound()
+    t = draw(st.one_of(st.integers(q1 * q1, vb), st.integers(vb, 2 * vb)))
+    return a, t
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(sieved_boxes())
+def test_sieved_walk_matches_brute_force_hypothesis(case):
+    a, t = case
+    assume(_sieved(a, t))
+    assert find_square_witness(a, t) == brute_force_witness(a, t)
+
+
+def test_unsieved_walks_match_sieved_ones(monkeypatch):
+    # Where the filter is off the walk visits every root, with one answer.
+    dense = TwoDAP(7, 3, 20, 2)  # x2*q2 hits 5 of 7 residues: most classes
+    wide = TwoDAP(2003, 2005, 2002, 1)  # off below t = 2003^2, where n_hi < q1
+    cases = [(dense, dense.value_bound()), (wide, 2002**2), (wide, 2003**2)]
+    assert [_sieved(a, t) for a, t in cases] == [False, False, True]
+    for a, t in cases:
+        assert find_square_witness(a, t) == brute_force_witness(a, t)
+    rng = random.Random(9)
+    boxes = []
+    for _ in range(300):
+        q1 = rng.choice([1, 2, 4, 8, 9, 25, 49]) * rng.randint(1, 60)
+        a = TwoDAP(q1, rng.randint(1, 300), rng.randint(q1, 5 * q1), rng.randint(0, 3))
+        boxes.append((a, rng.choice([a.value_bound(), rng.randint(q1 * q1, a.value_bound())])))
+    sieved = [find_square_witness(a, t) for a, t in boxes]
+    assert sum(_sieved(a, t) for a, t in boxes) > 200
+    monkeypatch.setattr(progression, "RESIDUE_SCAN_LIMIT", 1)
+    assert not any(_sieved(a, t) for a, t in boxes)
+    assert [find_square_witness(a, t) for a, t in boxes] == sieved
+
+
+def test_walk_filter_shares_no_code_with_max_radius():
+    # The walk checks max_radius's boxes: it must not solve square roots
+    # modulo q with the same routines.
+    for f in (find_square_witness, _root_blocks):
+        assert not {"sqrt_classes", "factorize", "max_radius"} & set(f.__code__.co_names)
 
 
 def test_degenerate_one_d_box_matches_brute_force():
