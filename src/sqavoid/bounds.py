@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import DomainError, ceil_root_ratio, floor_root_ratio, squarefree_kernel
-from .small_squares import SmallSquareTrace, balanced_n, construct_small_square
+from .small_squares import SmallSquareTrace, construct_small_square
 from .progression import SquareWitness
 
 F = Fraction

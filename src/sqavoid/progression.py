@@ -125,16 +125,23 @@ def _root_blocks(q1: int, q2: int, b2: int, top: int) -> Iterator[Iterable[int]]
 
     A witness n^2 = x1*q1 + x2*q2 has n^2 = x2*q2 (mod q1) with |x2| <= b2,
     so n lies in the classes C modulo q1 whose squares are such residues.
-    C is found by squaring s = 0 .. q1 // 2 at C speed (s and q1 - s have
-    one square; 0 is always in C, as x2 = 0 is allowed, and stands for
-    q1), and each block holds one period's members of C.  The filter is
-    used only when it can pay: the residues x2*q2 miss some class
-    (2*b2 + 1 < q1), the walk passes q1 (q1 <= top), the scan's memory is
-    bounded (q1 <= RESIDUE_SCAN_LIMIT) and C holds at most half the
-    classes.  Otherwise every root is a candidate, in one block.
+    The filter is used only when it can pay and stays bounded: the residues
+    x2*q2 miss some class (2*b2 + 1 < q1), at most RESIDUE_SCAN_LIMIT of
+    them are held (2*b2 < RESIDUE_SCAN_LIMIT) and at most that many squares
+    are scanned (min(q1, top) <= RESIDUE_SCAN_LIMIT).
+    A walk that ends before q1 (top < q1) tests each n = 1 .. top itself,
+    squaring at C speed.  A longer walk finds C by squaring s = 0 .. q1 // 2
+    at C speed (s and q1 - s have one square; 0 is always in C, as x2 = 0
+    is allowed, and stands for q1), and each block holds one period's
+    members of C, provided C holds at most half the classes.  Otherwise
+    every root is a candidate, in one block.
     """
-    if 2 * b2 + 1 < q1 <= min(top, RESIDUE_SCAN_LIMIT):
+    if 2 * b2 + 1 < q1 and 2 * b2 < RESIDUE_SCAN_LIMIT and min(q1, top) <= RESIDUE_SCAN_LIMIT:
         wanted = set(map(mod, range(-b2 * q2, b2 * q2 + 1, q2), repeat(q1)))
+        if top < q1:
+            squares = map(mod, accumulate(range(3, 2 * top, 2), initial=1), repeat(q1))
+            yield compress(range(1, top + 1), map(wanted.__contains__, squares))
+            return
         half = range(q1 // 2 + 1)
         squares = map(mod, accumulate(range(1, 2 * len(half) - 1, 2), initial=0), repeat(q1))
         roots = list(compress(half, map(wanted.__contains__, squares)))  # roots[0] == 0

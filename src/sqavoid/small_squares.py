@@ -261,20 +261,6 @@ class SurveyReport:
         return self.pairs == self.n_in_range == self.x1_ratio_ok == self.x2_ratio_ok
 
 
-def _x2_ratio_ok(x2: int, q1: int, n_cap: int, ceiling: int) -> bool:
-    # |x2| * N^2 / q1^(9/4) < ceiling, decided by fourth powers.
-    return (abs(x2) * n_cap * n_cap) ** 4 < ceiling**4 * q1**9
-
-
-def _x1_ratio_ok(x1: int, q1: int, q2: int, n_cap: int, ceiling: int) -> bool:
-    # |x1| < ceiling * (N^2/q1 + q1^(5/4)*q2/N^2).  Clear q1*N^2, move the
-    # rational term left and decide the irrational comparison by 4th powers.
-    lhs = abs(x1) * q1 * n_cap * n_cap - ceiling * n_cap**4
-    if lhs < 0:
-        return True
-    return lhs**4 < ceiling**4 * q1**9 * q2**4
-
-
 def small_square_survey(
     q_max: int,
     *,
@@ -289,23 +275,47 @@ def small_square_survey(
     `ratio_ceiling` times the theoretical envelopes (decided exactly); the
     float ratio fields are display-only.  `on_row` receives
     (q1, q2, N, b, n, x1, x2, ratio_x1, ratio_x2) per pair when given.
+
+    The survey works one q1 row at a time.  N starts at balanced_n(q1, q1)
+    and is stepped up along the row, N += 1 while N**16 < q1**9 * q2**4.
+    That is exact: the target grows with q2, so the previous N less one
+    still falls short of it, and the stepped N is again the least.  The
+    row's powers of q1 are computed once per row.  Refuses q_min < 1 and a
+    negative `ratio_ceiling` with DomainError.
     """
+    if q_min < 1:
+        raise DomainError(f"q_min must be positive, got {q_min}")
+    if ratio_ceiling < 0:
+        raise DomainError(f"ratio_ceiling must be non-negative, got {ratio_ceiling}")
     report = SurveyReport()
+    ceiling4 = ratio_ceiling**4
     for q1 in range(q_min, q_max + 1):
+        q1_9 = q1**9
+        x2_bound = ceiling4 * q1_9  # |x2| * N^2 / q1^(9/4) < ceiling, by 4th powers
+        q1_125, q1_225 = q1**1.25, q1**2.25
+        cap = balanced_n(q1, q1)
+        cap16 = cap**16
         for q2 in range(q1, q_max + 1):
             if math.gcd(q1, q2) != 1:
                 continue
-            cap = balanced_n(q1, q2)
+            target = q1_9 * q2**4
+            while cap16 < target:
+                cap += 1
+                cap16 = cap**16
             tr = construct_small_square(q1, q2, cap)
             w = tr.witness
             report.pairs += 1
             if 1 <= tr.n <= cap:
                 report.n_in_range += 1
-            r1 = abs(w.x1) / (cap * cap / q1 + q1**1.25 * q2 / (cap * cap))
-            r2 = abs(w.x2) * cap * cap / q1**2.25
-            if _x1_ratio_ok(w.x1, q1, q2, cap, ratio_ceiling):
+            cap2 = cap * cap
+            r1 = abs(w.x1) / (cap2 / q1 + q1_125 * q2 / cap2)
+            r2 = abs(w.x2) * cap2 / q1_225
+            # |x1| < ceiling * (N^2/q1 + q1^(5/4)*q2/N^2).  Clear q1*N^2, move
+            # the rational term left and decide the rest by 4th powers.
+            lhs = abs(w.x1) * q1 * cap2 - ratio_ceiling * cap2 * cap2
+            if lhs < 0 or lhs**4 < ceiling4 * target:
                 report.x1_ratio_ok += 1
-            if _x2_ratio_ok(w.x2, q1, cap, ratio_ceiling):
+            if (abs(w.x2) * cap2) ** 4 < x2_bound:
                 report.x2_ratio_ok += 1
             if r1 > report.max_ratio_x1:
                 report.max_ratio_x1, report.argmax_x1 = r1, (q1, q2)

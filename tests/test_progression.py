@@ -239,12 +239,42 @@ def test_sieved_walk_matches_brute_force_hypothesis(case):
     assert find_square_witness(a, t) == brute_force_witness(a, t)
 
 
+@st.composite
+def short_walk_boxes(draw) -> tuple[TwoDAP, int]:
+    """Boxes whose walk ends before q1: q1 > isqrt(min(t, value bound)).
+
+    Such a walk tests each root's square against the residues x2*q2 itself.
+    q1 may carry 2^k, 9, 25 or 49 and share a factor g with q2, so squares
+    of roots below q1 can still be 0 modulo q1; b2 = 0 gives the one-
+    dimensional boxes (q, 1, q - 1, 0) that the sweep's one_d family emits.
+    """
+    g = draw(st.integers(1, 6))
+    power = draw(st.sampled_from([1, 2, 4, 8, 16, 9, 25, 49]))
+    q1 = g * power * draw(st.integers(1, 60))
+    q2 = g * draw(st.one_of(st.just(1), st.integers(1, 400)))
+    x1 = Fraction(draw(st.integers(0, 4 * q1)), draw(st.integers(1, 4)))
+    x2 = Fraction(draw(st.integers(0, 12)), draw(st.integers(1, 4)))
+    a = TwoDAP(q1, q2, x1, x2)
+    t = draw(st.integers(1, max(1, min(a.value_bound(), q1 * q1 - 1))))
+    return a, t
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(short_walk_boxes())
+def test_short_walk_matches_brute_force_hypothesis(case):
+    a, t = case
+    assume(_sieved(a, t))
+    assert isqrt(min(t, a.value_bound())) < a.q1
+    assert find_square_witness(a, t) == brute_force_witness(a, t)
+
+
 def test_unsieved_walks_match_sieved_ones(monkeypatch):
     # Where the filter is off the walk visits every root, with one answer.
     dense = TwoDAP(7, 3, 20, 2)  # x2*q2 hits 5 of 7 residues: most classes
-    wide = TwoDAP(2003, 2005, 2002, 1)  # off below t = 2003^2, where n_hi < q1
-    cases = [(dense, dense.value_bound()), (wide, 2002**2), (wide, 2003**2)]
-    assert [_sieved(a, t) for a, t in cases] == [False, False, True]
+    wide = TwoDAP(2003, 2005, 2002, 1)  # n_hi < q1 below t = 2003^2: n scanned directly
+    full = TwoDAP(2003, 2005, 2002, 1001)  # x2*q2 hits every residue modulo 2003
+    cases = [(dense, dense.value_bound()), (wide, 2002**2), (wide, 2003**2), (full, 2002**2)]
+    assert [_sieved(a, t) for a, t in cases] == [False, True, True, False]
     for a, t in cases:
         assert find_square_witness(a, t) == brute_force_witness(a, t)
     rng = random.Random(9)

@@ -13,6 +13,7 @@ from sqavoid.arith import DomainError, TooLarge, sqrt_mod
 from sqavoid.progression import SquareWitness
 from sqavoid.small_squares import (
     SmallSquareTrace,
+    SurveyReport,
     _sqrt_solver,
     _sqrt_table,
     balanced_n,
@@ -313,3 +314,63 @@ def test_survey_small_grid():
     assert rep.all_ok
     assert rep.max_ratio_x2 < 64.0
     assert rep.max_ratio_x1 < 64.0
+
+
+def reference_survey(q_max: int, q_min: int, ceiling: int = 64):
+    """Pair by pair: a fresh balanced_n, the construction and the exact envelope tests."""
+    report, rows = SurveyReport(), []
+    for q1 in range(q_min, q_max + 1):
+        for q2 in range(q1, q_max + 1):
+            if math.gcd(q1, q2) != 1:
+                continue
+            cap = balanced_n(q1, q2)
+            tr = construct_small_square(q1, q2, cap)
+            x1, x2 = tr.witness.x1, tr.witness.x2
+            report.pairs += 1
+            report.n_in_range += 1 <= tr.n <= cap
+            r1 = abs(x1) / (cap * cap / q1 + q1**1.25 * q2 / (cap * cap))
+            r2 = abs(x2) * cap * cap / q1**2.25
+            # |x1| < ceiling*(N^2/q1 + q1^(5/4)*q2/N^2), |x2| < ceiling*q1^(9/4)/N^2
+            lhs = abs(x1) * q1 * cap**2 - ceiling * cap**4
+            report.x1_ratio_ok += lhs < 0 or lhs**4 < ceiling**4 * q1**9 * q2**4
+            report.x2_ratio_ok += (abs(x2) * cap**2) ** 4 < ceiling**4 * q1**9
+            if r1 > report.max_ratio_x1:
+                report.max_ratio_x1, report.argmax_x1 = r1, (q1, q2)
+            if r2 > report.max_ratio_x2:
+                report.max_ratio_x2, report.argmax_x2 = r2, (q1, q2)
+            rows.append((q1, q2, cap, tr.b, tr.n, x1, x2, r1, r2))
+    return report, rows
+
+
+def test_row_stepped_cap_is_balanced_n():
+    rows = []
+    small_square_survey(300, q_min=1, on_row=rows.append)
+    assert len(rows) > 27_000
+    assert all(cap == balanced_n(q1, q2) for q1, q2, cap, *_ in rows)
+
+
+@pytest.mark.parametrize("q_min, q_max", [(1, 60), (150, 260)])
+def test_survey_matches_pair_by_pair_reference(q_min, q_max):
+    rows = []
+    report = small_square_survey(q_max, q_min=q_min, on_row=rows.append)
+    want_report, want_rows = reference_survey(q_max, q_min)
+    assert rows == want_rows  # floats included, bit for bit
+    assert report == want_report
+
+
+def test_survey_ceiling_decides_the_envelopes():
+    # A ceiling of 0 admits no pair; at ceiling 1 both tests refuse some
+    # pairs, and exactly the reference's.
+    none = small_square_survey(30, ratio_ceiling=0)
+    assert none.x1_ratio_ok == none.x2_ratio_ok == 0 < none.pairs
+    tight = small_square_survey(60, ratio_ceiling=1)
+    assert tight == reference_survey(60, 2, 1)[0]
+    assert (tight.pairs, tight.x1_ratio_ok, tight.x2_ratio_ok) == (1042, 1040, 1004)
+
+
+def test_survey_refuses_bad_arguments():
+    with pytest.raises(DomainError, match="ratio_ceiling"):
+        small_square_survey(60, ratio_ceiling=-64)
+    for q_min in (0, -3):
+        with pytest.raises(DomainError, match="q_min"):
+            small_square_survey(60, q_min=q_min)

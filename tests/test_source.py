@@ -19,3 +19,33 @@ def test_no_bare_assert_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"bare assert statements: {found}"
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names a module lists in `__all__`, if it has one."""
+    return {
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    }
+
+
+def test_no_unused_module_level_import():
+    # A module-level import must be referenced in its module or re-exported.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= _exported(tree)
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not found, f"unused imports: {found}"
