@@ -22,7 +22,8 @@ print(f"box: steps ({a.q1}, {a.q2}), radii ({a.x1bound}, {a.x2bound})")
 print(f"distinct-values check (properness): {is_proper(a)}")
 print(f"coefficient pairs: {cardinality(a)}")
 
-# Route 1: per-root modular solve.  Route 2: enumerate every pair.
+# Route 1: modular solve, per root or per row, whichever has fewer steps.
+# Route 2: enumerate every pair.
 t = 25
 w = find_square_witness(a, t)
 bw = brute_force_witness(a, t)

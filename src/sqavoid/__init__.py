@@ -4,7 +4,8 @@ A progression here is the set {x1*q1 + x2*q2 : |x1| <= X1, |x2| <= X2}.
 The package answers, with integer-exact certificates rather than floats:
 
 * does a given box contain a non-zero perfect square below a bound T
-  (`find_square_witness`, `certify_square_free`, `brute_force_witness`);
+  (`find_square_witness`, which takes the cheaper of `walk_roots` and a
+  row route, `certify_box`, `certify_square_free`, `brute_force_witness`);
 * how to construct a square hit with a small root for coprime steps
   (`construct_small_square`, driven by continued-fraction approximation);
 * the piecewise exponent surface governing upper bounds on square-free
@@ -76,9 +77,11 @@ from .progression import (
     TwoDAP,
     brute_force_witness,
     cardinality,
+    certify_box,
     certify_square_free,
     find_square_witness,
     is_proper,
+    walk_roots,
 )
 from .small_squares import (
     SmallSquareTrace,
@@ -129,6 +132,7 @@ __all__ = [
     "build_instance",
     "cardinality",
     "case_exponent",
+    "certify_box",
     "certify_square_free",
     "congruence_lattice",
     "construct_small_square",
@@ -160,4 +164,5 @@ __all__ = [
     "squarefree_kernel",
     "sweep",
     "verify_reduction",
+    "walk_roots",
 ]

@@ -55,7 +55,7 @@ class VerificationFailed(RuntimeError):
 
 # Trial division handles everything below this bound; above it, primality
 # uses deterministic Miller-Rabin and factoring falls back to Brent's method.
-_TRIAL_BOUND = 1_000_000
+TRIAL_BOUND = 1_000_000
 
 # The witness set {2,3,...,41} is a verified deterministic Miller-Rabin base
 # set: it classifies every integer below this bound exactly (Sorenson and
@@ -146,7 +146,7 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    if n < _TRIAL_BOUND:
+    if n < TRIAL_BOUND:
         if n < 4:
             return True
         if n % 2 == 0:
@@ -221,7 +221,7 @@ def factorize(n: int) -> dict[int, int]:
     f = 7
     wheel = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while f < _TRIAL_BOUND and f * f <= n:
+    while f < TRIAL_BOUND and f * f <= n:
         while n % f == 0:
             factors[f] = factors.get(f, 0) + 1
             n //= f

@@ -48,7 +48,7 @@ from .progression import (
     BRUTE_FORCE_GUARD,
     TwoDAP,
     brute_force_witness,
-    certify_square_free,
+    certify_box,
     is_proper,
 )
 from .small_squares import balanced_n, construct_small_square
@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_witness(args):
     a = TwoDAP(args.q1, args.q2, args.x1, args.x2)
-    cert = certify_square_free(a, args.t)
+    cert = certify_box(a, args.t)
     base = record(a) | {"t": value(args.t)}
     if cert.kind == "witness":
         w = cert.witness
@@ -147,7 +147,7 @@ def _cmd_witness(args):
 
 def _cmd_verify(args):
     a = TwoDAP(args.q1, args.q2, args.x1, args.x2)
-    cert = certify_square_free(a, args.t)
+    cert = certify_box(a, args.t)
     w = cert.witness
     base = record(a) | {"t": value(args.t)}
     try:

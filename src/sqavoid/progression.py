@@ -7,27 +7,35 @@ membership).  The central questions are whether such a set is *proper*
 (all (x1, x2) pairs give distinct values) and whether it avoids all
 non-zero perfect squares up to an ambient bound T.
 
-Witness search runs two independent routes:
+Witness search has two routes to one canonical answer, and
+`find_square_witness` takes whichever has fewer steps, counted up front:
 
-* `find_square_witness` walks n = 1, 2, ... up to sqrt(min(T, value
-  bound)), skipping the n whose square is not x2*q2 modulo q1 for any
-  |x2| <= X2 (found once by squaring every residue modulo q1).  For each
-  root it visits, the admissible x1 are one residue class modulo
-  q2/gcd(q1, q2) intersected with one interval, so the least-|x1| member
-  has a closed form: O(1) integer operations per root, whatever the radii;
-* `brute_force_witness` enumerates the whole coefficient box, row by row
-  (one row per x2) against the set of squares up to the bound, with no
-  residue-class arithmetic.
+* `walk_roots` walks n = 1, 2, ... up to sqrt(min(T, value bound)),
+  skipping the n whose square is not x2*q2 modulo q1 for any |x2| <= X2
+  (found once by squaring every residue modulo q1).  For each root it
+  visits, the admissible x1 are one residue class modulo q2/gcd(q1, q2)
+  intersected with one interval, so the least-|x1| member has a closed
+  form: O(1) integer operations per root, whatever the radii;
+* `_walk_rows` reads one row (fixed x2) at a time: a row is a progression
+  with step q1, and its least square is the least n past the row's start
+  in a class of `sqrt_classes(x2*q2 mod q1)`.  It costs `factorize(q1)`
+  plus 2*X2 + 1 rows of a few classes each, so boxes with few rows that
+  reach far, like the paper's non-residue boxes, cost almost nothing.
 
-Both apply the same deterministic tie-break (smallest n, then smallest
+`brute_force_witness`, the independent oracle, enumerates the whole
+coefficient box row by row against a set of squares (kept across calls
+up to SQUARE_TABLE_ROOTS roots), with no residue-class arithmetic.  All
+three apply the same deterministic tie-break (smallest n, then smallest
 |x1|, positive x1 before negative), so their results are comparable
-object-for-object.
+object-for-object.  `certify_box`, behind the `witness` and `verify`
+commands, searches by the cheaper route.
 
-`max_radius`, the largest square-free radius on one axis, walks rows, not
-roots: a row of the box holds a square iff a modular square root lands
-near the row's centre.  It takes at most min(r, R) + 1 steps past the
-centre rows, a few modular square roots each, and shares no code with
-`find_square_witness`, which stays an independent check of its boxes.
+`max_radius`, the largest square-free radius on one axis, also walks
+rows: a row of the box holds a square iff a modular square root lands
+near its centre.  It takes at most min(r, R) + 1 steps past the centre
+rows, a few modular square roots each.  Its boxes are re-certified by
+`certify_square_free`, which always takes the root walk: that walk shares
+no code with `max_radius`, so it stays an independent check of them.
 """
 
 from __future__ import annotations
@@ -40,15 +48,27 @@ from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from operator import mod, mul
 
-from .arith import DomainError, TooLarge, factorize, isqrt, mod_inverse, sqrt_classes
+from .arith import (
+    TRIAL_BOUND,
+    DomainError,
+    FactorizationFailed,
+    TooLarge,
+    factorize,
+    isqrt,
+    mod_inverse,
+    sqrt_classes,
+)
 
 BRUTE_FORCE_GUARD = 100_000_000
-# Roots one witness walk, or rows one radius walk, may visit: isqrt of the
-# largest sweep T, 10^16.
+# Roots one witness walk, or rows one row route or radius walk, may visit:
+# isqrt of the largest sweep T, 10^16.
 ROOT_WALK_LIMIT = 100_000_000
 # Largest q1 whose square residues a witness walk scans to skip roots: the
 # scan holds at most this many residues at once.
 RESIDUE_SCAN_LIMIT = 1 << 20
+# Roots whose squares the brute-force oracle keeps between calls: 2^16
+# squares, about 6 MiB.  A call that needs more builds its own set.
+SQUARE_TABLE_ROOTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -153,8 +173,8 @@ def _root_blocks(q1: int, q2: int, b2: int, top: int) -> Iterator[Iterable[int]]
     yield range(1, top + 1)
 
 
-def find_square_witness(a: TwoDAP, t: int) -> SquareWitness | None:
-    """Smallest-square witness in a, with n^2 <= min(t, value bound).
+def walk_roots(a: TwoDAP, t: int) -> SquareWitness | None:
+    """Smallest-square witness in a, with n^2 <= min(t, value bound), by roots.
 
     One walk of n = 1 .. isqrt(min(t, value bound)) in ascending order,
     over the admissible classes of `_root_blocks` only: n^2 must be
@@ -168,8 +188,9 @@ def find_square_witness(a: TwoDAP, t: int) -> SquareWitness | None:
     O(n_hi*|C|/q1) visited roots.  The filter squares residues itself,
     sharing nothing with `max_radius`'s modular square roots, so the walk
     stays an independent check of its boxes.  Ties at one n go to the
-    smallest |x1|, then to positive x1.  TooLarge if the walk would pass
-    ROOT_WALK_LIMIT roots with no witness.
+    smallest |x1|, then to positive x1.  A walk that would pass
+    ROOT_WALK_LIMIT roots still walks that many, returning a witness found
+    among them, and otherwise raises TooLarge.
     """
     if t < 0:
         raise DomainError(f"ambient bound must be non-negative, got {t}")
@@ -214,6 +235,86 @@ def find_square_witness(a: TwoDAP, t: int) -> SquareWitness | None:
     if n_hi > ROOT_WALK_LIMIT:
         raise TooLarge(f"the walk needs roots up to {n_hi}, limit is {ROOT_WALK_LIMIT}")
     return None
+
+
+def _walk_rows(a: TwoDAP, cap: int, factors: dict[int, int]) -> SquareWitness | None:
+    """Smallest-square witness in a with n^2 <= cap (cap >= 1), row by row.
+
+    `factors = factorize(q1)`.  Row x2 holds the values x2*q2 + x1*q1 with
+    x1 clipped to [lo, hi] so that they lie in [1, cap]: a progression with
+    step q1.  Its squares are the n^2 = x2*q2 (mod q1) between its ends, so
+    its least square is at the least n >= isqrt(first - 1) + 1 in a class
+    of `sqrt_classes(x2*q2 mod q1)`, if that n^2 <= last.  Rows with one
+    residue share their classes.  The cost is 2*b2 + 1 rows of at most
+    2^(omega(q1) + 1) classes each, whatever the radius along q1.  Rows are
+    merged under the usual tie-break (n, |x1|, x1 < 0), computed here so
+    that the brute-force oracle, which checks this route, shares no code
+    with it.
+    """
+    q1, q2, b1 = a.q1, a.q2, a.b1
+    classes_of: dict[int, tuple[int, list[int]]] = {}
+    best = None
+    for x2 in range(-a.b2, a.b2 + 1):
+        base = x2 * q2
+        lo = max(-b1, -((base - 1) // q1))  # least x1 with base + x1*q1 >= 1
+        hi = min(b1, (cap - base) // q1)
+        if lo > hi:
+            continue
+        residue = base % q1
+        if residue not in classes_of:
+            classes_of[residue] = sqrt_classes(residue, factors)
+        m, classes = classes_of[residue]
+        start = isqrt(base + lo * q1 - 1) + 1
+        last = base + hi * q1
+        for s in classes:
+            n = start + (s - start) % m
+            if n * n <= last:
+                x1 = (n * n - base) // q1
+                key = (n, abs(x1), x1 < 0)
+                if best is None or key < best[0]:
+                    best = (key, SquareWitness(x1, x2, n))
+    return None if best is None else best[1]
+
+
+def find_square_witness(a: TwoDAP, t: int) -> SquareWitness | None:
+    """Smallest-square witness in a, with n^2 <= min(t, value bound).
+
+    Both routes give the canonical witness; this takes the one with fewer
+    steps, counted before either starts.  With n_hi = isqrt(min(t, value
+    bound)), `walk_roots` costs n_hi roots.  `_walk_rows` costs the trial
+    division of `factorize(q1)`, up to min(isqrt(q1), TRIAL_BOUND) steps,
+    plus rows = 2*b2 + 1 rows of at most 2^(omega(q1) + 1) classes.  So:
+
+    * both n_hi and rows past ROOT_WALK_LIMIT: TooLarge, at once;
+    * n_hi within the limit and at most the trial steps plus the rows (or
+      rows past the limit): the walk, and q1 is never factored;
+    * otherwise q1 is factored, and the rows are read unless n_hi is
+      within the limit and at most rows * 2^(omega(q1) + 1).
+
+    If q1 cannot be factored (FactorizationFailed, or DomainError for a
+    cofactor past `is_prime`'s proven range), the walk runs alone, and
+    refuses a walk past the limit only after it, as `walk_roots` does.
+    """
+    if t < 0:
+        raise DomainError(f"ambient bound must be non-negative, got {t}")
+    cap = min(t, a.value_bound())
+    if cap < 1:
+        return None
+    n_hi, rows = isqrt(cap), 2 * a.b2 + 1
+    if n_hi > ROOT_WALK_LIMIT and rows > ROOT_WALK_LIMIT:
+        raise TooLarge(
+            f"the walk needs {n_hi} roots and the row route {rows} rows, limit is {ROOT_WALK_LIMIT}"
+        )
+    walk_fits = n_hi <= ROOT_WALK_LIMIT
+    if walk_fits and (rows > ROOT_WALK_LIMIT or n_hi <= min(isqrt(a.q1), TRIAL_BOUND) + rows):
+        return walk_roots(a, t)
+    try:
+        factors = factorize(a.q1)
+    except (FactorizationFailed, DomainError):
+        return walk_roots(a, t)
+    if walk_fits and n_hi <= rows << (len(factors) + 1):
+        return walk_roots(a, t)
+    return _walk_rows(a, cap, factors)
 
 
 def _nearest_square(center: int, m: int, factors: dict[int, int], t: int) -> int | None:
@@ -283,16 +384,55 @@ def max_radius(q: int, other_q: int, other_r: int, t: int) -> int:
     return min(room, least - 1)
 
 
-def certify_square_free(a: TwoDAP, t: int) -> Certificate:
-    """Exhaustive verdict: a witness, or square-freeness up to min(t, bound)."""
+def _certificate(a: TwoDAP, t: int, search) -> Certificate:
+    """A witness from `search(a, t)`, or square-freeness up to min(t, bound)."""
     if t < 0:
         raise DomainError(f"ambient bound must be non-negative, got {t}")
     cap = min(t, a.value_bound())
     n_max = isqrt(cap) if cap >= 0 else 0
-    w = find_square_witness(a, t)
+    w = search(a, t)
     if w is None:
         return Certificate("square_free", None, n_max)
     return Certificate("witness", w, n_max)
+
+
+def certify_square_free(a: TwoDAP, t: int) -> Certificate:
+    """Exhaustive verdict by the root walk alone: a witness, or square-freeness.
+
+    Always `walk_roots`, never the row route: the sweep re-certifies with
+    this the boxes that `max_radius` found through `sqrt_classes`, and the
+    walk shares no code with that search, so it checks it independently.
+    """
+    return _certificate(a, t, walk_roots)
+
+
+def certify_box(a: TwoDAP, t: int) -> Certificate:
+    """Exhaustive verdict by the cheaper route of `find_square_witness`.
+
+    The same certificate as `certify_square_free`; the `witness` and
+    `verify` commands use this one.
+    """
+    return _certificate(a, t, find_square_witness)
+
+
+# The brute-force oracle's squares 1, 4, ..., m^2 for the largest
+# m <= SQUARE_TABLE_ROOTS that a call has needed.  It only ever grows, and
+# holds the same squares whichever calls grew it.
+_square_table: set[int] = set()
+
+
+def _squares_through(m: int) -> set[int]:
+    """A set holding 1, 4, ..., m^2, and perhaps larger squares.
+
+    Up to SQUARE_TABLE_ROOTS roots this is the kept table, grown by the
+    squares it lacks; past that bound, a set built for the caller.
+    """
+    if m > SQUARE_TABLE_ROOTS:
+        r = range(1, m + 1)
+        return set(map(mul, r, r))
+    r = range(len(_square_table) + 1, m + 1)
+    _square_table.update(map(mul, r, r))
+    return _square_table
 
 
 def _least(hits) -> SquareWitness | None:
@@ -302,15 +442,16 @@ def _least(hits) -> SquareWitness | None:
 
 
 def _row_scan(a: TwoDAP, cap: int) -> SquareWitness | None:
-    """Brute force one row (fixed x2) at a time against the set of squares.
+    """Brute force one row (fixed x2) at a time against a set of squares.
 
     A row's values x1*q1 + x2*q2 in [1, cap] form one range with step q1;
-    intersecting it with {1, 4, ..., isqrt(cap)^2} tests every pair by hash
-    lookup at C speed.  A row's least square is its only candidate: it
+    intersecting it with a set holding {1, 4, ..., isqrt(cap)^2} tests
+    every pair by hash lookup at C speed.  The set may also hold larger
+    squares (`_squares_through` keeps one table for every call), which no
+    clipped row can meet.  A row's least square is its only candidate: it
     alone has the row's smallest n.
     """
-    r = range(1, isqrt(cap) + 1)
-    squares = set(map(mul, r, r))
+    squares = _squares_through(isqrt(cap))
     q1, b1 = a.q1, a.b1
     hits = []
     for x2 in range(-a.b2, a.b2 + 1):
@@ -341,10 +482,14 @@ def brute_force_witness(
 
     Applies the same tie-break as `find_square_witness` ((n, |x1|, sign of
     x1)).  If t is omitted the full value bound is searched.  Refuses boxes
-    with more than `guard` coefficient pairs.  Exact at any integer size.
-    Scans by rows, unless the box has fewer pairs than there are squares up
-    to the cap (small boxes of huge values), so memory stays O(pairs).
+    with more than `guard` coefficient pairs (TooLarge), so guard = 0
+    refuses every box, and a negative guard (DomainError).  Exact at any
+    integer size.  Scans by rows, unless the box has fewer pairs than there
+    are squares up to the cap (small boxes of huge values), so memory stays
+    O(pairs) beyond the kept table of at most SQUARE_TABLE_ROOTS squares.
     """
+    if guard < 0:
+        raise DomainError(f"guard must be non-negative, got {guard}")
     pairs = cardinality(a)
     if pairs > guard:
         raise TooLarge(f"box has {pairs} pairs, guard is {guard}")

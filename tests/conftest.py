@@ -14,18 +14,21 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.fixture
 def run_python():
-    """Run a fresh interpreter (`run_python("-O", "-c", code)`) on the checkout's src."""
+    """Run a fresh interpreter (`run_python("-O", "-c", code)`) on the checkout's src.
+
+    `timeout` (seconds, default 120) bounds the run.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
 
-    def run(*args: str) -> subprocess.CompletedProcess:
+    def run(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
         return subprocess.run(
             [sys.executable, *args],
             capture_output=True,
             text=True,
             env=env,
             cwd=ROOT,
-            timeout=120,
+            timeout=timeout,
         )
 
     return run

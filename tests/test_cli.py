@@ -10,6 +10,7 @@ from fractions import Fraction
 from sqavoid import cli, progression
 from sqavoid.cli import main
 from sqavoid.formats import SCHEMA_VERSION
+from sqavoid.lowerbound import build_instance
 
 F = Fraction
 
@@ -95,13 +96,20 @@ def test_huge_sweep_t_is_refused_with_exit_two(capsys):
 
 
 def test_walk_past_the_root_limit_exits_two(capsys, monkeypatch):
-    # Square-free up to 10^8, so the walk would need all 10^4 roots.
-    monkeypatch.setattr(progression, "ROOT_WALK_LIMIT", 1000)
-    box = ["--q1", "10001", "--q2", "1", "--x1", "9999", "--x2", "0", "--t", str(10**8)]
+    # The square-free lower-bound box for p = 1009 has 21 rows and needs
+    # 1,013 roots: a limit of 20 refuses both routes, and 21 admits the rows.
+    inst = build_instance(1009)
+    box = ["--q1", "1009", "--q2", str(inst.q), "--x1", str(inst.x1bound), "--x2", str(inst.x2bound)]
+    box += ["--t", str(inst.t)]
+    monkeypatch.setattr(progression, "ROOT_WALK_LIMIT", 20)
     for command in ("witness", "verify"):
         code, recs, _ = run(capsys, command, *box)
         assert code == 2, command
         assert (recs[0]["kind"], recs[0]["error"]) == ("Error", "TooLarge")
+    monkeypatch.setattr(progression, "ROOT_WALK_LIMIT", 21)
+    for command in ("witness", "verify"):
+        code, recs, _ = run(capsys, command, *box)
+        assert (code, recs[0]["kind"]) == (0, "SquareFree"), command
 
 
 _CERTIFY_UNDER_O = """
@@ -119,10 +127,13 @@ for p in (1013, 29989):
     # p = 5 (mod 8): x2 != 0 gives the non-residues +-2 (mod p).
     print(json.dumps([p, run("verify", p, p + 2, str(p - 1), "1", 2 * p * p)]))
     print(json.dumps([p, run("verify", p, p + 2, f"{6 * p}/5", "9/7", p * p + p)]))
-# Square-free with n_hi = 1014, one root past a limit that the sieved walk reaches.
-progression.ROOT_WALK_LIMIT = 1013
+# Square-free with n_hi = 1014 roots and 3 rows: a limit of 2 refuses both
+# routes, and at 1013, one root short, the rows answer.
+progression.ROOT_WALK_LIMIT = 2
 for command in ("witness", "verify"):
     print(json.dumps(["limit", run(command, 1013, 4054, "1012", "1", 1014 * 1015)]))
+progression.ROOT_WALK_LIMIT = 1013
+print(json.dumps(["rows", run("witness", 1013, 4054, "1012", "1", 1014 * 1015)]))
 """
 
 
@@ -132,11 +143,12 @@ def test_verify_exit_codes_under_python_O(run_python):
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
     codes = [line for line in lines if isinstance(line, list)]
     records = [line for line in lines if isinstance(line, dict)]
-    assert codes == [[1013, 0], [1013, 1], [29989, 0], [29989, 1], ["limit", 2], ["limit", 2]]
+    expected = [[1013, 0], [1013, 1], [29989, 0], [29989, 1], ["limit", 2], ["limit", 2], ["rows", 0]]
+    assert codes == expected
     kinds = [(r["kind"], r.get("brute_force"), r.get("error")) for r in records]
     free, planted = ("SquareFree", "agree", None), ("Witness", "agree", None)
     too_large = ("Error", None, "TooLarge")
-    assert kinds == [free, planted, free, planted, too_large, too_large]
+    assert kinds == [free, planted, free, planted, too_large, too_large, ("SquareFree", None, None)]
     for r, p in zip(records[1:4:2], (1013, 29989)):
         assert (r["x1"], r["x2"], r["n"]) == (str(p), "0", str(p))
 
@@ -358,3 +370,25 @@ def test_verify_guard_skip_path(capsys):
     )
     assert recs[0]["brute_force"] == "skipped-guard"
     assert code in (0, 1)
+
+
+def test_negative_guard_exits_two(capsys):
+    box = ["--q1", "3", "--q2", "5", "--x1", "2", "--x2", "2", "--t", "25"]
+    code, recs, _ = run(capsys, "verify", *box, "--guard", "-5")
+    assert code == 2
+    assert (recs[0]["kind"], recs[0]["error"]) == ("Error", "DomainError")
+    code, recs, _ = run(capsys, "verify", *box, "--guard", "0")  # 0 still means skip
+    assert (code, recs[0]["kind"], recs[0]["brute_force"]) == (1, "Witness", "skipped-guard")
+
+
+def test_lower_bound_box_past_10_9_is_certified(run_python):
+    # p = 1,000,000,009: 21 rows, where the root walk alone would need about
+    # 10^9 roots, past ROOT_WALK_LIMIT.
+    box = ["--q1", "1000000009", "--q2", "1000000020", "--x1", "1000000008", "--x2", "10"]
+    box += ["--t", "2000000036000000162"]
+    for command, brute in (("witness", None), ("verify", "skipped-guard")):
+        proc = run_python("-m", "sqavoid.cli", command, *box, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        rec = json.loads(proc.stdout)
+        assert (rec["kind"], rec.get("brute_force")) == ("SquareFree", brute)
+        assert rec["n_max"] == "1000000013"

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sqavoid import progression
-from sqavoid.arith import DomainError, TooLarge, isqrt
+from sqavoid.arith import DomainError, FactorizationFailed, TooLarge, factorize, is_prime, isqrt
 from sqavoid.bounds import one_d_bound
 from sqavoid.formats import record
 from sqavoid.progression import (
@@ -22,13 +24,17 @@ from sqavoid.progression import (
     _pair_scan,
     _root_blocks,
     _row_scan,
+    _walk_rows,
     brute_force_witness,
     cardinality,
+    certify_box,
     certify_square_free,
     find_square_witness,
     is_proper,
     max_radius,
+    walk_roots,
 )
+from sqavoid.sweep import certify_square_free as sweep_certify
 
 
 # ---------------------------------------------------------------- oracles
@@ -168,7 +174,7 @@ def test_find_matches_box_oracle_exhaustive():
         for q2 in range(1, 11):
             a = TwoDAP(q1, q2, 3, 2)
             t = a.value_bound()
-            assert find_square_witness(a, t) == oracle_witness(a, t), (q1, q2)
+            assert find_square_witness(a, t) == walk_roots(a, t) == oracle_witness(a, t), (q1, q2)
 
 
 def test_find_matches_brute_force_random():
@@ -176,7 +182,7 @@ def test_find_matches_brute_force_random():
     for _ in range(400):
         a = random_instance(rng)
         t = rng.choice([a.value_bound(), a.value_bound() // 2, 10**6])
-        assert find_square_witness(a, t) == brute_force_witness(a, t), a
+        assert find_square_witness(a, t) == walk_roots(a, t) == brute_force_witness(a, t), a
 
 
 @st.composite
@@ -201,7 +207,7 @@ def boxes_and_bounds(draw) -> tuple[TwoDAP, int]:
 @given(boxes_and_bounds())
 def test_find_matches_brute_force_hypothesis(case):
     a, t = case
-    assert find_square_witness(a, t) == brute_force_witness(a, t)
+    assert find_square_witness(a, t) == walk_roots(a, t) == brute_force_witness(a, t)
 
 
 def _sieved(a: TwoDAP, t: int) -> bool:
@@ -236,7 +242,7 @@ def sieved_boxes(draw) -> tuple[TwoDAP, int]:
 def test_sieved_walk_matches_brute_force_hypothesis(case):
     a, t = case
     assume(_sieved(a, t))
-    assert find_square_witness(a, t) == brute_force_witness(a, t)
+    assert find_square_witness(a, t) == walk_roots(a, t) == brute_force_witness(a, t)
 
 
 @st.composite
@@ -265,7 +271,7 @@ def test_short_walk_matches_brute_force_hypothesis(case):
     a, t = case
     assume(_sieved(a, t))
     assert isqrt(min(t, a.value_bound())) < a.q1
-    assert find_square_witness(a, t) == brute_force_witness(a, t)
+    assert find_square_witness(a, t) == walk_roots(a, t) == brute_force_witness(a, t)
 
 
 def test_unsieved_walks_match_sieved_ones(monkeypatch):
@@ -276,25 +282,183 @@ def test_unsieved_walks_match_sieved_ones(monkeypatch):
     cases = [(dense, dense.value_bound()), (wide, 2002**2), (wide, 2003**2), (full, 2002**2)]
     assert [_sieved(a, t) for a, t in cases] == [False, True, True, False]
     for a, t in cases:
-        assert find_square_witness(a, t) == brute_force_witness(a, t)
+        assert find_square_witness(a, t) == walk_roots(a, t) == brute_force_witness(a, t)
     rng = random.Random(9)
     boxes = []
     for _ in range(300):
         q1 = rng.choice([1, 2, 4, 8, 9, 25, 49]) * rng.randint(1, 60)
         a = TwoDAP(q1, rng.randint(1, 300), rng.randint(q1, 5 * q1), rng.randint(0, 3))
         boxes.append((a, rng.choice([a.value_bound(), rng.randint(q1 * q1, a.value_bound())])))
-    sieved = [find_square_witness(a, t) for a, t in boxes]
+    sieved = [walk_roots(a, t) for a, t in boxes]
     assert sum(_sieved(a, t) for a, t in boxes) > 200
     monkeypatch.setattr(progression, "RESIDUE_SCAN_LIMIT", 1)
     assert not any(_sieved(a, t) for a, t in boxes)
-    assert [find_square_witness(a, t) for a, t in boxes] == sieved
+    assert [walk_roots(a, t) for a, t in boxes] == sieved
+
+
+@st.composite
+def row_route_boxes(draw) -> tuple[TwoDAP, int]:
+    """Boxes for the row route, t below or above the value bound.
+
+    q1 may carry 2^k, 9, 25 or 49 and share a factor g with q2.  q2 is a
+    multiple of g, of q1's prime-power part, or of q1 itself, so the row
+    residues x2*q2 modulo q1 include non-units and zero.  b2 may be 0 and
+    both radii may be fractional.
+    """
+    g = draw(st.integers(1, 6))
+    power = draw(st.sampled_from([1, 2, 4, 8, 16, 32, 9, 25, 49]))
+    q1 = g * power * draw(st.integers(1, 40))
+    q2 = draw(st.sampled_from([g, g * power, q1])) * draw(st.integers(1, 60))
+    x1 = Fraction(draw(st.integers(0, 6 * q1)), draw(st.integers(1, 4)))
+    x2 = Fraction(draw(st.integers(0, 12)), draw(st.integers(1, 3)))
+    a = TwoDAP(q1, q2, x1, x2)
+    vb = a.value_bound()
+    t = draw(st.one_of(st.integers(0, vb), st.integers(vb, 2 * vb + 10)))
+    return a, t
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(row_route_boxes())
+def test_row_route_matches_brute_force_and_walk_hypothesis(case):
+    a, t = case
+    cap = min(t, a.value_bound())
+    rows = _walk_rows(a, cap, factorize(a.q1)) if cap >= 1 else None
+    assert rows == brute_force_witness(a, t) == walk_roots(a, t) == find_square_witness(a, t)
+
+
+def test_route_choice(monkeypatch):
+    factored = []
+    monkeypatch.setattr(progression, "factorize", lambda m: factored.append(m) or factorize(m))
+    # The walk is the shorter (4 roots against isqrt(3) + 5 rows): q1 is never factored.
+    assert find_square_witness(TwoDAP(3, 5, 2, 2), 25) == SquareWitness(2, -1, 1)
+    assert factored == []
+    # 21 rows against about 10^9 roots: the rows, with q1 factored once.
+    p = 1_000_000_009
+    box = TwoDAP(p, p + 11, p - 1, 10)
+    assert find_square_witness(box, 2 * p * p) is None
+    assert factored == [p]
+    # The one-dimensional sweep box: one row against 9,999 roots.
+    one_d = TwoDAP(10001, 1, 9999, 0)
+    assert find_square_witness(one_d, 10**8) is None
+    assert factored == [p, 10001]
+    # 300 roots against isqrt(30030) + 3 rows, but against 3 rows of up to
+    # 2^7 classes once omega(30030) = 6 is known: factored, then walked.
+    monkeypatch.setattr(progression, "_walk_rows", None)
+    assert find_square_witness(TwoDAP(30030, 30031, 5, 1), 300**2) == SquareWitness(-1, 1, 1)
+    assert factored == [p, 10001, 30030]
+    # When q1 cannot be factored the walk answers.
+    def fail(m):
+        raise FactorizationFailed(f"could not split {m}")
+
+    monkeypatch.setattr(progression, "factorize", fail)
+    assert find_square_witness(one_d, 10**8) is None
+    assert find_square_witness(TwoDAP(10001, 1, 10001, 0), 10001**2) == SquareWitness(10001, 0, 10001)
+    monkeypatch.undo()
+    # q1 = r*s past is_prime's proven range, with no factor below 10^6:
+    # factorize raises DomainError, and the walk finds the witness at n = 1.
+    r = next(n for n in range(2 * 10**12 + 1, 2 * 10**12 + 10**4, 2) if is_prime(n))
+    s = next(n for n in range(r + 2, r + 10**4, 2) if is_prime(n))
+    with pytest.raises(DomainError):
+        factorize(r * s)
+    huge = TwoDAP(r * s, r * s + 1, 1, 1)
+    assert isqrt(huge.value_bound()) > progression.ROOT_WALK_LIMIT
+    assert find_square_witness(huge, huge.value_bound()) == SquareWitness(-1, 1, 1)
+
+
+def test_too_large_is_refused_before_either_route(monkeypatch):
+    def never(*args):
+        raise AssertionError("a route started")
+
+    monkeypatch.setattr(progression, "walk_roots", never)
+    monkeypatch.setattr(progression, "_walk_rows", never)
+    monkeypatch.setattr(progression, "factorize", never)
+    # (1013, 4054, 1012, 1) at t = 1014 * 1015: 1014 roots and 3 rows.
+    a = TwoDAP(1013, 4054, 1012, 1)
+    monkeypatch.setattr(progression, "ROOT_WALK_LIMIT", 2)
+    with pytest.raises(TooLarge):
+        find_square_witness(a, 1014 * 1015)
+    with pytest.raises(TooLarge):
+        certify_box(a, 1014 * 1015)
+
+
+def test_kept_square_table_matches_pair_scan(monkeypatch):
+    monkeypatch.setattr(progression, "_square_table", set())
+    rng = random.Random(16)
+
+    def check(cap: int) -> None:
+        # Boxes with a square planted at x1 = 1 near or below the cap.
+        for _ in range(12):
+            n = rng.choice([isqrt(cap), rng.randint(1, isqrt(cap))])
+            b1, b2 = rng.randint(1, 15), rng.randint(0, 15)
+            x2, q2 = rng.randint(-b2, b2), rng.randint(1, cap // 30 + 1)
+            q1 = n * n - x2 * q2 if n * n > x2 * q2 else n * n
+            a = TwoDAP(q1, q2, b1, b2)
+            assert _row_scan(a, cap) == _pair_scan(a, cap) is not None, (a, cap)
+        assert len(progression._square_table) <= progression.SQUARE_TABLE_ROOTS
+
+    caps = [10**8, 10**6, 4000, 50, 1]
+    for cap in caps:  # descending: the table keeps its largest size
+        check(cap)
+    assert len(progression._square_table) == 10**4
+    for cap in reversed(caps):  # ascending: nothing to add
+        check(cap)
+    assert len(progression._square_table) == 10**4
+    check(2**34)  # 2^17 roots, past the bound: a set for the call alone
+    assert len(progression._square_table) == 10**4
+    check(2**32)  # exactly the bound's 2^16 roots
+    assert progression._square_table == {n * n for n in range(1, 2**16 + 1)}
+    check(2**32 + 2**17 + 1)  # 2^16 + 1 roots: one past the bound
+    assert len(progression._square_table) == progression.SQUARE_TABLE_ROOTS == 2**16
+
+
+def test_brute_force_refuses_a_negative_guard():
+    a = TwoDAP(3, 5, 2, 2)
+    with pytest.raises(DomainError):
+        brute_force_witness(a, 25, guard=-5)
+    with pytest.raises(TooLarge):  # guard 0 refuses every box: verify skips
+        brute_force_witness(a, 25, guard=0)
+    assert brute_force_witness(a, 25, guard=cardinality(a)) == SquareWitness(2, -1, 1)
+
+
+def _names_reached(*fns) -> set[str]:
+    """Global and attribute names the functions use, following every function
+    of `progression` they name, and the comprehensions inside them."""
+    names, seen = set(), set()
+    todo = [f.__code__ for f in fns]
+    while todo:
+        code = todo.pop()
+        if code in seen:
+            continue
+        seen.add(code)
+        names.update(code.co_names)
+        todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        for name in code.co_names:
+            f = getattr(progression, name, None)
+            if inspect.isfunction(f) and f.__module__ == progression.__name__:
+                todo.append(f.__code__)
+    return names
+
+
+# What the row searches (max_radius and the row route) are built from, and
+# what the brute-force oracle is built from.
+ROW_SEARCH = {"sqrt_classes", "factorize", "max_radius", "_nearest_square", "_walk_rows"}
+ORACLE = {"brute_force_witness", "_row_scan", "_pair_scan", "_least", "_squares_through", "_square_table"}
 
 
 def test_walk_filter_shares_no_code_with_max_radius():
-    # The walk checks max_radius's boxes: it must not solve square roots
-    # modulo q with the same routines.
-    for f in (find_square_witness, _root_blocks):
-        assert not {"sqrt_classes", "factorize", "max_radius"} & set(f.__code__.co_names)
+    # The root walk re-certifies the sweep's boxes, which max_radius finds
+    # by modular square roots: neither the walk nor the sweep's
+    # re-certification may reach those routines or the row route.
+    assert sweep_certify is certify_square_free
+    for f in (walk_roots, _root_blocks, certify_square_free):
+        assert not (ROW_SEARCH | {"find_square_witness"}) & _names_reached(f), f
+    assert not {"walk_roots", "_root_blocks", "certify_square_free"} & _names_reached(max_radius)
+
+
+def test_oracle_shares_no_code_with_either_route():
+    routes = {"walk_roots", "_root_blocks", "find_square_witness", "mod_inverse"} | ROW_SEARCH
+    assert not routes & _names_reached(brute_force_witness, _row_scan)
+    assert not ORACLE & _names_reached(find_square_witness, certify_box, certify_square_free)
 
 
 def test_degenerate_one_d_box_matches_brute_force():
@@ -303,7 +467,7 @@ def test_degenerate_one_d_box_matches_brute_force():
     a = TwoDAP(10001, 1, 9999, 0)
     t = 10**8
     assert cardinality(a) == 19_999
-    assert find_square_witness(a, t) is None
+    assert find_square_witness(a, t) is None and walk_roots(a, t) is None
     assert brute_force_witness(a, t) is None
     assert certify_square_free(a, t) == Certificate("square_free", None, 9999)
 
@@ -342,7 +506,7 @@ def test_brute_force_exact_past_int64():
     assert 7 * q1 % 2**64 == 1
     a = TwoDAP(q1, 10**6, 8, 16)
     assert brute_force_witness(a, 100) is None
-    assert find_square_witness(a, 100) is None
+    assert find_square_witness(a, 100) is None and walk_roots(a, 100) is None
     # Steps past 2^63, with and without a square in range.
     assert brute_force_witness(TwoDAP(2**63 + 7, 10**6, 8, 16), 100) is None
     a = TwoDAP(2**64 + 1, 2**64, 8, 16)
@@ -395,14 +559,21 @@ def test_root_walk_limit(monkeypatch):
     # A witness within the limit is an answer, however far the cap reaches.
     a = TwoDAP(10**30, 10**30 + 1, 2, 2)
     assert isqrt(a.value_bound()) > progression.ROOT_WALK_LIMIT
-    assert find_square_witness(a, 10**62) == SquareWitness(-1, 1, 1)
-    # A square-free walk that would pass the limit is refused.
+    assert walk_roots(a, 10**62) == find_square_witness(a, 10**62) == SquareWitness(-1, 1, 1)
+    # A square-free root walk that would pass the limit is refused.
     monkeypatch.setattr(progression, "ROOT_WALK_LIMIT", 1000)
     one_d = TwoDAP(10001, 1, 9999, 0)  # square-free up to 10^8: 10^4 roots
     with pytest.raises(TooLarge):
+        walk_roots(one_d, 10**8)
+    assert walk_roots(one_d, 10**6) is None  # 1000 roots: within
+    # find_square_witness reads its one row instead, and refuses only when
+    # the rows pass the limit too.
+    assert find_square_witness(one_d, 10**8) is None
+    monkeypatch.setattr(progression, "ROOT_WALK_LIMIT", 0)
+    with pytest.raises(TooLarge):
         find_square_witness(one_d, 10**8)
-    assert find_square_witness(one_d, 10**6) is None  # 1000 roots: within
     # The row walk counts steps: r = 9 needs 10 of them, past a limit of 5.
+    monkeypatch.setattr(progression, "ROOT_WALK_LIMIT", 10**8)
     assert max_radius(2834, 2233, 2232, 5_300_000) == 9
     monkeypatch.setattr(progression, "ROOT_WALK_LIMIT", 5)
     with pytest.raises(TooLarge):
