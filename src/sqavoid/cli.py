@@ -52,7 +52,7 @@ from .progression import (
     is_proper,
 )
 from .small_squares import balanced_n, construct_small_square
-from .sweep import FAMILIES, SweepConfig, sweep
+from .sweep import FAMILIES, MAX_BUDGET, SweepConfig, sweep
 
 F = Fraction
 
@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=_int,
         default=200,
-        help="random_local's coprime step pairs, one max_radius row walk each",
+        help=f"random_local's coprime step pairs (1..{MAX_BUDGET}), one max_radius row walk each",
     )
     sp.add_argument("--seed", type=_int, default=0, help="seed for random_local's search")
 

@@ -30,10 +30,12 @@ three apply the same deterministic tie-break (smallest n, then smallest
 object-for-object.  `certify_box`, behind the `witness` and `verify`
 commands, searches by the cheaper route.
 
-`max_radius`, the largest square-free radius on one axis, also walks
+`max_radius`, the largest square-free radius r on one axis, also walks
 rows: a row of the box holds a square iff a modular square root lands
-near its centre.  It takes at most min(r, R) + 1 steps past the centre
-rows, a few modular square roots each.  Its boxes are re-certified by
+near its centre.  It reads the rows across its own axis, min(r + 1, R,
+room) steps past the centre row, a few modular square roots each; only
+when that walk outlasts the other radius R < room does it factor its
+step and read the 2R + 1 rows along it.  Its boxes are re-certified by
 `certify_square_free`, which always takes the root walk: that walk shares
 no code with `max_radius`, so it stays an independent check of them.
 """
@@ -344,44 +346,46 @@ def max_radius(q: int, other_q: int, other_r: int, t: int) -> int:
     room (t - other_r*other_q) // q that the other axis leaves.  Row x
     (values x*q + y*other_q, |y| <= other_r) holds a square iff the square
     congruent to x*q modulo other_q that lies nearest x*q is within
-    other_r*other_q of it.  Row y (values y*other_q + x*q, |x| <= room)
+    other_r*other_q of it.  Step k reads rows x = +-k, and a square there
+    makes r = k - 1, so the walk takes min(r + 1, other_r, room) steps past
+    the centre row, a few modular square roots each, with other_q factored
+    once.  If it clears every k <= room, r = room.  If it clears every
+    k <= other_r < room, only then is q factored and are the
+    2*other_r + 1 rows y read (values y*other_q + x*q, |x| <= room): each
     has its least-|x| square at the square congruent to y*other_q modulo
-    q that lies nearest y*other_q.  Step k reads rows x = +-k, and rows
-    y = +-k while k <= other_r: a square on row x = +-k makes r = k - 1,
-    and once every row y is read, r is the least |x| of their squares,
-    less one.  So the walk ends by step k = min(r + 1, other_r): at most
-    min(r, other_r) + 1 steps past the centre, each a few modular square
-    roots, with both steps factored once per call (`factorize` cannot
-    fail below 10^12; sweep steps stay below 2*10^8).  As r <= min(q - 1,
-    t // q), that is O(sqrt(t)) steps at worst; a walk that would pass
-    step ROOT_WALK_LIMIT raises TooLarge.  Returns -1 when even r = 0
-    holds a square.
+    q that lies nearest y*other_q, and r is the least such |x| less one,
+    or room if none lies inside it.  `factorize` cannot fail below 10^12,
+    and sweep steps stay below 2*10^8; past 3.3*10^24 it can raise
+    DomainError, which a huge q then does only when the rows y are read.
+    As r <= min(q - 1, t // q), the walk takes O(sqrt(t)) steps at worst;
+    one that would pass step ROOT_WALK_LIMIT raises TooLarge.  Returns -1
+    when even r = 0 holds a square.
     """
     if q < 1 or other_q < 1:
         raise DomainError(f"steps must be positive, got ({q}, {other_q})")
     if other_r < 0:
         raise DomainError("radii must be non-negative")
-    base = other_r * other_q
-    if base > t:
-        raise DomainError(f"the other axis reaches {base}, past t = {t}")
-    room = (t - base) // q
-    fq, fo = factorize(q), factorize(other_q)
     reach = other_r * other_q
-    least = room + 1  # least |x| of a square on the rows y read so far
+    if reach > t:
+        raise DomainError(f"the other axis reaches {reach}, past t = {t}")
+    room = (t - reach) // q
+    fo = factorize(other_q)
     for k in range(min(room, other_r) + 1):
         if k > ROOT_WALK_LIMIT:
             raise TooLarge(f"the row walk passes {ROOT_WALK_LIMIT} steps")
-        rows = (k, -k) if k else (0,)
-        for x in rows:
+        for x in (k, -k) if k else (0,):
             gap = _nearest_square(x * q, other_q, fo, t)
             if gap is not None and gap <= reach:
                 return k - 1
-        for y in rows:
-            gap = _nearest_square(y * other_q, q, fq, t)
-            if gap is not None and gap // q < least:
-                least = gap // q
-    # Rows x up to k are clear: k = room, or every row y is read into least.
-    return min(room, least - 1)
+    if room <= other_r:
+        return room
+    fq = factorize(q)
+    least = room + 1  # least |x| of a square on the rows y
+    for y in range(-other_r, other_r + 1):
+        gap = _nearest_square(y * other_q, q, fq, t)
+        if gap is not None and gap // q < least:
+            least = gap // q
+    return least - 1
 
 
 def _certificate(a: TwoDAP, t: int, search) -> Certificate:

@@ -10,6 +10,8 @@ deterministic given the configuration:
 * ``lower_bound``- the non-residue construction over every prime
                    p = 1 (mod 4) whose box lies in [-T, T]; that value
                    bound sits below 2*p^2, where its certificate holds.
+                   Boxes are compared in closed form, one least_qnr per
+                   prime; only the winner is built and certified.
 * ``random_local``- seeded random coprime pairs q1 < q2 up to 2*sqrt(T):
                    X1 = one_d_bound(q1, T), exact while X2 = 0, then
                    X2 = max_radius(q2, q1, X1, T) in the room X1 leaves.
@@ -18,8 +20,10 @@ deterministic given the configuration:
                    q1*(kernel(q1) - 1) >= T and X1 = T // q1 takes all the
                    room) the box is one-dimensional and never beats
                    ``one_d``.  The budget counts pairs, one row walk
-                   each: at most min(X2, X1) + 1 steps past the centre,
-                   a few modular square roots per step.
+                   each: min(X2 + 1, X1, room) steps past the centre,
+                   a few modular square roots per step, and then X1's
+                   2*X1 + 1 rows, with q2 factored, only when the walk
+                   outlasts X1 < room.
 
 Within a family ties go to the lexicographically smallest steps; the
 overall best is the largest box, ties to the smallest (q1, q2).  Every
@@ -35,12 +39,14 @@ import math
 from dataclasses import dataclass
 from random import Random
 
-from .arith import PRIME_SIEVE_LIMIT, DomainError, VerificationFailed, isqrt, primes_up_to
+from .arith import PRIME_SIEVE_LIMIT, DomainError, VerificationFailed, isqrt, least_qnr, primes_up_to
 from .bounds import one_d_bound
 from .lowerbound import MIN_PRIME, build_instance, residue_certificate
 from .progression import TwoDAP, cardinality, certify_square_free, is_proper, max_radius
 
 FAMILIES = ("one_d", "lower_bound", "random_local")
+# Most random_local pairs one sweep may take: about 90 s at T = 10^7.
+MAX_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -56,8 +62,8 @@ class SweepConfig:
         # lower_bound sieves up to isqrt(T); walks need isqrt(T) <= ROOT_WALK_LIMIT.
         if self.t > PRIME_SIEVE_LIMIT**2:
             raise DomainError(f"sweep needs T <= 10^16, got {self.t}")
-        if self.budget < 1:
-            raise DomainError(f"budget must be >= 1, got {self.budget}")
+        if not 1 <= self.budget <= MAX_BUDGET:
+            raise DomainError(f"budget must be in 1..{MAX_BUDGET}, got {self.budget}")
         bad = [f for f in self.families if f not in FAMILIES]
         if bad:
             raise DomainError(f"unknown families: {bad}")
@@ -110,20 +116,30 @@ def _one_d_family(t: int) -> FamilyBest:
 
 
 def _lower_bound_family(t: int) -> FamilyBest | None:
-    best = None
+    """The largest non-residue box in [-t, t], ties to the smaller p.
+
+    Each box (p, p + n, p - 1, n - 1), n = least_qnr(p), is judged by its
+    closed-form size and value bound; only the winner is built, checked
+    against them and certified.
+    """
+    best = None  # (size, value bound, p)
     for p in primes_up_to(isqrt(t)):
         if p % 4 != 1 or p < MIN_PRIME:
             continue
-        inst = build_instance(p)
-        if inst.progression.value_bound() > t:
-            continue
-        if best is None or inst.size > best.size:  # ties to the smaller p
-            best = inst
+        n = least_qnr(p)
+        size, bound = (2 * p - 1) * (2 * n - 1), (p - 1) * p + (n - 1) * (p + n)
+        if bound <= t and (best is None or size > best[0]):  # ties to the smaller p
+            best = (size, bound, p)
     if best is None:
         return None
-    if not residue_certificate(best).ok:
-        raise VerificationFailed(f"residue certificate failed for p = {best.p}")
-    return FamilyBest("lower_bound", best.progression, best.size)
+    size, bound, p = best
+    inst = build_instance(p)
+    a = inst.progression
+    if inst.size != size or a.value_bound() != bound:
+        raise VerificationFailed(f"the box for p = {p} is not the closed form's: {a}")
+    if not residue_certificate(inst).ok:
+        raise VerificationFailed(f"residue certificate failed for p = {p}")
+    return FamilyBest("lower_bound", a, size)
 
 
 def _random_local_family(t: int, seed: int, budget: int) -> FamilyBest | None:

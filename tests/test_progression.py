@@ -555,6 +555,74 @@ def test_max_radius_frozen():
         max_radius(13, 15, -1, 100)
 
 
+def _counted_row_search(monkeypatch) -> tuple[list[int], list[int]]:
+    """The steps max_radius factors and the moduli of the rows it reads, in order."""
+    factored, read = [], []
+    factorize_, nearest = progression.factorize, progression._nearest_square
+
+    def counted_factorize(n):
+        factored.append(n)
+        return factorize_(n)
+
+    def counted_nearest(center, m, factors, t):
+        read.append(m)
+        return nearest(center, m, factors, t)
+
+    monkeypatch.setattr(progression, "factorize", counted_factorize)
+    monkeypatch.setattr(progression, "_nearest_square", counted_nearest)
+    return factored, read
+
+
+def test_max_radius_walk_ending_early_reads_no_row_y(monkeypatch):
+    factored, read = _counted_row_search(monkeypatch)
+    # A square on row x = 10, with other_r = 2232 and room 111: rows x only,
+    # at most 1 + 2*10 of them.
+    assert max_radius(2834, 2233, 2232, 5_300_000) == 9
+    assert factored == [2233] and set(read) == {2233} and len(read) <= 21
+    # The room, 0, runs out before other_r = 1: row x = 0 alone.
+    factored.clear()
+    read.clear()
+    assert max_radius(13, 15, 1, 27) == 0
+    assert factored == [15] and read == [15]
+
+
+def test_max_radius_rows_y_decide_past_other_r(monkeypatch):
+    # other_r < room and rows x are clear through other_r, so q is factored
+    # and the 2*other_r + 1 rows y give the radius: the least |x| of their
+    # squares less one, or the room when none lies inside it.
+    inside = [
+        (13, 15, 1, 10**6, 12),  # 13^2 = 13*13 + 0*15
+        (10, 38, 0, 130, 9),
+        (40, 50, 0, 1425, 9),
+        (43, 8, 1, 1296, 2),
+        (44, 13, 2, 1149, 10),
+        (58, 46, 2, 446, 3),
+    ]
+    clear = [(43, 26, 1, 218, 4), (59, 22, 0, 91, 1), (58, 26, 1, 1754, 29), (39, 39, 3, 1442, 33)]
+    factored, read = _counted_row_search(monkeypatch)
+    for q, other_q, other_r, t, r in inside + clear:
+        factored.clear()
+        read.clear()
+        room = (t - other_r * other_q) // q
+        assert max_radius(q, other_q, other_r, t) == r, (q, other_q, other_r, t)
+        assert factored == [other_q, q] and other_r < room
+        assert read[-(2 * other_r + 1) :] == [q] * (2 * other_r + 1)
+        assert (r == room) == ((q, other_q, other_r, t, r) in clear)
+        assert oracle_max_radius(q, other_q, other_r, t) == r
+
+
+def test_max_radius_factors_a_huge_step_only_for_rows_y():
+    # q's cofactor is past is_prime's proven range (3.3*10^24), so it cannot
+    # be factored: walks that end on rows x answer anyway.
+    q = 2_000_000_000_003 * 2_000_001_000_001
+    with pytest.raises(DomainError):
+        factorize(q)
+    assert max_radius(q, 3, 2, 10) == 0  # the room, 0, runs out first
+    assert max_radius(q, 1, 5, 10) == -1  # 1 and 4 on row x = 0
+    with pytest.raises(DomainError):
+        max_radius(q, 3, 0, 10**30)  # room 249,999 > other_r: rows y need q's factors
+
+
 def test_root_walk_limit(monkeypatch):
     # A witness within the limit is an answer, however far the cap reaches.
     a = TwoDAP(10**30, 10**30 + 1, 2, 2)

@@ -2,15 +2,30 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
+import random
 import textwrap
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from sqavoid.arith import DomainError, is_perfect_square
+from sqavoid.arith import (
+    DomainError,
+    VerificationFailed,
+    is_perfect_square,
+    isqrt,
+    least_qnr,
+    primes_up_to,
+)
+from sqavoid.cli import main
+from sqavoid.lowerbound import MIN_PRIME, build_instance
 from sqavoid.progression import TwoDAP, cardinality, certify_square_free, is_proper, max_radius
 from sqavoid.sweep import (
+    MAX_BUDGET,
+    FamilyBest,
     SweepConfig,
     _lower_bound_family,
     _one_d_family,
@@ -41,6 +56,21 @@ def oracle_one_d_best(t: int, q_max: int) -> tuple[int, int]:
         if size > best[0]:
             best = (size, q)
     return best
+
+
+def oracle_lower_bound(t: int) -> FamilyBest | None:
+    """Every instance built, the largest box in [-t, t] kept, ties to the smaller p."""
+    best = None
+    for p in primes_up_to(isqrt(t)):
+        if p % 4 == 1 and p >= MIN_PRIME:
+            inst = build_instance(p)
+            if inst.progression.value_bound() <= t and (best is None or inst.size > best.size):
+                best = inst
+    return None if best is None else FamilyBest("lower_bound", best.progression, best.size)
+
+
+# The package's `sweep` attribute is the function, so fetch the module.
+sweep_module = importlib.import_module("sqavoid.sweep")
 
 
 # ------------------------------------------------------------- families
@@ -86,13 +116,56 @@ def test_lower_bound_family_none_below_first_prime():
 def test_lower_bound_member_at_997():
     # 997 = 5 (mod 8), so 2 is already a non-residue: the instance is thin
     # but certified, and appears among the family candidates at T = 2*997^2.
-    from sqavoid.lowerbound import build_instance
-
     inst = build_instance(997)
     assert inst.nqr == 2
     assert inst.size == (2 * 996 + 1) * (2 * 1 + 1) == 5979
     fb = _lower_bound_family(2 * 997 * 997)
     assert fb is not None and fb.size >= inst.size
+
+
+def test_lower_bound_closed_form_matches_build_instance():
+    # The size and value bound that _lower_bound_family compares without
+    # building an instance.
+    for p in primes_up_to(10**4):
+        if p % 4 != 1 or p < MIN_PRIME:
+            continue
+        inst, n = build_instance(p), least_qnr(p)
+        assert (2 * p - 1) * (2 * n - 1) == inst.size, p
+        assert (p - 1) * p + (n - 1) * (p + n) == inst.progression.value_bound(), p
+
+
+def test_lower_bound_family_matches_building_every_instance():
+    rng = random.Random(13)
+    band = [rng.randint(5 * 10**6, 10**7) for _ in range(20)]
+    for t in [100, 338, *(10**k for k in range(3, 8)), *band]:
+        assert _lower_bound_family(t) == oracle_lower_bound(t), t
+
+
+def test_lower_bound_family_builds_and_certifies_only_the_winner(monkeypatch):
+    calls = []
+
+    def counted(name, f):
+        def g(*args):
+            calls.append(name)
+            return f(*args)
+
+        return g
+
+    for name in ("build_instance", "residue_certificate"):
+        monkeypatch.setattr(sweep_module, name, counted(name, getattr(sweep_module, name)))
+    for t in (338, 10**6, 7_500_000):
+        calls.clear()
+        assert _lower_bound_family(t) is not None
+        assert calls == ["build_instance", "residue_certificate"], t
+    calls.clear()
+    assert _lower_bound_family(100) is None and calls == []
+
+
+def test_lower_bound_family_refuses_a_winner_off_its_closed_form(monkeypatch):
+    # build_instance disagreeing with the closed form is a failed check.
+    monkeypatch.setattr(sweep_module, "build_instance", lambda p: replace(build_instance(p), size=1))
+    with pytest.raises(VerificationFailed):
+        _lower_bound_family(10**6)
 
 
 def test_random_local_family_is_deterministic():
@@ -106,9 +179,6 @@ def test_random_local_family_is_deterministic():
 
 def test_random_local_work_is_its_budget_for_every_seed(monkeypatch):
     """One max_radius walk per coprime pair: exactly `budget` walks."""
-    import importlib
-
-    sweep_module = importlib.import_module("sqavoid.sweep")  # the package's `sweep` is the function
     walks = []
 
     def counted(q, other_q, other_r, t):
@@ -136,6 +206,11 @@ def test_sweep_config_validation():
     assert SweepConfig(t=10**16).t == 10**16
     with pytest.raises(DomainError):
         SweepConfig(t=1000, budget=0)
+    # About 90 us a pair at T = 10^7: a budget past MAX_BUDGET is refused.
+    assert SweepConfig(t=1000, budget=MAX_BUDGET).budget == MAX_BUDGET
+    for budget in (MAX_BUDGET + 1, 10**18):
+        with pytest.raises(DomainError):
+            SweepConfig(t=1000, budget=budget)
     with pytest.raises(DomainError):
         SweepConfig(t=1000, families=("one_d", "mystery"))
     assert SweepConfig(t=1000, families=("one_d", "one_d")).families == ("one_d",)
@@ -176,6 +251,20 @@ def test_sweep_family_bests_frozen_large_t():
         "lower_bound": (TwoDAP(8761, 8778, 8760, 16), 578_193),
         "one_d": (TwoDAP(10001, 1, 9999, 0), 19_999),
     }
+
+
+BENCH_BAND = Path(__file__).parent / "data" / "sweep_bench_band.jsonl"
+
+
+def test_sweep_records_frozen_in_the_bench_band(capsys):
+    # `sqavoid sweep --t T --seed S` for T in 5*10^6, 7.5*10^6, 10^7 and
+    # S in 0, 1, in that order, byte for byte.
+    out = []
+    for t in (5_000_000, 7_500_000, 10_000_000):
+        for seed in (0, 1):
+            assert main(["sweep", "--t", str(t), "--seed", str(seed)]) == 0
+            out.append(capsys.readouterr().out)
+    assert "".join(out) == BENCH_BAND.read_text()
 
 
 def test_sweep_best_dominates_families():
