@@ -292,6 +292,11 @@ def least_qnr(p: int) -> int:
     """
     if p == 2 or not is_prime(p):
         raise BadPrime(f"least_qnr requires an odd prime, got {p}")
+    return _least_qnr_scan(p)
+
+
+def _least_qnr_scan(p: int) -> int:
+    """`least_qnr` for a p its caller already knows to be an odd prime."""
     n = 2
     while jacobi(n, p) == 1:
         n += 1

@@ -24,12 +24,17 @@ strings.  Records go to --output (default stdout) as JSON lines or CSV; a
 short human summary goes to stderr.  Exit codes: 0 success/certified,
 1 witness found, 2 usage, domain or internal error.  Field names and
 columns are documented in docs/schema.md and stamped with schema_version.
+
+`main` parses with one parser per process, built on its first call (not at
+import) and reused by every later call; `build_parser` still returns a
+fresh parser each time it is called.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -128,6 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=_int, default=0, help="seed for random_local's search")
 
     return p
+
+
+# parse_args reads the parser and leaves it as it was, so one serves every call.
+_parser = functools.cache(build_parser)
 
 
 # ------------------------------------------------------------- handlers
@@ -229,6 +238,8 @@ def _cmd_scan_nqr(args):
 def _cmd_exponent(args):
     if args.grid < 1:
         raise DomainError(f"grid resolution must be >= 1, got {args.grid}")
+    # First, so a grid past MAX_GRID is refused before the record loop.
+    sup, points = exponent_supremum(args.grid, b_max=args.b_max, component=args.component)
     records = []
     for i in range(args.grid + 1):
         a = F(i, args.grid)
@@ -252,7 +263,6 @@ def _cmd_exponent(args):
                     "case": label,
                 }
             )
-    sup, points = exponent_supremum(args.grid, b_max=args.b_max, component=args.component)
     # The bound is flat on a whole region; the distinguished corner is the
     # attaining point of maximal (b, a), past which the exponent drops.
     corner = max(points, key=lambda p: (p.b, p.a))
@@ -335,9 +345,8 @@ def _emit(records: list[dict], fmt: str, stream) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import BadPrime, is_prime, isqrt, jacobi, least_qnr, primes_up_to
+from .arith import BadPrime, _least_qnr_scan, is_prime, isqrt, jacobi, primes_up_to
 from .progression import TwoDAP, cardinality
 
 F = Fraction
@@ -64,7 +64,7 @@ def build_instance(p: int) -> LowerBoundInstance:
         raise BadPrime(
             f"need a prime p = 1 (mod 4) with p >= {MIN_PRIME}, got {p}"
         )
-    n = least_qnr(p)
+    n = _least_qnr_scan(p)
     q = p + n
     a = TwoDAP(p, q, p - 1, n - 1)
     return LowerBoundInstance(p, n, q, p - 1, n - 1, 2 * p * p, cardinality(a))
@@ -156,7 +156,7 @@ def least_nonresidue_scan(
     for p in primes_up_to(p_max):
         if p % 4 != 1 or p < p_min:
             continue
-        n = least_qnr(p)
+        n = _least_qnr_scan(p)
         rec = n > best
         best = max(best, n)
         out.append(

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from random import Random
 
-from .arith import PRIME_SIEVE_LIMIT, DomainError, VerificationFailed, isqrt, least_qnr, primes_up_to
+from .arith import PRIME_SIEVE_LIMIT, DomainError, VerificationFailed, _least_qnr_scan, isqrt, primes_up_to
 from .bounds import one_d_bound
 from .lowerbound import MIN_PRIME, build_instance, residue_certificate
 from .progression import TwoDAP, cardinality, certify_square_free, is_proper, max_radius
@@ -126,7 +126,7 @@ def _lower_bound_family(t: int) -> FamilyBest | None:
     for p in primes_up_to(isqrt(t)):
         if p % 4 != 1 or p < MIN_PRIME:
             continue
-        n = least_qnr(p)
+        n = _least_qnr_scan(p)
         size, bound = (2 * p - 1) * (2 * n - 1), (p - 1) * p + (n - 1) * (p + n)
         if bound <= t and (best is None or size > best[0]):  # ties to the smaller p
             best = (size, bound, p)

@@ -219,6 +219,20 @@ def test_primes_up_to_matches_trial_division():
         primes_up_to(arith.PRIME_SIEVE_LIMIT + 1)  # refused before any allocation
 
 
+def test_least_qnr_scan_matches_least_qnr_on_every_prime_to_10_5():
+    # The scan skips the primality proof its callers have already made; the
+    # oracle is Euler's criterion, which shares no code with the Jacobi scan.
+    def euler(p):
+        return next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) != 1)
+
+    primes = [p for p in primes_up_to(10**5) if p > 2]
+    assert len(primes) == 9591
+    assert all(arith._least_qnr_scan(p) == least_qnr(p) == euler(p) for p in primes)
+    for bad in (1, 2, 9, 15, 561, 99_991 * 99_989):
+        with pytest.raises(BadPrime):
+            least_qnr(bad)
+
+
 def test_least_qnr_matches_scan():
     for p in range(3, 300):
         if not oracle_is_prime(p):

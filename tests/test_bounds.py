@@ -10,6 +10,7 @@ import pytest
 
 from sqavoid.arith import DomainError, is_perfect_square
 from sqavoid.bounds import (
+    MAX_GRID,
     CaseReport,
     CutoffVerdict,
     ExponentPoint,
@@ -109,6 +110,12 @@ def test_exponent_point_validation():
         ExponentPoint(F(2, 3), F(1, 3))  # a > b
     with pytest.raises(DomainError):
         ExponentPoint(F(-1, 3), F(1, 3))
+
+
+def test_supremum_refuses_a_grid_past_max_grid():
+    for resolution in (0, MAX_GRID + 1, 10**12):
+        with pytest.raises(DomainError):
+            exponent_supremum(resolution)
 
 
 def test_supremum_overall():

@@ -3,12 +3,15 @@ determinism, and agreement with the library routes."""
 
 from __future__ import annotations
 
+import argparse
 import csv
 import importlib
 import json
 from fractions import Fraction
 
-from sqavoid import cli, progression
+import pytest
+
+from sqavoid import bounds, cli, progression
 from sqavoid.cli import main
 from sqavoid.formats import SCHEMA_VERSION
 from sqavoid.lowerbound import build_instance
@@ -24,6 +27,14 @@ def run(capsys, *argv: str) -> tuple[int, list[dict], str]:
 
 
 # ------------------------------------------------------------ exit codes
+
+
+@pytest.fixture
+def cold_parser():
+    """Start and end the test with no parser built, so none outlives its patches."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
 
 
 def test_verify_square_free_exits_zero(capsys):
@@ -402,3 +413,124 @@ def test_lower_bound_box_past_10_9_is_certified(run_python):
         rec = json.loads(proc.stdout)
         assert (rec["kind"], rec.get("brute_force")) == ("SquareFree", brute)
         assert rec["n_max"] == "1000000013"
+
+
+# ------------------------------------------------------ one parser per process
+
+
+def count_parsers(monkeypatch) -> list[int]:
+    """Count `argparse.ArgumentParser` constructions from here on, subparsers included."""
+    built = [0]
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch, cold_parser):
+    built = count_parsers(monkeypatch)
+    box = ["--q1", "3", "--q2", "5", "--x1", "2", "--x2", "2", "--t", "25"]
+    assert main(["verify", *box]) == 1
+    assert built[0] > 0  # the warm-up call built the parser
+    built[0] = 0
+    assert main(["witness", *box]) == 1
+    assert main(["lower", "--p", "13"]) == 0
+    assert main(["exponent", "--grid", "2"]) == 0
+    capsys.readouterr()
+    assert built[0] == 0
+
+
+def call_outputs(capsys, tmp_path, calls, *, fresh) -> list[tuple]:
+    """(exit code, stdout, stderr, --output file) of each call, in one process.
+
+    With `fresh` every call gets a newly built parser; without, the calls
+    share the process's one parser.
+    """
+    out = []
+    for argv in calls:
+        if fresh:
+            cli._parser.cache_clear()
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        target, written = tmp_path / "out.txt", None
+        if target.exists():
+            written = target.read_text()
+            target.unlink()
+        out.append((code, captured.out, captured.err, written))
+    return out
+
+
+def test_no_parse_state_leaks_between_calls(capsys, tmp_path, cold_parser):
+    box = ["--q1", "3", "--q2", "5", "--x1", "2", "--x2", "2", "--t", "25"]
+    sequences = [
+        [["verify", *box, "--guard", "0"], ["verify", *box]],
+        [["lower", "--p", "13", "--format", "csv"], ["lower", "--p", "13"]],
+        [["lower", "--p", "13", "--output", str(tmp_path / "out.txt")], ["lower", "--p", "13"]],
+        [["verify", *box[:-2]], ["verify", *box]],
+        [["verify", "--help"], ["verify", *box]],
+        [["sweep", "--families", "one_d", "--t", "1000"], ["sweep", "--t", "1000"]],
+    ]
+    firsts = []
+    for calls in sequences:
+        cli._parser.cache_clear()
+        shared = call_outputs(capsys, tmp_path, calls, fresh=False)
+        assert shared == call_outputs(capsys, tmp_path, calls, fresh=True), calls[0]
+        firsts.append(shared[0])
+        (_, out0, _, _), (code1, out1, _, file1) = shared
+        assert file1 is None and out1  # the second call writes to stdout
+        last = [json.loads(line) for line in out1.splitlines()]  # and as JSON lines
+        if calls[0][0] == "verify":
+            assert (code1, last[0]["brute_force"]) == (1, "agree")
+        if calls[0][0] == "sweep":
+            assert sorted(r["family"] for r in last[:-1]) == ["lower_bound", "one_d", "random_local"]
+            assert len(out0.splitlines()) == 2  # one_d's best and the overall best
+    # What each first call did, so the pairs above test the paths they name.
+    guarded, as_csv, to_file, usage, helped, _ = firsts
+    assert json.loads(guarded[1])["brute_force"] == "skipped-guard"
+    assert as_csv[1].startswith("schema_version,kind,")
+    assert to_file[1] == "" and to_file[3].startswith('{"certificate_ok"')
+    assert usage[0] == 2 and "the following arguments are required: --t" in usage[2]
+    assert helped[0] == 0 and helped[1].startswith("usage: sqavoid verify")
+
+
+def test_importing_the_cli_builds_no_parser(run_python):
+    # The parser is built on first use, so it never adds to the import time.
+    proc = run_python(
+        "-c",
+        "import argparse\n"
+        "built, init = 0, argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    global built\n"
+        "    built += 1\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import sqavoid.cli\n"
+        "print(built)\n"
+        "sqavoid.cli._parser()\n"
+        "print(built > 0)\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True"]
+
+
+def test_unbounded_exponent_grid_is_refused_with_exit_two(capsys, monkeypatch):
+    points = []
+    case_exponent = bounds.case_exponent
+
+    def counted(point):
+        points.append(point)
+        return case_exponent(point)
+
+    monkeypatch.setattr(cli, "case_exponent", counted)
+    monkeypatch.setattr(bounds, "case_exponent", counted)
+    code, recs, err = run(capsys, "exponent", "--grid", str(10**12))
+    assert code == 2 and points == []
+    assert (recs[0]["kind"], recs[0]["error"]) == ("Error", "DomainError")
+    assert err.startswith("error:")
+    code, recs, _ = run(capsys, "exponent", "--grid", str(bounds.MAX_GRID + 1))
+    assert code == 2 and points == []
+    assert (recs[0]["kind"], recs[0]["error"]) == ("Error", "DomainError")
