@@ -53,8 +53,8 @@ class VerificationFailed(RuntimeError):
     """A result failed the independent check that must pass before it is emitted."""
 
 
-# Trial division handles everything below this bound; above it, primality
-# uses deterministic Miller-Rabin and factoring falls back to Brent's method.
+# Factoring divides by every candidate below this bound and falls back to
+# Brent's method on the cofactor; primality is Miller-Rabin at every size.
 TRIAL_BOUND = 1_000_000
 
 # The witness set {2,3,...,41} is a verified deterministic Miller-Rabin base
@@ -139,23 +139,14 @@ def _mr_is_composite(n: int, a: int, d: int, r: int) -> bool:
 def is_prime(n: int) -> bool:
     """Deterministic primality test.
 
-    Below 10**6 this is plain trial division.  Above, it is Miller-Rabin with
-    a fixed witness set whose exactness is proven up to _MR_VALID_BELOW
-    (about 3.3e24).  Beyond that bound the routine refuses to guess and
-    raises DomainError rather than returning a probabilistic answer.
+    Miller-Rabin with the fixed witness set 2..41, whose exactness is proven
+    for every n below _MR_VALID_BELOW (about 3.3e24), small n included.
+    Beyond that bound the routine refuses to guess and raises DomainError
+    rather than returning a probabilistic answer.
     """
     if n < 2:
         return False
-    if n < TRIAL_BOUND:
-        if n < 4:
-            return True
-        if n % 2 == 0:
-            return False
-        f = 3
-        while f * f <= n:
-            if n % f == 0:
-                return False
-            f += 2
+    if n < 4:
         return True
     if n >= _MR_VALID_BELOW:
         raise DomainError(
@@ -389,20 +380,8 @@ def sqrt_mod(a: int, m: int) -> int | None:
     a %= m
     if math.gcd(a, m) != 1:
         raise NotCoprime(f"sqrt_mod requires gcd(a, m) = 1, got gcd = {math.gcd(a, m)}")
-    return sqrt_mod_factored(a, m, factorize(m))
-
-
-def sqrt_mod_factored(a: int, m: int, factors: dict[int, int]) -> int | None:
-    """`sqrt_mod(a, m)` given `factors = factorize(m)`.
-
-    For callers that solve several residues modulo one m: they factor m
-    once instead of once per residue.  Requires gcd(a, m) = 1, so the
-    classes of `sqrt_classes` are taken modulo m itself.
-    """
-    if math.gcd(a, m) != 1:
-        raise NotCoprime(f"sqrt_mod requires gcd(a, m) = 1, got gcd = {math.gcd(a, m)}")
-    _, residues = sqrt_classes(a, factors)
-    return min(residues, default=None)
+    # a is a unit, so the classes of `sqrt_classes` are taken modulo m itself.
+    return min(sqrt_classes(a, factorize(m))[1], default=None)
 
 
 def sqrt_classes(a: int, factors: dict[int, int]) -> tuple[int, list[int]]:

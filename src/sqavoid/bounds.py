@@ -20,14 +20,17 @@ final exponent is the max of the two case bounds, with global supremum
 exactly 20/27 attained at (a, b) = (16/27, 2/3).  All values are exact
 `fractions.Fraction`s; the suprema are certified by evaluating on a grid
 together with every pairwise intersection of the boundary lines, which
-covers all vertices of the linearity regions.
+covers all vertices of the linearity regions.  `exponent_surface` walks
+that set once; `exponent_supremum` and `sqavoid exponent` reduce the walk.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .arith import DomainError, ceil_root_ratio, floor_root_ratio, squarefree_kernel
 from .small_squares import SmallSquareTrace, construct_small_square
@@ -35,10 +38,11 @@ from .progression import SquareWitness
 
 F = Fraction
 
-# Finest grid `exponent_supremum` takes.  `sqavoid exponent` ran 38 s at grid
-# 800 and 76 s (406 MiB peak) at grid 1000 on a 2-vCPU VM; the cost grows a
-# little faster than grid^2.
+# Finest grid `exponent_surface` takes.  `sqavoid exponent` ran 38 s (344 MiB
+# peak) at grid 1000 on a 2-vCPU VM; the cost grows a little faster than grid^2.
 MAX_GRID = 1000
+
+COMPONENTS = ("overall", "case1", "case2")  # the bounds `CaseReport.component` selects
 
 
 def one_d_bound(q: int, t: int) -> int:
@@ -63,7 +67,7 @@ def interval_caps(q1: int, q2: int, t: int) -> tuple[Fraction, Fraction]:
     return (F(t, q1), F(t, q2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)  # by (a, b), as `exponent_surface` walks them
 class ExponentPoint:
     """Normalized step sizes (a, b) = (log_T q1, log_T q2), 0 <= a <= b <= 1."""
 
@@ -75,6 +79,10 @@ class ExponentPoint:
         object.__setattr__(self, "b", F(self.b))
         if not (0 <= self.a <= self.b <= 1):
             raise DomainError(f"need 0 <= a <= b <= 1, got ({self.a}, {self.b})")
+
+    def on_grid(self, resolution: int) -> bool:
+        """Whether a*resolution and b*resolution are both integers."""
+        return (self.a * resolution).denominator == 1 == (self.b * resolution).denominator
 
 
 @dataclass(frozen=True)
@@ -89,6 +97,14 @@ class CaseReport:
     exponent: Fraction
     case_label: str
     constituents: tuple[str, ...]
+
+    def component(self, name: str) -> tuple[Fraction, str]:
+        """(value, label) of the bound `name`, one of COMPONENTS."""
+        return {
+            "overall": (self.exponent, self.case_label),
+            "case1": (self.case1, self.case1_label),
+            "case2": (self.case2, self.case2_label),
+        }[name]
 
 
 _CONSTITUENTS = {
@@ -148,66 +164,75 @@ _BOUNDARY_LINES: tuple[tuple[Fraction, Fraction, Fraction], ...] = (
 )
 
 
-def _boundary_vertices() -> list[ExponentPoint]:
-    pts = []
-    lines = _BOUNDARY_LINES
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            a1, b1, c1 = lines[i]
-            a2, b2, c2 = lines[j]
-            det = a1 * b2 - a2 * b1
-            if det == 0:
-                continue
-            a = (c1 * b2 - c2 * b1) / det
-            b = (a1 * c2 - a2 * c1) / det
+def _boundary_vertices() -> set[ExponentPoint]:
+    pts = set()
+    for (a1, b1, c1), (a2, b2, c2) in combinations(_BOUNDARY_LINES, 2):
+        det = a1 * b2 - a2 * b1
+        if det != 0:
+            a, b = (c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det
             if 0 <= a <= b <= 1:
-                pts.append(ExponentPoint(a, b))
+                pts.add(ExponentPoint(a, b))
     return pts
 
 
-def exponent_supremum(
-    resolution: int,
-    *,
-    b_max: Fraction | None = None,
-    component: str = "overall",
-) -> tuple[Fraction, list[ExponentPoint]]:
-    """Exact supremum of the exponent over the simplex 0 <= a <= b <= 1.
+def _surface_points(r: int) -> Iterator[ExponentPoint]:
+    """The grid {(i/r, j/r) : i <= j} and the boundary vertices off it, by
+    (a, b); (1, 1), the last grid point, comes after every vertex."""
+    pending = sorted(v for v in _boundary_vertices() if not v.on_grid(r))
+    for i in range(r + 1):
+        for j in range(i, r + 1):
+            p = ExponentPoint(F(i, r), F(j, r))
+            while pending and pending[0] < p:
+                yield pending.pop(0)
+            yield p
 
-    Evaluates on the grid {(i/r, j/r)} joined with every pairwise
-    intersection of the boundary lines; since the bound is linear on each
-    region cut out by those lines, the supremum over this finite set equals
-    the supremum over the full simplex; `resolution` runs 1..MAX_GRID.
-    `b_max` restricts to b <= b_max;
-    `component` selects "overall", "case1", or "case2".  Returns the
-    supremum and the sorted list of evaluated points attaining it.
-    """
+
+def exponent_surface(
+    resolution: int, *, b_max: Fraction | None = None, component: str = "overall"
+) -> Iterator[tuple[ExponentPoint, Fraction, str]]:
+    """(point, value, label) of `CaseReport.component` at each point of the
+    grid {(i/r, j/r)} and each boundary vertex with b <= b_max, by (a, b).
+    `resolution` runs 1..MAX_GRID.  The arguments are checked on the call;
+    the points are then made and evaluated lazily, each once."""
     if resolution < 1:
         raise DomainError(f"resolution must be positive, got {resolution}")
     if resolution > MAX_GRID:
         raise DomainError(f"resolution must be at most {MAX_GRID}, got {resolution}")
-    if component not in ("overall", "case1", "case2"):
+    if component not in COMPONENTS:
         raise DomainError(f"unknown component {component!r}")
     if b_max is not None and b_max < 0:  # every point has b >= 0
         raise DomainError(f"b_max = {b_max} leaves no point of the simplex")
-    pts: set[ExponentPoint] = set()
-    for j in range(resolution + 1):
-        for i in range(j + 1):
-            pts.add(ExponentPoint(F(i, resolution), F(j, resolution)))
-    pts.update(_boundary_vertices())
-    if b_max is not None:
-        pts = {p for p in pts if p.b <= b_max}
-    best: Fraction | None = None
-    attaining: list[ExponentPoint] = []
-    for p in sorted(pts, key=lambda p: (p.a, p.b)):
-        rep = case_exponent(p)
-        val = {"overall": rep.exponent, "case1": rep.case1, "case2": rep.case2}[
-            component
-        ]
+    return (
+        (p, *case_exponent(p).component(component))
+        for p in _surface_points(resolution)
+        if b_max is None or p.b <= b_max
+    )
+
+
+def surface_supremum(
+    surface: Iterable[tuple[ExponentPoint, Fraction, str]],
+) -> tuple[Fraction, list[ExponentPoint]]:
+    """Largest value of an `exponent_surface` walk and its attaining points, in
+    walk order.  No walk is empty: (0, 0) passes every b_max filter."""
+    best, attaining = None, []
+    for p, val, _ in surface:
         if best is None or val > best:
             best, attaining = val, [p]
         elif val == best:
             attaining.append(p)
     return best, attaining
+
+
+def exponent_supremum(
+    resolution: int, *, b_max: Fraction | None = None, component: str = "overall"
+) -> tuple[Fraction, list[ExponentPoint]]:
+    """Exact supremum of the exponent over the simplex 0 <= a <= b <= 1, and
+    the points attaining it, sorted by (a, b), from one `exponent_surface`
+    walk (its arguments and `DomainError`s).  The bound is linear on each
+    region cut out by the boundary lines, so its supremum over the grid and
+    their vertices, each evaluated once, is the supremum over the simplex.
+    """
+    return surface_supremum(exponent_surface(resolution, b_max=b_max, component=component))
 
 
 # ------------------------------------------------------------ size windows

@@ -40,7 +40,7 @@ import sys
 from fractions import Fraction
 
 from .arith import DomainError, TooLarge
-from .bounds import ExponentPoint, case_exponent, exponent_supremum
+from .bounds import COMPONENTS, exponent_surface, surface_supremum
 from .formats import SCHEMA_VERSION, record, value
 from .lattice import reduce_recursive
 from .lowerbound import (
@@ -58,8 +58,6 @@ from .progression import (
 )
 from .small_squares import balanced_n, construct_small_square
 from .sweep import FAMILIES, MAX_BUDGET, SweepConfig, sweep
-
-F = Fraction
 
 EXIT_OK = 0
 EXIT_WITNESS = 1
@@ -115,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("exponent", parents=[common], help="exponent surface and supremum")
     sp.add_argument("--grid", type=_int, required=True)
     sp.add_argument("--b-max", type=_rational, default=None)
-    sp.add_argument("--component", choices=("overall", "case1", "case2"), default="overall")
+    sp.add_argument("--component", choices=COMPONENTS, default="overall")
 
     sp = sub.add_parser("sweep", parents=[common], help="extremal-search harness")
     sp.add_argument("--t", type=_int, required=True)
@@ -235,34 +233,22 @@ def _cmd_scan_nqr(args):
     return records, EXIT_OK, f"{len(recs)} primes scanned"
 
 
+def _record_grid_points(surface, grid, records):
+    """Pass an `exponent_surface` walk through whole, since every point counts
+    toward the supremum, and append a record for each on-grid point."""
+    for point, exponent, label in surface:
+        if point.on_grid(grid):
+            rec = {"kind": "ExponentPoint"} | record(point)
+            records.append(rec | {"exponent": value(exponent), "case": label})
+        yield point, exponent, label
+
+
 def _cmd_exponent(args):
     if args.grid < 1:
         raise DomainError(f"grid resolution must be >= 1, got {args.grid}")
-    # First, so a grid past MAX_GRID is refused before the record loop.
-    sup, points = exponent_supremum(args.grid, b_max=args.b_max, component=args.component)
     records = []
-    for i in range(args.grid + 1):
-        a = F(i, args.grid)
-        for j in range(i, args.grid + 1):
-            b = F(j, args.grid)
-            if args.b_max is not None and b > args.b_max:
-                continue
-            rep = case_exponent(ExponentPoint(a, b))
-            exponent = {"overall": rep.exponent, "case1": rep.case1, "case2": rep.case2}[
-                args.component
-            ]
-            label = {"overall": rep.case_label, "case1": rep.case1_label, "case2": rep.case2_label}[
-                args.component
-            ]
-            records.append(
-                {
-                    "kind": "ExponentPoint",
-                    "a": value(a),
-                    "b": value(b),
-                    "exponent": value(exponent),
-                    "case": label,
-                }
-            )
+    surface = exponent_surface(args.grid, b_max=args.b_max, component=args.component)
+    sup, points = surface_supremum(_record_grid_points(surface, args.grid, records))
     # The bound is flat on a whole region; the distinguished corner is the
     # attaining point of maximal (b, a), past which the exponent drops.
     corner = max(points, key=lambda p: (p.b, p.a))

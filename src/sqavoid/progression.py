@@ -8,7 +8,9 @@ membership).  The central questions are whether such a set is *proper*
 non-zero perfect squares up to an ambient bound T.
 
 Witness search has two routes to one canonical answer, and
-`find_square_witness` takes whichever has fewer steps, counted up front:
+`find_square_witness` takes whichever has fewer steps as estimated up
+front (the estimate leaves out Brent's method on a composite cofactor of
+q1 past 10^12, and cannot foresee an early witness):
 
 * `walk_roots` walks n = 1, 2, ... up to sqrt(min(T, value bound)),
   skipping the n whose square is not x2*q2 modulo q1 for any |x2| <= X2
@@ -296,6 +298,11 @@ def find_square_witness(a: TwoDAP, t: int) -> SquareWitness | None:
     If q1 cannot be factored (FactorizationFailed, or DomainError for a
     cofactor past `is_prime`'s proven range), the walk runs alone, and
     refuses a walk past the limit only after it, as `walk_roots` does.
+
+    The counts are estimates: they leave out Brent's method on a composite
+    cofactor of q1 past 10^12 and cannot foresee an early witness.  At
+    q1 = (10^11 + 1009)(3*10^11 + 77), q2 = q1 + 1, radii (10^6, 1) and
+    t = 2*10^14, the rows factor q1 for 0.34 s; the walk finds n = 1 in under 1 ms.
     """
     if t < 0:
         raise DomainError(f"ambient bound must be non-negative, got {t}")

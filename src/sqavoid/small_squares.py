@@ -34,7 +34,7 @@ from .arith import (
     factorize,
     iroot,
     mod_inverse,
-    sqrt_mod_factored,
+    sqrt_classes,
 )
 from .progression import SquareWitness
 
@@ -94,7 +94,8 @@ def _sqrt_solver(m: int) -> Callable[[int], int | None]:
     if m <= _SQRT_TABLE_BOUND:
         return _sqrt_table(m).get
     factors = factorize(m)
-    return lambda a: sqrt_mod_factored(a, m, factors)
+    # Units only, so the classes of `sqrt_classes` are taken modulo m itself.
+    return lambda a: min(sqrt_classes(a, factors)[1], default=None)
 
 
 def convergent_denominators(num: int, den: int) -> list[int]:

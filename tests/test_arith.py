@@ -205,9 +205,12 @@ def test_jacobi_multiplicative():
 
 
 def test_is_prime_matches_trial_division():
-    for n in range(0, 5000):
+    # Miller-Rabin alone at every size, so small n and the witnesses
+    # 2..41 themselves (skipped as bases of their own test) are covered.
+    for n in range(0, 20_000):
         assert is_prime(n) == oracle_is_prime(n)
-    # Straddle the internal trial-division/Miller-Rabin switch.
+    assert [n for n in range(2, 42) if is_prime(n)] == list(arith._MR_WITNESSES)
+    # Around TRIAL_BOUND, where factoring's trial division stops.
     for n in range(999_980, 1_000_120):
         assert is_prime(n) == oracle_is_prime(n)
 

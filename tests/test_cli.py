@@ -259,6 +259,89 @@ def test_exponent_supremum_row(capsys):
     assert point_kinds == {"ExponentPoint"}
 
 
+def test_exponent_evaluates_each_point_once(capsys, monkeypatch):
+    # Each `case_exponent` call builds one CaseReport, under whatever name
+    # the caller imported the function.
+    calls = []
+    case_report = bounds.CaseReport
+
+    def counted(point, *fields):
+        calls.append(point)
+        return case_report(point, *fields)
+
+    monkeypatch.setattr(bounds, "CaseReport", counted)
+    code, recs, _ = run(capsys, "exponent", "--grid", "54")
+    assert code == 0 and len(recs) - 1 == 55 * 56 // 2
+    # The 1,540 grid points plus the 4 boundary vertices off the grid:
+    # (0, 4/7), (4/7, 4/7), (8/13, 8/13) and (52/81, 52/81).
+    assert len(calls) == len(set(calls)) == 1540 + 4
+
+
+def oracle_exponent(grid: int, component: str, b_max: Fraction | None) -> list[dict]:
+    """The `exponent` records, one `case_exponent` call per grid (i, j) with
+    i <= j, and the supremum over those points and the boundary vertices."""
+
+    def evaluate(point):
+        rep = bounds.case_exponent(point)
+        return {
+            "overall": (rep.exponent, rep.case_label),
+            "case1": (rep.case1, rep.case1_label),
+            "case2": (rep.case2, rep.case2_label),
+        }[component]
+
+    out = []
+    for i in range(grid + 1):
+        for j in range(i, grid + 1):
+            a, b = F(i, grid), F(j, grid)
+            if b_max is not None and b > b_max:
+                continue
+            val, label = evaluate(bounds.ExponentPoint(a, b))
+            out.append(
+                {
+                    "schema_version": SCHEMA_VERSION,
+                    "kind": "ExponentPoint",
+                    "a": str(a),
+                    "b": str(b),
+                    "exponent": str(val),
+                    "case": label,
+                }
+            )
+    vertices = {
+        v
+        for v in bounds._boundary_vertices()
+        if (v.a * grid).denominator != 1 or (v.b * grid).denominator != 1
+    }
+    values = [(F(r["a"]), F(r["b"]), F(r["exponent"])) for r in out]
+    values += [(v.a, v.b, evaluate(v)[0]) for v in vertices if b_max is None or v.b <= b_max]
+    top = max(val for _, _, val in values)
+    attaining = [(a, b) for a, b, val in values if val == top]
+    corner = max(attaining, key=lambda p: (p[1], p[0]))
+    out.append(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "kind": "ExponentSupremum",
+            "supremum": str(top),
+            "grid": str(grid),
+            "component": component,
+            "b_max": "" if b_max is None else str(b_max),
+            "argmax": f"{corner[0]},{corner[1]}",
+            "argmax_count": str(len(attaining)),
+        }
+    )
+    return out
+
+
+@pytest.mark.parametrize("grid", [1, 7, 27, 54])
+def test_exponent_records_match_grid_oracle(capsys, grid):
+    for component in ("overall", "case1", "case2"):
+        for b_max in (None, F(0), F(4, 7)):
+            argv = ["exponent", "--grid", str(grid), "--component", component]
+            if b_max is not None:
+                argv += ["--b-max", str(b_max)]
+            code, recs, _ = run(capsys, *argv)
+            assert code == 0 and recs == oracle_exponent(grid, component, b_max)
+
+
 def test_exponent_restricted_region(capsys):
     code, recs, _ = run(
         capsys, "exponent", "--grid", "54", "--b-max", "4/7", "--component", "case1"
@@ -525,7 +608,6 @@ def test_unbounded_exponent_grid_is_refused_with_exit_two(capsys, monkeypatch):
         points.append(point)
         return case_exponent(point)
 
-    monkeypatch.setattr(cli, "case_exponent", counted)
     monkeypatch.setattr(bounds, "case_exponent", counted)
     code, recs, err = run(capsys, "exponent", "--grid", str(10**12))
     assert code == 2 and points == []
