@@ -250,11 +250,12 @@ def squarefree_kernel(q: int) -> int:
     """
     if q < 1:
         raise DomainError(f"squarefree_kernel requires q >= 1, got {q}")
-    s = 1
-    for p, e in factorize(q).items():
-        if e % 2 == 1:
-            s *= p
-    return s
+    return _kernel_of(factorize(q))
+
+
+def _kernel_of(factors: dict[int, int]) -> int:
+    """The squarefree kernel of the number whose factorization is `factors`."""
+    return math.prod(p for p, e in factors.items() if e % 2)
 
 
 def jacobi(a: int, n: int) -> int:

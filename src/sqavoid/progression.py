@@ -375,8 +375,13 @@ def max_radius(q: int, other_q: int, other_r: int, t: int) -> int:
     reach = other_r * other_q
     if reach > t:
         raise DomainError(f"the other axis reaches {reach}, past t = {t}")
+    return _max_radius(q, other_q, factorize(other_q), other_r, t)
+
+
+def _max_radius(q: int, other_q: int, fo: dict[int, int], other_r: int, t: int) -> int:
+    """`max_radius` on checked arguments, with fo = factorize(other_q)."""
+    reach = other_r * other_q
     room = (t - reach) // q
-    fo = factorize(other_q)
     for k in range(min(room, other_r) + 1):
         if k > ROOT_WALK_LIMIT:
             raise TooLarge(f"the row walk passes {ROOT_WALK_LIMIT} steps")

@@ -17,14 +17,21 @@ The scan in step 1 terminates within the *cover height* H(q1): the
 smallest h such that every unit modulo q1 is y*z^2 with |y| <= h.  The
 resulting coefficients obey |x2| <= |b|*(q1/N)^2 and a matching bound for
 x1, which is what makes the representation "small".
+
+The kernel `_construct` runs these steps on plain ints and checks every
+trace invariant (`_invariants_hold`, which `SmallSquareTrace.validate`
+also calls) before it returns.  `construct_small_square` wraps it in a
+trace; `small_square_survey` calls it directly, with one root solver per
+q1 row, and builds no object per pair.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 from .arith import (
     DomainError,
@@ -82,11 +89,13 @@ def square_cover_height(k: int, guard: int = COVER_HEIGHT_GUARD) -> int:
 
 @lru_cache(maxsize=4)
 def _sqrt_table(m: int) -> dict[int, int]:
-    """Canonical square roots modulo m: {z*z % m: smallest such z}."""
-    table: dict[int, int] = {}
-    for z in range(m):
-        table.setdefault(z * z % m, z)
-    return table
+    """Canonical square roots modulo m: {z*z % m: smallest such z}.
+
+    z and m - z share a square, so each class has a root z <= m // 2; z runs
+    down to 0 and the dict keeps the last z of each class, the smallest.
+    """
+    r = range(m // 2, -1, -1)
+    return dict(zip(map(pow, r, repeat(2), repeat(m)), r))
 
 
 def _sqrt_solver(m: int) -> Callable[[int], int | None]:
@@ -98,19 +107,37 @@ def _sqrt_solver(m: int) -> Callable[[int], int | None]:
     return lambda a: min(sqrt_classes(a, factors)[1], default=None)
 
 
-def convergent_denominators(num: int, den: int) -> list[int]:
-    """Denominators of the continued-fraction convergents of num/den >= 0."""
-    if den < 1 or num < 0:
-        raise DomainError(f"need num >= 0 and den >= 1, got {num}/{den}")
-    denoms: list[int] = []
+def _denominators(num: int, den: int) -> Iterator[int]:
+    """The convergent denominators of num/den, in ascending order, lazily."""
     h_prev, h = 1, 0  # denominators of the two virtual convergents before a0
     a, b = num, den
     while b:
         q = a // b
         a, b = b, a - q * b
         h_prev, h = h, q * h + h_prev
-        denoms.append(h)
-    return denoms or [1]
+        yield h
+
+
+def convergent_denominators(num: int, den: int) -> list[int]:
+    """Denominators of the continued-fraction convergents of num/den >= 0."""
+    if den < 1 or num < 0:
+        raise DomainError(f"need num >= 0 and den >= 1, got {num}/{den}")
+    return list(_denominators(num, den))
+
+
+def _invariants_hold(q1, q2, n_cap, b, c, c_bar, n, m, approx_d, x1, x2) -> bool:
+    """Every structural invariant of a trace, on plain ints; n is the witness's."""
+    return (
+        math.gcd(b, q1) == 1
+        and (b * q2 - c * c) % q1 == 0
+        and 0 <= c < max(q1, 1)
+        and (c * c_bar - 1) % q1 == 0
+        and 1 <= n <= n_cap
+        and approx_d == n * c_bar + m * q1
+        and abs(approx_d) * n_cap <= q1
+        and x2 == b * approx_d * approx_d
+        and x1 * q1 + x2 * q2 == n * n
+    )
 
 
 @dataclass(frozen=True)
@@ -135,54 +162,41 @@ class SmallSquareTrace:
         |b| <= H(q1) is mathematically guaranteed but costs O(q1 * H) to
         confirm, so it is only checked on demand.
         """
-        q1, q2, w = self.q1, self.q2, self.witness
+        w = self.witness
         ok = (
-            math.gcd(self.b, q1) == 1
-            and (self.b * q2 - self.c * self.c) % q1 == 0
-            and 0 <= self.c < max(q1, 1)
-            and (self.c * self.c_bar - 1) % q1 == 0
-            and 1 <= self.n <= self.n_cap
-            and self.approx_d == self.n * self.c_bar + self.m * q1
-            and abs(self.approx_d) * self.n_cap <= q1
-            and w.n == self.n
-            and w.x2 == self.b * self.approx_d**2
-            and w.x1 * q1 + w.x2 * q2 == self.n * self.n
-            and (not check_cover or abs(self.b) <= square_cover_height(q1))
+            w.n == self.n
+            and _invariants_hold(
+                self.q1, self.q2, self.n_cap, self.b, self.c, self.c_bar,
+                self.n, self.m, self.approx_d, w.x1, w.x2,
+            )
+            and (not check_cover or abs(self.b) <= square_cover_height(self.q1))
         )
         if not ok:
             raise VerificationFailed(f"small-square trace breaks an invariant: {self}")
 
 
-def _scan_b(q1: int, q2: int) -> tuple[int, int]:
+def _scan_b(q1: int, q2: int, root) -> tuple[int, int]:
     """First b (order 1, -1, 2, -2, ...) with b*q2 a square mod q1, and its root."""
-    root = _sqrt_solver(q1)
     for mag in range(1, q1 + 2):
-        if math.gcd(mag, q1) != 1:
-            continue
-        for b in (mag, -mag):
-            c = root(b * q2 % q1)
-            if c is not None:
-                return b, c
+        if math.gcd(mag, q1) == 1:
+            for b in (mag, -mag):
+                c = root(b * q2 % q1)
+                if c is not None:
+                    return b, c
     raise NotFound(f"no admissible b for ({q1}, {q2})")  # pragma: no cover
 
 
-def construct_small_square(q1: int, q2: int, n_cap: int) -> SmallSquareTrace:
-    """Constructive representation with 1 <= n <= n_cap; see module docstring.
+def _construct(q1: int, q2: int, n_cap: int, root) -> tuple[int, ...]:
+    """The construction on plain ints: (b, c, c_bar, n, m, approx_d, x1, x2).
 
-    Requires gcd(q1, q2) = 1 and n_cap >= 1.  Every trace invariant is
-    checked before returning.
+    Takes checked arguments and `root` = `_sqrt_solver(q1)`.  Every trace
+    invariant is checked before returning; a failure raises
+    VerificationFailed.
     """
-    if q1 < 1 or q2 < 1:
-        raise DomainError(f"steps must be positive, got ({q1}, {q2})")
-    if math.gcd(q1, q2) != 1:
-        raise DomainError(f"steps must be coprime, got ({q1}, {q2})")
-    if n_cap < 1:
-        raise DomainError(f"size cap must be positive, got {n_cap}")
-    b, c = _scan_b(q1, q2)
+    b, c = _scan_b(q1, q2, root)
     c_bar = mod_inverse(c, q1) if q1 > 1 else 0
-    denoms = convergent_denominators(c_bar, q1)
     n = 1
-    for h in denoms:
+    for h in _denominators(c_bar, q1):
         if h > n_cap:
             break
         n = h
@@ -191,15 +205,27 @@ def construct_small_square(q1: int, q2: int, n_cap: int) -> SmallSquareTrace:
     m = -q - (1 if 2 * r > q1 else 0)
     approx_d = t + m * q1
     x2 = b * approx_d * approx_d
-    num = n * n - b * q2 * approx_d * approx_d
-    x1, rem = divmod(num, q1)
-    if rem != 0:
-        raise VerificationFailed(f"construction for ({q1}, {q2}) misses a multiple of q1")
-    trace = SmallSquareTrace(
-        q1, q2, n_cap, b, c, c_bar, n, m, approx_d, SquareWitness(x1, x2, n)
-    )
-    trace.validate()
-    return trace
+    x1 = (n * n - q2 * x2) // q1
+    if not _invariants_hold(q1, q2, n_cap, b, c, c_bar, n, m, approx_d, x1, x2):
+        raise VerificationFailed(f"construction for ({q1}, {q2}) breaks an invariant")
+    return b, c, c_bar, n, m, approx_d, x1, x2
+
+
+def construct_small_square(q1: int, q2: int, n_cap: int) -> SmallSquareTrace:
+    """Constructive representation with 1 <= n <= n_cap; see module docstring.
+
+    Requires gcd(q1, q2) = 1 and n_cap >= 1.  Checks the arguments, runs
+    the plain-int kernel `_construct` (which checks every trace invariant
+    before returning) and wraps its result in a trace.
+    """
+    if q1 < 1 or q2 < 1:
+        raise DomainError(f"steps must be positive, got ({q1}, {q2})")
+    if math.gcd(q1, q2) != 1:
+        raise DomainError(f"steps must be coprime, got ({q1}, {q2})")
+    if n_cap < 1:
+        raise DomainError(f"size cap must be positive, got {n_cap}")
+    b, c, c_bar, n, m, approx_d, x1, x2 = _construct(q1, q2, n_cap, _sqrt_solver(q1))
+    return SmallSquareTrace(q1, q2, n_cap, b, c, c_bar, n, m, approx_d, SquareWitness(x1, x2, n))
 
 
 def brute_force_small_square(q1: int, q2: int, n_cap: int) -> SquareWitness:
@@ -281,8 +307,11 @@ def small_square_survey(
     and is stepped up along the row, N += 1 while N**16 < q1**9 * q2**4.
     That is exact: the target grows with q2, so the previous N less one
     still falls short of it, and the stepped N is again the least.  The
-    row's powers of q1 are computed once per row.  Refuses q_min < 1 and a
-    negative `ratio_ceiling` with DomainError.
+    row's powers of q1 and its square-root solver (a table, or above
+    _SQRT_TABLE_BOUND one factorization of q1) are made once per row; each
+    pair is one call of the kernel `_construct`, which checks every trace
+    invariant and raises VerificationFailed if one fails.  Refuses
+    q_min < 1 and a negative `ratio_ceiling` with DomainError.
     """
     if q_min < 1:
         raise DomainError(f"q_min must be positive, got {q_min}")
@@ -296,6 +325,7 @@ def small_square_survey(
         q1_125, q1_225 = q1**1.25, q1**2.25
         cap = balanced_n(q1, q1)
         cap16 = cap**16
+        root = _sqrt_solver(q1)
         for q2 in range(q1, q_max + 1):
             if math.gcd(q1, q2) != 1:
                 continue
@@ -303,25 +333,25 @@ def small_square_survey(
             while cap16 < target:
                 cap += 1
                 cap16 = cap**16
-            tr = construct_small_square(q1, q2, cap)
-            w = tr.witness
+            b, _, _, n, _, _, x1, x2 = _construct(q1, q2, cap, root)
+            a1, a2 = abs(x1), abs(x2)
             report.pairs += 1
-            if 1 <= tr.n <= cap:
+            if 1 <= n <= cap:
                 report.n_in_range += 1
             cap2 = cap * cap
-            r1 = abs(w.x1) / (cap2 / q1 + q1_125 * q2 / cap2)
-            r2 = abs(w.x2) * cap2 / q1_225
+            r1 = a1 / (cap2 / q1 + q1_125 * q2 / cap2)
+            r2 = a2 * cap2 / q1_225
             # |x1| < ceiling * (N^2/q1 + q1^(5/4)*q2/N^2).  Clear q1*N^2, move
             # the rational term left and decide the rest by 4th powers.
-            lhs = abs(w.x1) * q1 * cap2 - ratio_ceiling * cap2 * cap2
+            lhs = a1 * q1 * cap2 - ratio_ceiling * cap2 * cap2
             if lhs < 0 or lhs**4 < ceiling4 * target:
                 report.x1_ratio_ok += 1
-            if (abs(w.x2) * cap2) ** 4 < x2_bound:
+            if (a2 * cap2) ** 4 < x2_bound:
                 report.x2_ratio_ok += 1
             if r1 > report.max_ratio_x1:
                 report.max_ratio_x1, report.argmax_x1 = r1, (q1, q2)
             if r2 > report.max_ratio_x2:
                 report.max_ratio_x2, report.argmax_x2 = r2, (q1, q2)
             if on_row is not None:
-                on_row((q1, q2, cap, tr.b, tr.n, w.x1, w.x2, r1, r2))
+                on_row((q1, q2, cap, b, n, x1, x2, r1, r2))
     return report

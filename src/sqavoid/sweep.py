@@ -14,7 +14,8 @@ deterministic given the configuration:
                    prime; only the winner is built and certified.
 * ``random_local``- seeded random coprime pairs q1 < q2 up to 2*sqrt(T):
                    X1 = one_d_bound(q1, T), exact while X2 = 0, then
-                   X2 = max_radius(q2, q1, X1, T) in the room X1 leaves.
+                   X2 = max_radius(q2, q1, X1, T) in the room X1 leaves,
+                   with q1 factored once for both.
                    X1 leaves room for X2 >= 1 exactly when
                    q1*(kernel(q1) - 1) <= T - q2; otherwise (as when
                    q1*(kernel(q1) - 1) >= T and X1 = T // q1 takes all the
@@ -40,9 +41,10 @@ from dataclasses import dataclass
 from random import Random
 
 from .arith import PRIME_SIEVE_LIMIT, DomainError, VerificationFailed, _least_qnr_scan, isqrt, primes_up_to
+from .arith import _kernel_of, factorize
 from .bounds import one_d_bound
 from .lowerbound import MIN_PRIME, build_instance, residue_certificate
-from .progression import TwoDAP, cardinality, certify_square_free, is_proper, max_radius
+from .progression import TwoDAP, _max_radius, cardinality, certify_square_free, is_proper
 
 FAMILIES = ("one_d", "lower_bound", "random_local")
 # Most random_local pairs one sweep may take: about 90 s at T = 10^7.
@@ -154,8 +156,9 @@ def _random_local_family(t: int, seed: int, budget: int) -> FamilyBest | None:
             continue
         pairs += 1
         q1, q2 = min(q1, q2), max(q1, q2)
-        x1 = one_d_bound(q1, t)
-        a = TwoDAP(q1, q2, x1, max_radius(q2, q1, x1, t))
+        f1 = factorize(q1)  # once: for X1 and as max_radius's other step
+        x1 = min(t // q1, _kernel_of(f1) - 1)  # one_d_bound(q1, t)
+        a = TwoDAP(q1, q2, x1, _max_radius(q2, q1, f1, x1, t))
         if not is_proper(a):
             continue
         cand = (cardinality(a), -q1, -q2, a)

@@ -441,7 +441,7 @@ def _names_reached(*fns) -> set[str]:
 
 # What the row searches (max_radius and the row route) are built from, and
 # what the brute-force oracle is built from.
-ROW_SEARCH = {"sqrt_classes", "factorize", "max_radius", "_nearest_square", "_walk_rows"}
+ROW_SEARCH = {"sqrt_classes", "factorize", "max_radius", "_max_radius", "_nearest_square", "_walk_rows"}
 ORACLE = {"brute_force_witness", "_row_scan", "_pair_scan", "_least", "_squares_through", "_square_table"}
 
 

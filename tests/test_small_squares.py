@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from sqavoid import arith, small_squares
 from sqavoid.arith import DomainError, TooLarge, sqrt_mod
 from sqavoid.progression import SquareWitness
 from sqavoid.small_squares import (
+    _SQRT_TABLE_BOUND,
     SmallSquareTrace,
     SurveyReport,
     _sqrt_solver,
@@ -226,6 +228,15 @@ def test_canonical_sqrt_routes_agree():
     _sqrt_table.cache_clear()
 
 
+def test_sqrt_table_is_the_plain_definition():
+    for m in range(1, 2001):
+        want: dict[int, int] = {}
+        for z in range(m):
+            want.setdefault(z * z % m, z)
+        assert _sqrt_table(m) == want, m
+    _sqrt_table.cache_clear()
+
+
 def test_large_modulus_is_factored_once(monkeypatch):
     # Above the table bound the scan tries 11 multipliers b; one
     # factorization of q1 serves all of them.
@@ -374,3 +385,47 @@ def test_survey_refuses_bad_arguments():
     for q_min in (0, -3):
         with pytest.raises(DomainError, match="q_min"):
             small_square_survey(60, q_min=q_min)
+
+
+def test_survey_above_the_table_bound_factors_each_row_once(monkeypatch):
+    q_min, q_max = _SQRT_TABLE_BOUND, _SQRT_TABLE_BOUND + 12
+    want_report, want_rows = reference_survey(q_max, q_min)
+    calls, factor = [], arith.factorize
+    monkeypatch.setattr(small_squares, "factorize", lambda n: calls.append(n) or factor(n))
+    rows = []
+    report = small_square_survey(q_max, q_min=q_min, on_row=rows.append)
+    assert rows == want_rows and report == want_report
+    assert calls == list(range(q_min + 1, q_max + 1))  # q_min itself takes the table
+
+
+_FORGED_ROOTS = textwrap.dedent(
+    """
+    import dataclasses
+    import sys
+    from sqavoid import small_squares
+    from sqavoid.arith import VerificationFailed
+
+    if not sys.flags.optimize:
+        sys.exit("expected to run under python -O")
+    trace = small_squares.construct_small_square(5, 7, 3)
+    try:
+        dataclasses.replace(trace, c=1).validate()  # 1^2 != 2*7 (mod 5)
+    except VerificationFailed:
+        pass
+    else:
+        sys.exit("a forged trace passed validate()")
+    # Every class gets the root 1: a unit, but seldom a root of b*q2.
+    small_squares._sqrt_solver = lambda m: lambda a: 1
+    try:
+        small_squares.small_square_survey(40)
+    except VerificationFailed:
+        pass
+    else:
+        sys.exit("a survey on forged roots passed")
+    """
+)
+
+
+def test_survey_checks_survive_optimized_mode(run_python):
+    proc = run_python("-O", "-c", _FORGED_ROOTS)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from sqavoid import arith, progression
 from sqavoid.arith import (
     DomainError,
     VerificationFailed,
@@ -22,7 +23,7 @@ from sqavoid.arith import (
 )
 from sqavoid.cli import main
 from sqavoid.lowerbound import MIN_PRIME, build_instance
-from sqavoid.progression import TwoDAP, cardinality, certify_square_free, is_proper, max_radius
+from sqavoid.progression import TwoDAP, cardinality, certify_square_free, is_proper
 from sqavoid.sweep import (
     MAX_BUDGET,
     FamilyBest,
@@ -180,12 +181,13 @@ def test_random_local_family_is_deterministic():
 def test_random_local_work_is_its_budget_for_every_seed(monkeypatch):
     """One max_radius walk per coprime pair: exactly `budget` walks."""
     walks = []
+    kernel = sweep_module._max_radius
 
-    def counted(q, other_q, other_r, t):
+    def counted(q, other_q, fo, other_r, t):
         walks.append((q, other_q, other_r))
-        return max_radius(q, other_q, other_r, t)
+        return kernel(q, other_q, fo, other_r, t)
 
-    monkeypatch.setattr(sweep_module, "max_radius", counted)
+    monkeypatch.setattr(sweep_module, "_max_radius", counted)
     t, budget = 1_000_000, 30
     for seed in range(5):
         walks.clear()
@@ -193,6 +195,33 @@ def test_random_local_work_is_its_budget_for_every_seed(monkeypatch):
         assert len(walks) == budget, seed
         assert all(math.gcd(q, other_q) == 1 for q, other_q, _ in walks)
         assert fb.progression.value_bound() <= t
+
+
+def test_random_local_factors_q1_once_per_pair(monkeypatch):
+    # X1's kernel and the row walk's other step share one factorization of
+    # q1; the walk may factor q2 for its rows y, and nothing else.
+    walks, factored = [], []
+    factor, kernel = arith.factorize, sweep_module._max_radius
+
+    def counted_factorize(n):
+        factored.append(n)
+        return factor(n)
+
+    def counted_kernel(q, other_q, fo, other_r, t):
+        r = kernel(q, other_q, fo, other_r, t)
+        walks.append((other_q, q, factored[:]))  # the pair's calls, the walk's included
+        factored.clear()
+        return r
+
+    for module in (arith, progression, sweep_module):
+        monkeypatch.setattr(module, "factorize", counted_factorize)
+    monkeypatch.setattr(sweep_module, "_max_radius", counted_kernel)
+    for t, seed in ((5_200_000, 1), (7_300_000, 2), (9_700_000, 3)):
+        walks.clear()
+        _random_local_family(t, seed=seed, budget=200)
+        assert len(walks) == 200
+        for q1, q2, calls in walks:
+            assert calls.count(q1) == 1 and set(calls) <= {q1, q2}, (t, q1, q2, calls)
 
 
 # ------------------------------------------------------------ full sweep
