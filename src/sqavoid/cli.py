@@ -22,7 +22,8 @@ record field is encoded by `sqavoid.formats`: `record` for a library
 dataclass, `value` for a single field, so JSONL and CSV carry the same
 strings.  Records go to --output (default stdout) as JSON lines or CSV; a
 short human summary goes to stderr.  Exit codes: 0 success/certified,
-1 witness found, 2 usage, domain or internal error.  Field names and
+1 witness found, 2 usage, domain or internal error, or an --output that
+cannot be opened (tried before the command runs).  Field names and
 columns are documented in docs/schema.md and stamped with schema_version.
 
 `main` parses with one parser per process, built on its first call (not at
@@ -33,17 +34,19 @@ fresh parser each time it is called.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
 import sys
 from fractions import Fraction
 
-from .arith import DomainError, TooLarge
+from .arith import TooLarge
 from .bounds import COMPONENTS, exponent_surface, surface_supremum
 from .formats import SCHEMA_VERSION, record, value
 from .lattice import reduce_recursive
 from .lowerbound import (
+    MIN_PRIME,
     build_instance,
     least_nonresidue_scan,
     residue_certificate,
@@ -69,7 +72,10 @@ def _int(s: str) -> int:
 
 
 def _rational(s: str) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:  # argparse reports a ValueError as a usage error
+        raise ValueError(s) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scan-nqr", parents=[common], help="least non-residue scan")
     sp.add_argument("--p-max", type=_int, required=True)
-    sp.add_argument("--p-min", type=_int, default=13)
+    sp.add_argument("--p-min", type=_int, default=MIN_PRIME)
 
     sp = sub.add_parser("exponent", parents=[common], help="exponent surface and supremum")
     sp.add_argument("--grid", type=_int, required=True)
@@ -244,8 +250,6 @@ def _record_grid_points(surface, grid, records):
 
 
 def _cmd_exponent(args):
-    if args.grid < 1:
-        raise DomainError(f"grid resolution must be >= 1, got {args.grid}")
     records = []
     surface = exponent_surface(args.grid, b_max=args.b_max, component=args.component)
     sup, points = surface_supremum(_record_grid_points(surface, args.grid, records))
@@ -336,15 +340,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        records, code, summary = _HANDLERS[args.command](args)
-    except Exception as e:  # exit 1 means a witness, so any failure maps to exit 2
-        records = [{"kind": "Error", "error": type(e).__name__, "message": str(e)}]
-        code, summary = EXIT_ERROR, f"error: {e}"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            _emit(records, args.format, fh)
-    else:
-        _emit(records, args.format, sys.stdout)
+        out = open(args.output, "w", encoding="utf-8", newline="") if args.output else None
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_ERROR
+    with out or contextlib.nullcontext(sys.stdout) as stream:
+        try:
+            records, code, summary = _HANDLERS[args.command](args)
+        except Exception as e:  # exit 1 means a witness, so any failure maps to exit 2
+            records = [{"kind": "Error", "error": type(e).__name__, "message": str(e)}]
+            code, summary = EXIT_ERROR, f"error: {e}"
+        _emit(records, args.format, stream)
     print(summary, file=sys.stderr)
     return code
 

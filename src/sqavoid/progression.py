@@ -14,7 +14,7 @@ q1 past 10^12, and cannot foresee an early witness):
 
 * `walk_roots` walks n = 1, 2, ... up to sqrt(min(T, value bound)),
   skipping the n whose square is not x2*q2 modulo q1 for any |x2| <= X2
-  (found once by squaring every residue modulo q1).  For each root it
+  (found by squaring s <= q1/2 modulo q1 as it goes).  For each root it
   visits, the admissible x1 are one residue class modulo q2/gcd(q1, q2)
   intersected with one interval, so the least-|x1| member has a closed
   form: O(1) integer operations per root, whatever the radii;
@@ -49,7 +49,7 @@ from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, islice, repeat, tee
 from operator import mod, mul
 
 from .arith import (
@@ -67,8 +67,7 @@ BRUTE_FORCE_GUARD = 100_000_000
 # Roots one witness walk, or rows one row route or radius walk, may visit:
 # isqrt of the largest sweep T, 10^16.
 ROOT_WALK_LIMIT = 100_000_000
-# Largest q1 whose square residues a witness walk scans to skip roots: the
-# scan holds at most this many residues at once.
+# Most residues, and most root classes, a witness walk's filter holds at once.
 RESIDUE_SCAN_LIMIT = 1 << 20
 # Roots whose squares the brute-force oracle keeps between calls: 2^16
 # squares, about 6 MiB.  A call that needs more builds its own set.
@@ -149,32 +148,33 @@ def _root_blocks(q1: int, q2: int, b2: int, top: int) -> Iterator[Iterable[int]]
 
     A witness n^2 = x1*q1 + x2*q2 has n^2 = x2*q2 (mod q1) with |x2| <= b2,
     so n lies in the classes C modulo q1 whose squares are such residues.
-    The filter is used only when it can pay and stays bounded: the residues
-    x2*q2 miss some class (2*b2 + 1 < q1), at most RESIDUE_SCAN_LIMIT of
-    them are held (2*b2 < RESIDUE_SCAN_LIMIT) and at most that many squares
-    are scanned (min(q1, top) <= RESIDUE_SCAN_LIMIT).
-    A walk that ends before q1 (top < q1) tests each n = 1 .. top itself,
-    squaring at C speed.  A longer walk finds C by squaring s = 0 .. q1 // 2
-    at C speed (s and q1 - s have one square; 0 is always in C, as x2 = 0
-    is allowed, and stands for q1), and each block holds one period's
-    members of C, provided C holds at most half the classes.  Otherwise
-    every root is a candidate, in one block.
+    If the residues miss some class (2*b2 + 1 < q1) and fit under
+    RESIDUE_SCAN_LIMIT, the first block is C's members s <= min(q1 // 2,
+    top), found by squaring at C speed as the walk asks for them, so a walk
+    that stops early stops the scan.  s and q1 - s have one square, and 0,
+    always in C (x2 = 0), stands for q1: the next blocks hold the rest of C,
+    one period each, trimmed to top.  The scan stops once it has kept
+    RESIDUE_SCAN_LIMIT // 2 + 1 members; if it stops so, or C holds over
+    half the classes, the last block is every root past the last one kept.
     """
-    if 2 * b2 + 1 < q1 and 2 * b2 < RESIDUE_SCAN_LIMIT and min(q1, top) <= RESIDUE_SCAN_LIMIT:
+    last = 0  # the roots up to last are settled
+    if 2 * b2 + 1 < q1 and 2 * b2 < RESIDUE_SCAN_LIMIT:
         wanted = set(map(mod, range(-b2 * q2, b2 * q2 + 1, q2), repeat(q1)))
-        if top < q1:
-            squares = map(mod, accumulate(range(3, 2 * top, 2), initial=1), repeat(q1))
-            yield compress(range(1, top + 1), map(wanted.__contains__, squares))
-            return
-        half = range(q1 // 2 + 1)
+        half = range(min(q1 // 2, top) + 1)
         squares = map(mod, accumulate(range(1, 2 * len(half) - 1, 2), initial=0), repeat(q1))
-        roots = list(compress(half, map(wanted.__contains__, squares)))  # roots[0] == 0
-        classes = sorted({q1 - s for s in roots}.union(roots[1:]))
-        if 2 * len(classes) <= q1:
-            for base in range(0, top, q1):
-                yield map(base.__add__, classes[: bisect_right(classes, top - base)])
-            return
-    yield range(1, top + 1)
+        kept = RESIDUE_SCAN_LIMIT // 2
+        scan, held = tee(islice(compress(half, map(wanted.__contains__, squares)), kept + 1))
+        yield islice(scan, 1, None)  # the first s is 0, no root
+        roots = list(held)
+        if len(roots) <= kept:
+            classes = sorted({q1 - s for s in roots}.union(roots[1:]))
+            if 2 * len(classes) <= q1:
+                yield classes[len(roots) - 1 : bisect_right(classes, top)]
+                for base in range(q1, top, q1):
+                    yield map(base.__add__, classes[: bisect_right(classes, top - base)])
+                return
+        last = roots[-1]
+    yield range(last + 1, top + 1)
 
 
 def walk_roots(a: TwoDAP, t: int) -> SquareWitness | None:
@@ -188,7 +188,7 @@ def walk_roots(a: TwoDAP, t: int) -> SquareWitness | None:
     [(k - b2*q2/d) / (q1/d), (k + b2*q2/d) / (q1/d)] clipped to [-b1, b1],
     whose upper end is never negative because k >= 1: O(1) work per root,
     whatever the radii.  So with n_hi the last root and C the classes,
-    the cost is O(min(q1, n_hi)) scan steps at C speed plus
+    the cost is O(min(q1/2, n_hi)) scan steps at C speed plus
     O(n_hi*|C|/q1) visited roots.  The filter squares residues itself,
     sharing nothing with `max_radius`'s modular square roots, so the walk
     stays an independent check of its boxes.  Ties at one n go to the

@@ -206,6 +206,36 @@ def test_lower_rejects_bad_prime_with_exit_two(capsys):
     assert recs[0]["error"] == "BadPrime"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "witness --q1 3 --q2 5 --x1 1/0 --x2 2 --t 25",
+        "verify --q1 3 --q2 5 --x1 2 --x2 3/0 --t 25",
+        "reduce --q1 12 --q2 20 --x1 9 --x2 3/0 --t 10000",
+        "exponent --grid 4 --b-max 1/0",
+    ],
+)
+def test_zero_denominator_is_a_usage_error(capsys, argv):
+    # Exit 1 means a witness; a rational flag that is not a number is a usage error.
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --" in captured.err and "/0'" in captured.err
+
+
+def test_unopenable_output_exits_two(capsys, tmp_path, run_python):
+    for path in (tmp_path / "missing" / "out.jsonl", tmp_path):
+        assert main(["lower", "--p", "13", "--output", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+    proc = run_python("-m", "sqavoid.cli", "lower", "--p", "13", "--output", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
 # ------------------------------------------------------- frozen payloads
 
 

@@ -17,6 +17,7 @@ from sqavoid import progression
 from sqavoid.arith import DomainError, FactorizationFailed, TooLarge, factorize, is_prime, isqrt
 from sqavoid.bounds import one_d_bound
 from sqavoid.formats import record
+from sqavoid.lowerbound import build_instance
 from sqavoid.progression import (
     Certificate,
     SquareWitness,
@@ -211,9 +212,9 @@ def test_find_matches_brute_force_hypothesis(case):
 
 
 def _sieved(a: TwoDAP, t: int) -> bool:
-    """True iff the walk of a up to t skips roots by their residues."""
+    """True iff the walk of a up to t skips roots by their residues to its end."""
     top = min(isqrt(min(t, a.value_bound())), progression.ROOT_WALK_LIMIT)
-    return not isinstance(next(_root_blocks(a.q1, a.q2, a.b2, top)), range)
+    return not any(isinstance(b, range) for b in _root_blocks(a.q1, a.q2, a.b2, top))
 
 
 @st.composite
@@ -249,7 +250,8 @@ def test_sieved_walk_matches_brute_force_hypothesis(case):
 def short_walk_boxes(draw) -> tuple[TwoDAP, int]:
     """Boxes whose walk ends before q1: q1 > isqrt(min(t, value bound)).
 
-    Such a walk tests each root's square against the residues x2*q2 itself.
+    Such a walk squares s only up to min(q1 // 2, its last root), and its
+    one block is trimmed to that root.
     q1 may carry 2^k, 9, 25 or 49 and share a factor g with q2, so squares
     of roots below q1 can still be 0 modulo q1; b2 = 0 gives the one-
     dimensional boxes (q, 1, q - 1, 0) that the sweep's one_d family emits.
@@ -274,10 +276,39 @@ def test_short_walk_matches_brute_force_hypothesis(case):
     assert find_square_witness(a, t) == walk_roots(a, t) == brute_force_witness(a, t)
 
 
+@pytest.mark.parametrize("path", ["filtered", "overflow"])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=sieved_boxes(), limit=st.integers(2, 64))
+def test_capped_filter_matches_brute_force_hypothesis(path, case, limit):
+    # With the class cap patched small, a walk either keeps its filter or,
+    # when its classes overflow the cap, falls back to every root; the
+    # boxes drawn are all filtered under the real cap, so an unfiltered
+    # walk under the patched one is the overflow fallback.
+    a, t = case
+    assume(_sieved(a, t) and 2 * a.b2 < limit)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(progression, "RESIDUE_SCAN_LIMIT", limit)
+        assume(_sieved(a, t) == (path == "filtered"))
+        assert walk_roots(a, t) == brute_force_witness(a, t)
+
+
+def test_walk_past_two_to_the_twenty_is_filtered():
+    # The non-residue box of the first prime p = 1 (mod 4) past 2^20: x2*q2
+    # is a non-residue modulo p for 0 < |x2| <= b2, so the walk visits the
+    # multiples of p alone, not each of its p roots.
+    p = next(p for p in range(2**20 + 1, 2**21, 4) if is_prime(p))
+    a, t = build_instance(p).progression, 2 * p * p
+    assert a.q1 == p > progression.RESIDUE_SCAN_LIMIT
+    assert _sieved(a, t)
+    top = isqrt(min(t, a.value_bound()))
+    assert all(n % p == 0 for block in _root_blocks(a.q1, a.q2, a.b2, top) for n in block)
+    assert walk_roots(a, t) is None
+
+
 def test_unsieved_walks_match_sieved_ones(monkeypatch):
     # Where the filter is off the walk visits every root, with one answer.
     dense = TwoDAP(7, 3, 20, 2)  # x2*q2 hits 5 of 7 residues: most classes
-    wide = TwoDAP(2003, 2005, 2002, 1)  # n_hi < q1 below t = 2003^2: n scanned directly
+    wide = TwoDAP(2003, 2005, 2002, 1)  # n_hi < q1 below t = 2003^2: one trimmed period
     full = TwoDAP(2003, 2005, 2002, 1001)  # x2*q2 hits every residue modulo 2003
     cases = [(dense, dense.value_bound()), (wide, 2002**2), (wide, 2003**2), (full, 2002**2)]
     assert [_sieved(a, t) for a, t in cases] == [False, True, True, False]

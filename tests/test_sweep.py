@@ -296,6 +296,17 @@ def test_sweep_records_frozen_in_the_bench_band(capsys):
     assert "".join(out) == BENCH_BAND.read_text()
 
 
+def test_sweep_records_frozen_past_the_residue_scan_limit(capsys):
+    # `sqavoid sweep --t 4*10^12 --seed S` for S in 0, 1, byte for byte: the
+    # winners' q1 pass RESIDUE_SCAN_LIMIT, so their re-certifying walks are
+    # filtered only because the limit bounds the classes held, not q1.
+    out = []
+    for seed in (0, 1):
+        assert main(["sweep", "--t", str(4 * 10**12), "--seed", str(seed)]) == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == (BENCH_BAND.parent / "sweep_4e12.jsonl").read_text()
+
+
 def test_sweep_best_dominates_families():
     res = sweep(SweepConfig(t=100_000, seed=7, budget=60))
     assert res.best.size == max(fb.size for fb in res.family_bests)
