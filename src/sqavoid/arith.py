@@ -6,9 +6,9 @@ any verdict: inequalities involving fractional powers are decided by integer
 cross-multiplication, and square roots by `math.isqrt`.
 
 The factor-dependent routines (`squarefree_kernel`, `sqrt_mod`,
-`sqrt_classes`) rely on `factorize`, which combines trial division below
-10**6 with Brent's cycle method driven by a deterministic parameter
-schedule, so repeated runs give identical results.
+`is_square_mod`, `sqrt_classes`) rely on `factorize`, which combines trial
+division below 10**6 with Brent's cycle method driven by a deterministic
+parameter schedule, so repeated runs give identical results.
 """
 
 from __future__ import annotations
@@ -298,25 +298,25 @@ def _least_qnr_scan(p: int) -> int:
 def _tonelli_shanks(a: int, p: int) -> int | None:
     """A square root of a modulo an odd prime p, or None.
 
-    Assumes p is an odd prime (callers take it from `factorize`), so
-    residuosity is Euler's criterion, one `pow`, and the non-residue z is
-    the least n >= 2 that fails it, without re-proving p prime.
+    Assumes p is an odd prime (callers take it from `factorize`), so the
+    non-residue z is the least n >= 2 that `is_square_mod` rejects, without
+    re-proving p prime.  A non-residue a is not tested up front: it shows
+    as a candidate root that fails (p = 3 mod 4), or as a^q of order
+    2^s, the whole 2-part of p - 1 = q*2^s.
     """
     a %= p
     if a == 0:
         return 0
-    half = (p - 1) // 2
-    if pow(a, half, p) != 1:
-        return None
     if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
+        r = pow(a, (p + 1) // 4, p)
+        return r if r * r % p == a else None
     # Write p - 1 = q * 2^s with q odd.
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
         s += 1
     z = 2
-    while pow(z, half, p) == 1:
+    while is_square_mod(z, {p: 1}):
         z += 1
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
@@ -324,17 +324,17 @@ def _tonelli_shanks(a: int, p: int) -> int | None:
         while t2 != 1:
             t2 = t2 * t2 % p
             i += 1
+        if i == m:
+            return None
         b = pow(c, 1 << (m - i - 1), p)
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
 
 
-def _roots_mod_odd_prime_power(a: int, p: int, k: int) -> list[int] | None:
-    """All square roots of a unit a modulo p**k, p an odd prime."""
+def _roots_mod_odd_prime_power(a: int, p: int, k: int) -> list[int]:
+    """All square roots of a unit square a modulo p**k, p an odd prime."""
     r = _tonelli_shanks(a % p, p)
-    if r is None:
-        return None
     pe = p
     # Hensel lifting: the root modulo p^j lifts uniquely to p^{j+1}.
     for _ in range(k - 1):
@@ -346,15 +346,13 @@ def _roots_mod_odd_prime_power(a: int, p: int, k: int) -> list[int] | None:
     return sorted({r, pe - r})
 
 
-def _roots_mod_two_power(a: int, k: int) -> list[int] | None:
-    """All square roots of an odd a modulo 2**k."""
+def _roots_mod_two_power(a: int, k: int) -> list[int]:
+    """All square roots of an odd square a modulo 2**k (a = 1 mod 8 for k >= 3)."""
     a %= 1 << k
     if k == 1:
         return [1]
     if k == 2:
-        return [1, 3] if a % 4 == 1 else None
-    if a % 8 != 1:
-        return None
+        return [1, 3]
     # Lift a root from modulus 8 upward one bit at a time.
     r = 1
     for j in range(3, k):
@@ -385,32 +383,55 @@ def sqrt_mod(a: int, m: int) -> int | None:
     return min(sqrt_classes(a, factorize(m))[1], default=None)
 
 
+def is_square_mod(a: int, factors: dict[int, int]) -> bool:
+    """True iff n*n = a (mod m) has a solution, where `factors = factorize(m)`.
+
+    No root is computed.  Per prime power p^k of m, with a = p^j * u and p
+    not dividing u: p^k | a always has the root 0; an odd j has no root;
+    otherwise u needs a root modulo p^(k - j), which for an odd p is
+    Euler's criterion u^((p - 1)/2) = 1 (mod p), and for p = 2 is u = 1
+    modulo 2^min(k - j, 3).  `sqrt_classes` rejects through this.
+    """
+    for p, k in factors.items():
+        u, j = a % p**k, 0
+        if u == 0:
+            continue
+        while u % p == 0:
+            u //= p
+            j += 1
+        if j % 2:
+            return False
+        if p == 2:
+            if u % (1 << min(k - j, 3)) != 1:
+                return False
+        elif pow(u, p >> 1, p) != 1:
+            return False
+    return True
+
+
 def sqrt_classes(a: int, factors: dict[int, int]) -> tuple[int, list[int]]:
     """The square roots of any a modulo m, where `factors = factorize(m)`.
 
     Returns (M, residues) with M | m: n*n = a (mod m) iff n mod M is one of
-    `residues` (empty when a has no root).  Per prime power p^k of m, with
-    j the valuation of a at p: j odd has no root; j >= k needs
+    `residues`, empty when `is_square_mod` finds no root.  Per prime power
+    p^k of m, with j the valuation of a at p: j >= k needs
     n = 0 (mod p^ceil(k/2)); otherwise n = p^(j/2)*s (mod p^(k - j/2)) for
     the roots s of the unit a/p^j modulo p^(k - j).  Reducing the moduli
     this way keeps at most 4*2^omega(m) classes, however square m is.
     """
+    if not is_square_mod(a, factors):
+        return 1, []
     mod, residues = 1, [0]
     for p, k in factors.items():
-        pk = p**k
-        u, j = a % pk, 0
+        u, j = a % p**k, 0
         if u == 0:
             pm, roots = p ** ((k + 1) // 2), [0]
         else:
             while u % p == 0:
                 u //= p
                 j += 1
-            if j % 2:
-                return 1, []
             e = k - j
             roots = _roots_mod_two_power(u, e) if p == 2 else _roots_mod_odd_prime_power(u, p, e)
-            if roots is None:
-                return 1, []
             scale = p ** (j // 2)
             pm = p ** (k - j // 2)
             roots = [scale * s for s in roots]

@@ -67,11 +67,13 @@ EXIT_WITNESS = 1
 EXIT_ERROR = 2
 
 
-def _int(s: str) -> int:
+# argparse names a type function in its usage errors ("invalid integer
+# value: '3x'"), so these carry the plain names.
+def integer(s: str) -> int:
     return int(s, 10)
 
 
-def _rational(s: str) -> Fraction:
+def rational(s: str) -> Fraction:
     try:
         return Fraction(s)
     except ZeroDivisionError:  # argparse reports a ValueError as a usage error
@@ -90,39 +92,39 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def box_args(sp):
-        sp.add_argument("--q1", type=_int, required=True)
-        sp.add_argument("--q2", type=_int, required=True)
-        sp.add_argument("--x1", type=_rational, required=True)
-        sp.add_argument("--x2", type=_rational, required=True)
-        sp.add_argument("--t", type=_int, required=True)
+        sp.add_argument("--q1", type=integer, required=True)
+        sp.add_argument("--q2", type=integer, required=True)
+        sp.add_argument("--x1", type=rational, required=True)
+        sp.add_argument("--x2", type=rational, required=True)
+        sp.add_argument("--t", type=integer, required=True)
 
     box_args(sub.add_parser("witness", parents=[common], help="minimal square witness"))
     sp = sub.add_parser("verify", parents=[common], help="dual-route square-freeness check")
     box_args(sp)
-    sp.add_argument("--guard", type=_int, default=BRUTE_FORCE_GUARD, help="brute-force pair cap")
+    sp.add_argument("--guard", type=integer, default=BRUTE_FORCE_GUARD, help="brute-force pair cap")
 
     sp = sub.add_parser("construct", parents=[common], help="small-square witness with trace")
-    sp.add_argument("--q1", type=_int, required=True)
-    sp.add_argument("--q2", type=_int, required=True)
-    sp.add_argument("--n-cap", type=_int, default=None, help="root budget; default balances the steps")
+    sp.add_argument("--q1", type=integer, required=True)
+    sp.add_argument("--q2", type=integer, required=True)
+    sp.add_argument("--n-cap", type=integer, default=None, help="root budget; default balances the steps")
 
     sp = sub.add_parser("reduce", parents=[common], help="gcd reduction chain")
     box_args(sp)
 
     sp = sub.add_parser("lower", parents=[common], help="non-residue instance for a prime")
-    sp.add_argument("--p", type=_int, required=True)
+    sp.add_argument("--p", type=integer, required=True)
 
     sp = sub.add_parser("scan-nqr", parents=[common], help="least non-residue scan")
-    sp.add_argument("--p-max", type=_int, required=True)
-    sp.add_argument("--p-min", type=_int, default=MIN_PRIME)
+    sp.add_argument("--p-max", type=integer, required=True)
+    sp.add_argument("--p-min", type=integer, default=MIN_PRIME)
 
     sp = sub.add_parser("exponent", parents=[common], help="exponent surface and supremum")
-    sp.add_argument("--grid", type=_int, required=True)
-    sp.add_argument("--b-max", type=_rational, default=None)
+    sp.add_argument("--grid", type=integer, required=True)
+    sp.add_argument("--b-max", type=rational, default=None)
     sp.add_argument("--component", choices=COMPONENTS, default="overall")
 
     sp = sub.add_parser("sweep", parents=[common], help="extremal-search harness")
-    sp.add_argument("--t", type=_int, required=True)
+    sp.add_argument("--t", type=integer, required=True)
     sp.add_argument(
         "--families",
         default=",".join(FAMILIES),
@@ -130,11 +132,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--budget",
-        type=_int,
+        type=integer,
         default=200,
-        help=f"random_local's coprime step pairs (1..{MAX_BUDGET}), one max_radius row walk each",
+        help=f"random_local's coprime step pairs (1..{MAX_BUDGET}), one max_radius row walk each, "
+        "most rows settled without a modular square root",
     )
-    sp.add_argument("--seed", type=_int, default=0, help="seed for random_local's search")
+    sp.add_argument("--seed", type=integer, default=0, help="seed for random_local's search")
 
     return p
 

@@ -35,11 +35,13 @@ commands, searches by the cheaper route.
 `max_radius`, the largest square-free radius r on one axis, also walks
 rows: a row of the box holds a square iff a modular square root lands
 near its centre.  It reads the rows across its own axis, min(r + 1, R,
-room) steps past the centre row, a few modular square roots each; only
-when that walk outlasts the other radius R < room does it factor its
-step and read the 2R + 1 rows along it.  Its boxes are re-certified by
-`certify_square_free`, which always takes the root walk: that walk shares
-no code with `max_radius`, so it stays an independent check of them.
+room) steps past the centre row; only when that walk outlasts the other
+radius R < room does it factor its step and read the 2R + 1 rows along
+it.  Most rows it settles without solving a root: a character test
+(`is_square_mod`), or a row wide enough to span a whole period of roots,
+decides them.  Its boxes are re-certified by `certify_square_free`, which
+always takes the root walk: that walk shares no code with `max_radius`,
+so it stays an independent check of them.
 """
 
 from __future__ import annotations
@@ -57,7 +59,9 @@ from .arith import (
     DomainError,
     FactorizationFailed,
     TooLarge,
+    _kernel_of,
     factorize,
+    is_square_mod,
     isqrt,
     mod_inverse,
     sqrt_classes,
@@ -190,11 +194,11 @@ def walk_roots(a: TwoDAP, t: int) -> SquareWitness | None:
     whatever the radii.  So with n_hi the last root and C the classes,
     the cost is O(min(q1/2, n_hi)) scan steps at C speed plus
     O(n_hi*|C|/q1) visited roots.  The filter squares residues itself,
-    sharing nothing with `max_radius`'s modular square roots, so the walk
-    stays an independent check of its boxes.  Ties at one n go to the
-    smallest |x1|, then to positive x1.  A walk that would pass
-    ROOT_WALK_LIMIT roots still walks that many, returning a witness found
-    among them, and otherwise raises TooLarge.
+    sharing nothing with `max_radius`'s residue tests and modular square
+    roots, so the walk stays an independent check of its boxes.  Ties at
+    one n go to the smallest |x1|, then to positive x1.  A walk that would
+    pass ROOT_WALK_LIMIT roots still walks that many, returning a witness
+    found among them, and otherwise raises TooLarge.
     """
     if t < 0:
         raise DomainError(f"ambient bound must be non-negative, got {t}")
@@ -351,22 +355,33 @@ def max_radius(q: int, other_q: int, other_r: int, t: int) -> int:
 
     The box is searched one row at a time, out from the centre, within the
     room (t - other_r*other_q) // q that the other axis leaves.  Row x
-    (values x*q + y*other_q, |y| <= other_r) holds a square iff the square
-    congruent to x*q modulo other_q that lies nearest x*q is within
-    other_r*other_q of it.  Step k reads rows x = +-k, and a square there
-    makes r = k - 1, so the walk takes min(r + 1, other_r, room) steps past
-    the centre row, a few modular square roots each, with other_q factored
-    once.  If it clears every k <= room, r = room.  If it clears every
+    (values x*q + y*other_q, |y| <= other_r) holds a square iff some n >= 1
+    with n^2 = x*q (mod other_q) has |n^2 - x*q| <= reach = other_r*other_q.
+    Step k reads rows x = +-k, and a square there makes r = k - 1, so the
+    walk takes min(r + 1, other_r, room) steps past the centre row, with
+    other_q factored once.  Each row takes the cheapest test that decides
+    it:
+
+    * the centre row holds a square iff other_r >= kernel(other_q), as
+      other_q*kernel(other_q) is its least (-1 if so);
+    * a row whose residue x*q fails `is_square_mod` holds no square;
+    * the n with |n^2 - x*q| <= reach form an interval; if it holds
+      other_q integers it meets every root class, so the row holds one;
+    * otherwise `_nearest_square` solves the roots (a few modular square
+      roots) and finds the square nearest x*q.
+
+    If the walk clears every k <= room, r = room.  If it clears every
     k <= other_r < room, only then is q factored and are the
     2*other_r + 1 rows y read (values y*other_q + x*q, |x| <= room): each
-    has its least-|x| square at the square congruent to y*other_q modulo
-    q that lies nearest y*other_q, and r is the least such |x| less one,
-    or room if none lies inside it.  `factorize` cannot fail below 10^12,
-    and sweep steps stay below 2*10^8; past 3.3*10^24 it can raise
-    DomainError, which a huge q then does only when the rows y are read.
-    As r <= min(q - 1, t // q), the walk takes O(sqrt(t)) steps at worst;
-    one that would pass step ROOT_WALK_LIMIT raises TooLarge.  Returns -1
-    when even r = 0 holds a square.
+    that passes `is_square_mod` has its least-|x| square at the square
+    congruent to y*other_q modulo q that lies nearest y*other_q, and r is
+    the least such |x| less one, or room if none lies inside it.
+    `factorize` cannot fail below 10^12, and sweep steps stay below
+    2*10^8; past 3.3*10^24 it can raise DomainError, which a huge q then
+    does only when the rows y are read.  As r <= min(q - 1, t // q), the
+    walk takes O(sqrt(t)) steps at worst; one that would pass step
+    ROOT_WALK_LIMIT raises TooLarge.  Returns -1 when even r = 0 holds a
+    square.
     """
     if q < 1 or other_q < 1:
         raise DomainError(f"steps must be positive, got ({q}, {other_q})")
@@ -382,11 +397,25 @@ def _max_radius(q: int, other_q: int, fo: dict[int, int], other_r: int, t: int) 
     """`max_radius` on checked arguments, with fo = factorize(other_q)."""
     reach = other_r * other_q
     room = (t - reach) // q
-    for k in range(min(room, other_r) + 1):
+    # Row x = 0 (values y*other_q) has its least square at y = kernel(other_q).
+    if _kernel_of(fo) <= other_r:
+        return -1
+    for k in range(1, min(room, other_r) + 1):
         if k > ROOT_WALK_LIMIT:
             raise TooLarge(f"the row walk passes {ROOT_WALK_LIMIT} steps")
-        for x in (k, -k) if k else (0,):
-            gap = _nearest_square(x * q, other_q, fo, t)
+        for x in (k, -k):
+            center = x * q
+            if not is_square_mod(center, fo):
+                continue
+            # The n >= 1 with |n^2 - center| <= reach (n^2 <= t follows) run
+            # from lo to isqrt(center + reach), none if center + reach < 1;
+            # other_q consecutive n meet every root class modulo other_q.
+            if center + reach < 1:
+                continue
+            lo = isqrt(max(center - reach, 1) - 1) + 1
+            if isqrt(center + reach) - lo + 1 >= other_q:
+                return k - 1
+            gap = _nearest_square(center, other_q, fo, t)
             if gap is not None and gap <= reach:
                 return k - 1
     if room <= other_r:
@@ -394,9 +423,11 @@ def _max_radius(q: int, other_q: int, fo: dict[int, int], other_r: int, t: int) 
     fq = factorize(q)
     least = room + 1  # least |x| of a square on the rows y
     for y in range(-other_r, other_r + 1):
-        gap = _nearest_square(y * other_q, q, fq, t)
-        if gap is not None and gap // q < least:
-            least = gap // q
+        center = y * other_q
+        if is_square_mod(center, fq):
+            gap = _nearest_square(center, q, fq, t)
+            if gap is not None and gap // q < least:
+                least = gap // q
     return least - 1
 
 
@@ -416,8 +447,9 @@ def certify_square_free(a: TwoDAP, t: int) -> Certificate:
     """Exhaustive verdict by the root walk alone: a witness, or square-freeness.
 
     Always `walk_roots`, never the row route: the sweep re-certifies with
-    this the boxes that `max_radius` found through `sqrt_classes`, and the
-    walk shares no code with that search, so it checks it independently.
+    this the boxes that `max_radius` found through `is_square_mod` and
+    `sqrt_classes`, and the walk shares no code with that search, so it
+    checks it independently.
     """
     return _certificate(a, t, walk_roots)
 

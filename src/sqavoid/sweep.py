@@ -22,9 +22,12 @@ deterministic given the configuration:
                    room) the box is one-dimensional and never beats
                    ``one_d``.  The budget counts pairs, one row walk
                    each: min(X2 + 1, X1, room) steps past the centre,
-                   a few modular square roots per step, and then X1's
-                   2*X1 + 1 rows, with q2 factored, only when the walk
-                   outlasts X1 < room.
+                   and then X1's 2*X1 + 1 rows, with q2 factored, only
+                   when the walk outlasts X1 < room.  Most rows solve no
+                   modular square root (see `max_radius`).  Pairs are
+                   ranked on plain integers; one is built as a box, and
+                   checked for properness, only if it would beat the
+                   best so far.
 
 Within a family ties go to the lexicographically smallest steps; the
 overall best is the largest box, ties to the smallest (q1, q2).  Every
@@ -47,7 +50,7 @@ from .lowerbound import MIN_PRIME, build_instance, residue_certificate
 from .progression import TwoDAP, _max_radius, cardinality, certify_square_free, is_proper
 
 FAMILIES = ("one_d", "lower_bound", "random_local")
-# Most random_local pairs one sweep may take: about 90 s at T = 10^7.
+# Most random_local pairs one sweep may take: about 40 s at T = 10^7.
 MAX_BUDGET = 1_000_000
 
 
@@ -147,7 +150,7 @@ def _lower_bound_family(t: int) -> FamilyBest | None:
 def _random_local_family(t: int, seed: int, budget: int) -> FamilyBest | None:
     rng = Random(seed)
     root = isqrt(t)
-    best: tuple[int, int, int, TwoDAP] | None = None
+    best: tuple[int, int, int, TwoDAP] | None = None  # (size, -q1, -q2, box)
     pairs = 0
     while pairs < budget:
         q1 = rng.randint(2, max(3, 2 * root))
@@ -158,12 +161,13 @@ def _random_local_family(t: int, seed: int, budget: int) -> FamilyBest | None:
         q1, q2 = min(q1, q2), max(q1, q2)
         f1 = factorize(q1)  # once: for X1 and as max_radius's other step
         x1 = min(t // q1, _kernel_of(f1) - 1)  # one_d_bound(q1, t)
-        a = TwoDAP(q1, q2, x1, _max_radius(q2, q1, f1, x1, t))
-        if not is_proper(a):
-            continue
-        cand = (cardinality(a), -q1, -q2, a)
-        if best is None or cand[:3] > best[:3]:
-            best = cand
+        x2 = _max_radius(q2, q1, f1, x1, t)
+        rank = ((2 * x1 + 1) * (2 * x2 + 1), -q1, -q2)
+        # Only a pair that would win is built and checked for properness.
+        if best is None or rank > best[:3]:
+            a = TwoDAP(q1, q2, x1, x2)
+            if is_proper(a):
+                best = (*rank, a)
     if best is None:
         return None
     return FamilyBest("random_local", best[3], best[0])

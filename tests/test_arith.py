@@ -22,6 +22,7 @@ from sqavoid.arith import (
     iroot,
     is_perfect_square,
     is_prime,
+    is_square_mod,
     jacobi,
     least_qnr,
     mod_inverse,
@@ -295,7 +296,9 @@ def test_tonelli_shanks_exhaustive(monkeypatch):
 
 
 def test_sqrt_classes_matches_scan():
-    # Every residue, units, non-units and 0, for every modulus up to 300.
+    # Every residue, units, non-units and 0, for every modulus up to 300;
+    # the character test, which solves no root, agrees with the classes,
+    # also on the negative representative that a row x < 0 hands it.
     for m in range(1, 301):
         factors = factorize(m)
         roots: dict[int, set[int]] = {}
@@ -306,6 +309,8 @@ def test_sqrt_classes_matches_scan():
             assert m % mod == 0, (a, m, mod)
             got = {r + i * mod for r in residues for i in range(m // mod)}
             assert got == roots.get(a, set()), (a, m, mod, residues)
+            has_root = is_square_mod(a, factors)
+            assert has_root == is_square_mod(a - m, factors) == bool(residues) == (a in roots), (a, m)
 
 
 def test_factorize_reconstructs():

@@ -101,6 +101,16 @@ def test_usage_error_exits_two(capsys):
     capsys.readouterr()
 
 
+def test_usage_errors_name_the_expected_type(capsys):
+    for argv, message in (
+        ("witness --q1 3 --q2 5 --x1 1/0 --x2 1 --t 10", "argument --x1: invalid rational value: '1/0'"),
+        ("witness --q1 3x --q2 5 --x1 1 --x2 1 --t 10", "argument --q1: invalid integer value: '3x'"),
+    ):
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {message}" in captured.err
+
+
 def test_huge_sweep_t_is_refused_with_exit_two(capsys):
     code, recs, _ = run(capsys, "sweep", "--t", str(10**19))
     assert code == 2

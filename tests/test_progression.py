@@ -14,7 +14,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sqavoid import progression
-from sqavoid.arith import DomainError, FactorizationFailed, TooLarge, factorize, is_prime, isqrt
+from sqavoid.arith import (
+    DomainError,
+    FactorizationFailed,
+    TooLarge,
+    factorize,
+    is_prime,
+    isqrt,
+    squarefree_kernel,
+)
 from sqavoid.bounds import one_d_bound
 from sqavoid.formats import record
 from sqavoid.lowerbound import build_instance
@@ -472,7 +480,15 @@ def _names_reached(*fns) -> set[str]:
 
 # What the row searches (max_radius and the row route) are built from, and
 # what the brute-force oracle is built from.
-ROW_SEARCH = {"sqrt_classes", "factorize", "max_radius", "_max_radius", "_nearest_square", "_walk_rows"}
+ROW_SEARCH = {
+    "sqrt_classes",
+    "is_square_mod",
+    "factorize",
+    "max_radius",
+    "_max_radius",
+    "_nearest_square",
+    "_walk_rows",
+}
 ORACLE = {"brute_force_witness", "_row_scan", "_pair_scan", "_least", "_squares_through", "_square_table"}
 
 
@@ -571,6 +587,38 @@ def test_max_radius_matches_radius_by_radius_oracle(case):
     assert max_radius(q, other_q, 0, t) == one_d_bound(q, t)
 
 
+@st.composite
+def rootless_radius_cases(draw) -> tuple[int, int, int, int]:
+    """(q, other_q, other_r, t) whose rows the walk often decides without a root.
+
+    The centre row's least square is other_q*kernel(other_q), so
+    other_r >= kernel(other_q) puts it on the centre row, and so does a
+    reach other_r*other_q >= other_q^2: half the cases are such.  In the
+    other half other_r lies in [other_q/2, kernel(other_q)), which leaves
+    the centre clear, and q is drawn so that row x = 1 has
+    other_q^2 - reach <= q <= reach: it spans n = 1 .. isqrt(q + reach)
+    >= other_q, a whole period of root classes.
+    """
+    if draw(st.booleans()):
+        other_q = draw(st.integers(1, 24)) * draw(st.sampled_from([1, 4, 8, 9]))
+        kernel = squarefree_kernel(other_q)
+        other_r = draw(st.one_of(st.integers(kernel, kernel + 4), st.integers(other_q, other_q + 4)))
+        q = draw(st.integers(1, 200))
+    else:
+        other_q = draw(st.integers(2, 60).filter(lambda n: 2 * squarefree_kernel(n) > n + 1))
+        other_r = draw(st.integers((other_q + 1) // 2, squarefree_kernel(other_q) - 1))
+        reach = other_r * other_q
+        q = draw(st.integers(other_q * other_q - reach, reach))
+    return q, other_q, other_r, other_r * other_q + draw(st.integers(0, 40 * q))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rootless_radius_cases())
+def test_max_radius_rootless_rows_match_oracle(case):
+    q, other_q, other_r, t = case
+    assert max_radius(q, other_q, other_r, t) == oracle_max_radius(q, other_q, other_r, t)
+
+
 def test_max_radius_frozen():
     # The lower-bound box (13, 15, 12, 1): x1 = 13 gives 13^2.
     assert max_radius(13, 15, 1, 10**6) == 12
@@ -578,6 +626,9 @@ def test_max_radius_frozen():
     assert max_radius(13, 15, 1, 27) == 0
     # The square 4 = 4*1 + 0*5 at r = 0: no radius works.
     assert max_radius(5, 4, 1, 100) == -1
+    # Row x = 1 (14 + 7y, |y| <= 4) spans n = 1 .. 6, one short of a period,
+    # and misses 14's one root class, n = 0 (mod 7); row 2 holds 7^2 = 28 + 3*7.
+    assert max_radius(14, 7, 4, 56) == 1
     with pytest.raises(DomainError):
         max_radius(13, 15, 1, 14)  # the other axis alone reaches 15
     with pytest.raises(DomainError):
@@ -586,35 +637,57 @@ def test_max_radius_frozen():
         max_radius(13, 15, -1, 100)
 
 
-def _counted_row_search(monkeypatch) -> tuple[list[int], list[int]]:
-    """The steps max_radius factors and the moduli of the rows it reads, in order."""
-    factored, read = [], []
-    factorize_, nearest = progression.factorize, progression._nearest_square
+def _counted_row_search(monkeypatch) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """The steps max_radius factors, the moduli of the rows it examines, and
+    the (centre, modulus) of the rows it solves roots for, in order.
+
+    Every row but the centre row, which has a closed form, first takes the
+    character test `is_square_mod`, so its calls count the rows examined.
+    """
+    factored, read, solved = [], [], []
+    factorize_, residue_test = progression.factorize, progression.is_square_mod
+    nearest = progression._nearest_square
 
     def counted_factorize(n):
         factored.append(n)
         return factorize_(n)
 
+    def counted_residue_test(a, factors):
+        read.append(math.prod(p**k for p, k in factors.items()))
+        return residue_test(a, factors)
+
     def counted_nearest(center, m, factors, t):
-        read.append(m)
+        solved.append((center, m))
         return nearest(center, m, factors, t)
 
     monkeypatch.setattr(progression, "factorize", counted_factorize)
+    monkeypatch.setattr(progression, "is_square_mod", counted_residue_test)
     monkeypatch.setattr(progression, "_nearest_square", counted_nearest)
-    return factored, read
+    return factored, read, solved
+
+
+def _has_root(center: int, m: int) -> bool:
+    return any((n * n - center) % m == 0 for n in range(m))
 
 
 def test_max_radius_walk_ending_early_reads_no_row_y(monkeypatch):
-    factored, read = _counted_row_search(monkeypatch)
+    factored, read, solved = _counted_row_search(monkeypatch)
     # A square on row x = 10, with other_r = 2232 and room 111: rows x only,
-    # at most 1 + 2*10 of them.
+    # x = +-1 .. +-10 at most, as the centre row reads none.
     assert max_radius(2834, 2233, 2232, 5_300_000) == 9
-    assert factored == [2233] and set(read) == {2233} and len(read) <= 21
-    # The room, 0, runs out before other_r = 1: row x = 0 alone.
+    assert factored == [2233] and set(read) == {2233} and len(read) <= 20
+    # Roots are solved only for a row whose residue has them.
+    assert len(solved) <= len(read) and all(_has_root(c, m) for c, m in solved)
+    # The room, 0, runs out before other_r = 1: row x = 0 alone, in closed form.
     factored.clear()
     read.clear()
+    solved.clear()
     assert max_radius(13, 15, 1, 27) == 0
-    assert factored == [15] and read == [15]
+    assert factored == [15] and read == [] and solved == []
+    # Row x = 1 (13 + 15y) spans n = 1 .. 7 >= 7 = other_q and 13 + 15y is a
+    # square mod 7: a whole period of roots decides it, no root solved.
+    assert max_radius(17, 15, 13, 535) == 1 == oracle_max_radius(17, 15, 13, 535)
+    assert read == [15] * 3 and solved == []
 
 
 def test_max_radius_rows_y_decide_past_other_r(monkeypatch):
@@ -630,14 +703,17 @@ def test_max_radius_rows_y_decide_past_other_r(monkeypatch):
         (58, 46, 2, 446, 3),
     ]
     clear = [(43, 26, 1, 218, 4), (59, 22, 0, 91, 1), (58, 26, 1, 1754, 29), (39, 39, 3, 1442, 33)]
-    factored, read = _counted_row_search(monkeypatch)
+    factored, read, solved = _counted_row_search(monkeypatch)
     for q, other_q, other_r, t, r in inside + clear:
         factored.clear()
         read.clear()
+        solved.clear()
         room = (t - other_r * other_q) // q
         assert max_radius(q, other_q, other_r, t) == r, (q, other_q, other_r, t)
         assert factored == [other_q, q] and other_r < room
-        assert read[-(2 * other_r + 1) :] == [q] * (2 * other_r + 1)
+        # Rows x = +-1 .. +-other_r, then exactly the 2*other_r + 1 rows y.
+        assert read == [other_q] * (2 * other_r) + [q] * (2 * other_r + 1)
+        assert all(_has_root(c, m) for c, m in solved)
         assert (r == room) == ((q, other_q, other_r, t, r) in clear)
         assert oracle_max_radius(q, other_q, other_r, t) == r
 

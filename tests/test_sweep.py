@@ -235,7 +235,7 @@ def test_sweep_config_validation():
     assert SweepConfig(t=10**16).t == 10**16
     with pytest.raises(DomainError):
         SweepConfig(t=1000, budget=0)
-    # About 90 us a pair at T = 10^7: a budget past MAX_BUDGET is refused.
+    # About 40 us a pair at T = 10^7: a budget past MAX_BUDGET is refused.
     assert SweepConfig(t=1000, budget=MAX_BUDGET).budget == MAX_BUDGET
     for budget in (MAX_BUDGET + 1, 10**18):
         with pytest.raises(DomainError):
@@ -294,6 +294,16 @@ def test_sweep_records_frozen_in_the_bench_band(capsys):
             assert main(["sweep", "--t", str(t), "--seed", str(seed)]) == 0
             out.append(capsys.readouterr().out)
     assert "".join(out) == BENCH_BAND.read_text()
+
+
+def test_sweep_records_frozen_under_python_O(run_python):
+    # The first sweep of the bench band, in a fresh interpreter under -O:
+    # max_radius's shortcuts and the emission checks rely on no assert.
+    proc = run_python("-O", "-m", "sqavoid.cli", "sweep", "--t", "5000000", "--seed", "0")
+    assert proc.returncode == 0, proc.stderr
+    frozen = BENCH_BAND.read_text().splitlines(keepends=True)
+    first = frozen[: 1 + next(i for i, line in enumerate(frozen) if '"kind": "SweepBest"' in line)]
+    assert len(first) == 4 and proc.stdout == "".join(first)
 
 
 def test_sweep_records_frozen_past_the_residue_scan_limit(capsys):
