@@ -1,9 +1,14 @@
 """Congruence lattices and gcd-driven reduction of progressions.
 
-When d = gcd(q1, q2) >= 2, square values x1*q1 + x2*q2 = n^2 force d | n,
-so the progression collapses onto the sublattice
+When d = gcd(q1, q2) >= 2, every value x1*q1 + x2*q2 is a multiple of d,
+and the values that are multiples of d^2 come from the sublattice
 
     L = {(x1, x2) : x1*(q1/d) + x2*(q2/d) = 0 (mod d)},   det L = d.
+
+A square value lies on L when d is squarefree (then d | n), but not
+always: with steps (4, 8), d = 4, the value 4 = 2^2 is not on L.  Only
+the forward transfer is used: derived values times d^2 are values of the
+original, so a square-free original has a square-free derived instance.
 
 Stretching coordinates by the box aspect ratio U = X2/X1 turns the box
 into a square; the successive minima lambda1 <= lambda2 of the gauge
@@ -203,6 +208,8 @@ def enumerate_gauge_ball(
     `box_minima`; guarded against oversized balls.
     """
     u_ratio = F(u_ratio)
+    if u_ratio <= 0:
+        raise DomainError(f"aspect ratio must be positive, got {u_ratio}")
     un, ud = u_ratio.numerator, u_ratio.denominator
     bound_scaled = F(gsq_bound) * un * ud
     (h11, h12), (_, h22) = lat.rows

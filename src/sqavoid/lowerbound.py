@@ -23,6 +23,7 @@ sqrt(T)*n(p)-point budget a one-dimensional progression could manage, and
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -143,20 +144,23 @@ class NonResidueRecord:
     burgess_ratio: float  # n / p^(1/(4*sqrt(e))), display only
 
 
-def least_nonresidue_scan(
-    p_max: int, p_min: int = MIN_PRIME
-) -> list[NonResidueRecord]:
-    """n(p) for every prime p = 1 (mod 4) in [p_min, p_max], with running
-    records.  Verdict fields are exact; the ratio fields are floats for
-    display and never feed back into any decision.  A p_max above the
-    prime sieve's cap of 10^8 raises DomainError.
+def least_nonresidues(p_max: int, p_min: int = MIN_PRIME) -> Iterator[tuple[int, int]]:
+    """(p, n(p)) for every prime p = 1 (mod 4) in [p_min, p_max], ascending;
+    a p_max above the prime sieve's cap of 10^8 raises DomainError.
+    """
+    for p in primes_up_to(p_max):
+        if p % 4 == 1 and p >= p_min:
+            yield p, _least_qnr_scan(p)
+
+
+def least_nonresidue_scan(p_max: int, p_min: int = MIN_PRIME) -> list[NonResidueRecord]:
+    """`least_nonresidues` with running records.  Verdict fields are exact;
+    the ratio fields are floats for display and never feed back into any
+    decision.
     """
     out: list[NonResidueRecord] = []
     best = 0
-    for p in primes_up_to(p_max):
-        if p % 4 != 1 or p < p_min:
-            continue
-        n = _least_qnr_scan(p)
+    for p, n in least_nonresidues(p_max, p_min):
         rec = n > best
         best = max(best, n)
         out.append(

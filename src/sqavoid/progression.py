@@ -19,10 +19,10 @@ q1 past 10^12, and cannot foresee an early witness):
   intersected with one interval, so the least-|x1| member has a closed
   form: O(1) integer operations per root, whatever the radii;
 * `_walk_rows` reads one row (fixed x2) at a time: a row is a progression
-  with step q1, and its least square is the least n past the row's start
-  in a class of `sqrt_classes(x2*q2 mod q1)`.  It costs `factorize(q1)`
-  plus 2*X2 + 1 rows of a few classes each, so boxes with few rows that
-  reach far, like the paper's non-residue boxes, cost almost nothing.
+  with step q1, and its least square is the `_least_root` past the row's
+  start in the classes of `sqrt_classes(x2*q2 mod q1)`.  It costs
+  `factorize(q1)` plus 2*X2 + 1 rows, so boxes with few rows that reach
+  far, like the paper's non-residue boxes, cost almost nothing.
 
 `brute_force_witness`, the independent oracle, enumerates the whole
 coefficient box row by row against a set of squares (kept across calls
@@ -33,11 +33,12 @@ object-for-object.  `certify_box`, behind the `witness` and `verify`
 commands, searches by the cheaper route.
 
 `max_radius`, the largest square-free radius r on one axis, also walks
-rows: a row of the box holds a square iff a modular square root lands
-near its centre.  It reads the rows across its own axis, min(r + 1, R,
-room) steps past the centre row; only when that walk outlasts the other
-radius R < room does it factor its step and read the 2R + 1 rows along
-it.  Most rows it settles without solving a root: a character test
+rows, asking `_least_root` as the row route does: a row of the box holds
+a square iff a modular square root lands near its centre.  It reads the
+rows across its own axis, min(r + 1, R, room) steps past the centre row;
+only when that walk outlasts R < room does it factor its step and read
+the 2R + 1 rows along it.  Most rows it settles without solving a root:
+a character test
 (`is_square_mod`), or a row wide enough to span a whole period of roots,
 decides them.  Its boxes are re-certified by `certify_square_free`, which
 always takes the root walk: that walk shares no code with `max_radius`,
@@ -245,14 +246,24 @@ def walk_roots(a: TwoDAP, t: int) -> SquareWitness | None:
     return None
 
 
+def _least_root(start: int, m: int, classes: list[int]) -> int:
+    """The least n >= start whose residue modulo m is in `classes` (non-empty).
+
+    The one row question of `_walk_rows` and `max_radius`, over the
+    (m, classes) of `sqrt_classes`.
+    """
+    return min(start + (s - start) % m for s in classes)
+
+
 def _walk_rows(a: TwoDAP, cap: int, factors: dict[int, int]) -> SquareWitness | None:
     """Smallest-square witness in a with n^2 <= cap (cap >= 1), row by row.
 
     `factors = factorize(q1)`.  Row x2 holds the values x2*q2 + x1*q1 with
     x1 clipped to [lo, hi] so that they lie in [1, cap]: a progression with
     step q1.  Its squares are the n^2 = x2*q2 (mod q1) between its ends, so
-    its least square is at the least n >= isqrt(first - 1) + 1 in a class
-    of `sqrt_classes(x2*q2 mod q1)`, if that n^2 <= last.  Rows with one
+    its least square, the only one that can win the tie-break, is at
+    `_least_root(isqrt(first - 1) + 1, ...)` over the classes of
+    `sqrt_classes(x2*q2 mod q1)`, if that n^2 <= last.  Rows with one
     residue share their classes.  The cost is 2*b2 + 1 rows of at most
     2^(omega(q1) + 1) classes each, whatever the radius along q1.  Rows are
     merged under the usual tie-break (n, |x1|, x1 < 0), computed here so
@@ -272,15 +283,14 @@ def _walk_rows(a: TwoDAP, cap: int, factors: dict[int, int]) -> SquareWitness | 
         if residue not in classes_of:
             classes_of[residue] = sqrt_classes(residue, factors)
         m, classes = classes_of[residue]
-        start = isqrt(base + lo * q1 - 1) + 1
-        last = base + hi * q1
-        for s in classes:
-            n = start + (s - start) % m
-            if n * n <= last:
-                x1 = (n * n - base) // q1
-                key = (n, abs(x1), x1 < 0)
-                if best is None or key < best[0]:
-                    best = (key, SquareWitness(x1, x2, n))
+        if not classes:
+            continue
+        n = _least_root(isqrt(base + lo * q1 - 1) + 1, m, classes)
+        if n * n <= base + hi * q1:
+            x1 = (n * n - base) // q1
+            key = (n, abs(x1), x1 < 0)
+            if best is None or key < best[0]:
+                best = (key, SquareWitness(x1, x2, n))
     return None if best is None else best[1]
 
 
@@ -330,26 +340,6 @@ def find_square_witness(a: TwoDAP, t: int) -> SquareWitness | None:
     return _walk_rows(a, cap, factors)
 
 
-def _nearest_square(center: int, m: int, factors: dict[int, int], t: int) -> int | None:
-    """Least |n^2 - center| over n >= 1 with n^2 <= t and n^2 = center (mod m).
-
-    `factors = factorize(m)`.  The admissible n are the classes of
-    `sqrt_classes`; |n^2 - center| falls as n climbs to isqrt(center) and
-    rises after it, so each class offers two candidates: its greatest
-    member <= isqrt(center) and its least member above.  None if no n fits.
-    """
-    mod, residues = sqrt_classes(center, factors)
-    c = isqrt(center) if center > 0 else 0
-    top = isqrt(t)
-    best = None
-    for s in residues:
-        below = c - (c - s) % mod
-        for n in (below, below + mod):
-            if 1 <= n <= top and (best is None or abs(n * n - center) < best):
-                best = abs(n * n - center)
-    return best
-
-
 def max_radius(q: int, other_q: int, other_r: int, t: int) -> int:
     """Largest r with TwoDAP(q, other_q, r, other_r) in [-t, t] and square-free.
 
@@ -365,17 +355,17 @@ def max_radius(q: int, other_q: int, other_r: int, t: int) -> int:
     * the centre row holds a square iff other_r >= kernel(other_q), as
       other_q*kernel(other_q) is its least (-1 if so);
     * a row whose residue x*q fails `is_square_mod` holds no square;
-    * the n with |n^2 - x*q| <= reach form an interval; if it holds
-      other_q integers it meets every root class, so the row holds one;
-    * otherwise `_nearest_square` solves the roots (a few modular square
-      roots) and finds the square nearest x*q.
+    * the n with |n^2 - x*q| <= reach form an interval [lo, hi]; if it
+      holds other_q integers it meets every root class, so the row holds one;
+    * otherwise `sqrt_classes` solves the roots (a few modular square
+      roots), and the row holds a square iff `_least_root(lo, ...)` <= hi.
 
     If the walk clears every k <= room, r = room.  If it clears every
     k <= other_r < room, only then is q factored and are the
     2*other_r + 1 rows y read (values y*other_q + x*q, |x| <= room): each
-    that passes `is_square_mod` has its least-|x| square at the square
-    congruent to y*other_q modulo q that lies nearest y*other_q, and r is
-    the least such |x| less one, or room if none lies inside it.
+    that passes `is_square_mod` has its least-|x| square at the least root
+    above c = isqrt(max(y*other_q, 0)) or the greatest root in [1, c], and
+    r is the least such |x| less one, or room if none lies inside it.
     `factorize` cannot fail below 10^12, and sweep steps stay below
     2*10^8; past 3.3*10^24 it can raise DomainError, which a huge q then
     does only when the rows y are read.  As r <= min(q - 1, t // q), the
@@ -408,15 +398,12 @@ def _max_radius(q: int, other_q: int, fo: dict[int, int], other_r: int, t: int) 
             if not is_square_mod(center, fo):
                 continue
             # The n >= 1 with |n^2 - center| <= reach (n^2 <= t follows) run
-            # from lo to isqrt(center + reach), none if center + reach < 1;
-            # other_q consecutive n meet every root class modulo other_q.
+            # from lo to hi, none if center + reach < 1; other_q consecutive
+            # n meet every root class.
             if center + reach < 1:
                 continue
-            lo = isqrt(max(center - reach, 1) - 1) + 1
-            if isqrt(center + reach) - lo + 1 >= other_q:
-                return k - 1
-            gap = _nearest_square(center, other_q, fo, t)
-            if gap is not None and gap <= reach:
+            lo, hi = isqrt(max(center - reach, 1) - 1) + 1, isqrt(center + reach)
+            if hi - lo + 1 >= other_q or _least_root(lo, *sqrt_classes(center, fo)) <= hi:
                 return k - 1
     if room <= other_r:
         return room
@@ -425,9 +412,12 @@ def _max_radius(q: int, other_q: int, fo: dict[int, int], other_r: int, t: int) 
     for y in range(-other_r, other_r + 1):
         center = y * other_q
         if is_square_mod(center, fq):
-            gap = _nearest_square(center, q, fq, t)
-            if gap is not None and gap // q < least:
-                least = gap // q
+            # Roots come in pairs +-n, so -_least_root(-c) is the greatest <= c.
+            m, classes = sqrt_classes(center, fq)
+            c = isqrt(max(center, 0))
+            for n in (_least_root(c + 1, m, classes), -_least_root(-c, m, classes)):
+                if n >= 1:
+                    least = min(least, abs(n * n - center) // q)
     return least - 1
 
 

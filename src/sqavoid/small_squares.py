@@ -10,8 +10,8 @@ square value with controlled coefficients:
    take the largest denominator n <= N; then the nearest-integer residue
    approx_d = n*c_bar + m*q1 satisfies |approx_d| <= q1/N;
 4. output x2 = b*approx_d^2 and x1 = (n^2 - b*q2*approx_d^2)/q1, which is
-   an exact integer because b*q2*approx_d^2 = (n*c*approx_d... ) = n^2
-   modulo q1 by construction.
+   an exact integer: approx_d = n*c_bar and b*q2 = c^2 (mod q1), so
+   b*q2*approx_d^2 = c^2*n^2*c_bar^2 = n^2 (mod q1).
 
 The scan in step 1 terminates within the *cover height* H(q1): the
 smallest h such that every unit modulo q1 is y*z^2 with |y| <= h.  The
@@ -236,6 +236,8 @@ def brute_force_small_square(q1: int, q2: int, n_cap: int) -> SquareWitness:
     Independent of the constructive route; intended as a test oracle for
     small inputs.  Raises NotFound if the box contains no representation.
     """
+    if q1 < 1 or q2 < 1:
+        raise DomainError(f"steps must be positive, got ({q1}, {q2})")
     if math.gcd(q1, q2) != 1:
         raise DomainError(f"steps must be coprime, got ({q1}, {q2})")
     box = q2 * q2

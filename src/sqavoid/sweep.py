@@ -43,10 +43,9 @@ import math
 from dataclasses import dataclass
 from random import Random
 
-from .arith import PRIME_SIEVE_LIMIT, DomainError, VerificationFailed, _least_qnr_scan, isqrt, primes_up_to
-from .arith import _kernel_of, factorize
+from .arith import PRIME_SIEVE_LIMIT, DomainError, VerificationFailed, _kernel_of, factorize, isqrt
 from .bounds import one_d_bound
-from .lowerbound import MIN_PRIME, build_instance, residue_certificate
+from .lowerbound import build_instance, least_nonresidues, residue_certificate
 from .progression import TwoDAP, _max_radius, cardinality, certify_square_free, is_proper
 
 FAMILIES = ("one_d", "lower_bound", "random_local")
@@ -128,10 +127,7 @@ def _lower_bound_family(t: int) -> FamilyBest | None:
     against them and certified.
     """
     best = None  # (size, value bound, p)
-    for p in primes_up_to(isqrt(t)):
-        if p % 4 != 1 or p < MIN_PRIME:
-            continue
-        n = _least_qnr_scan(p)
+    for p, n in least_nonresidues(isqrt(t)):
         size, bound = (2 * p - 1) * (2 * n - 1), (p - 1) * p + (n - 1) * (p + n)
         if bound <= t and (best is None or size > best[0]):  # ties to the smaller p
             best = (size, bound, p)

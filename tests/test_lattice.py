@@ -261,6 +261,17 @@ def test_enumerate_gauge_ball_matches_oracle():
         assert got == want
 
 
+def test_enumerate_gauge_ball_refuses_what_box_minima_refuses():
+    # A non-positive aspect ratio has no gauge: both refuse it at once,
+    # before any enumeration.
+    lat = congruence_lattice(6, 1, 1)
+    for u_ratio in (F(-1), F(-1, 2), F(0)):
+        with pytest.raises(DomainError, match="aspect ratio must be positive"):
+            enumerate_gauge_ball(lat, u_ratio, F(4))
+        with pytest.raises(DomainError, match="aspect ratio must be positive"):
+            box_minima(lat, u_ratio)
+
+
 # --------------------------------------------------------- single steps
 
 

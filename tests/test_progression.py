@@ -21,6 +21,7 @@ from sqavoid.arith import (
     factorize,
     is_prime,
     isqrt,
+    sqrt_classes,
     squarefree_kernel,
 )
 from sqavoid.bounds import one_d_bound
@@ -30,6 +31,7 @@ from sqavoid.progression import (
     Certificate,
     SquareWitness,
     TwoDAP,
+    _least_root,
     _pair_scan,
     _root_blocks,
     _row_scan,
@@ -365,6 +367,35 @@ def test_row_route_matches_brute_force_and_walk_hypothesis(case):
     assert rows == brute_force_witness(a, t) == walk_roots(a, t) == find_square_witness(a, t)
 
 
+@st.composite
+def least_root_cases(draw) -> tuple[int, int, list[int]]:
+    """A start (negative, zero or past 2^64), a modulus m >= 1 and a
+    non-empty class list: the roots of some a modulo m from `sqrt_classes`,
+    or any classes, often holding 0 or m/2 (m = 1 holds only 0)."""
+    start = draw(st.one_of(st.just(0), st.integers(-10**4, 10**4), st.integers(-(10**30), 10**30)))
+    m = draw(st.one_of(st.just(1), st.integers(1, 64), st.sampled_from([2**7, 3**4, 4 * 25, 8 * 49])))
+    if draw(st.booleans()):
+        mod, classes = sqrt_classes(draw(st.integers(0, m - 1)), factorize(m))
+        assume(classes)
+        return start, mod, classes
+    classes = set(draw(st.lists(st.integers(0, m - 1), max_size=6)))
+    classes |= draw(st.sampled_from([set(), {0}, {m // 2}, {0, m // 2}]))
+    assume(classes)
+    return start, m, sorted(classes)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(least_root_cases())
+def test_least_root_matches_scan_hypothesis(case):
+    start, m, classes = case
+    assert _least_root(start, m, classes) == next(k for k in range(start, start + m) if k % m in classes)
+    # Classes closed under n -> -n, as roots are, give the greatest member
+    # at or below start too: max_radius's rows y take it so.
+    if {-s % m for s in classes} == set(classes):
+        below = next(k for k in range(start, start - m, -1) if k % m in classes)
+        assert -_least_root(-start, m, classes) == below
+
+
 def test_route_choice(monkeypatch):
     factored = []
     monkeypatch.setattr(progression, "factorize", lambda m: factored.append(m) or factorize(m))
@@ -486,7 +517,7 @@ ROW_SEARCH = {
     "factorize",
     "max_radius",
     "_max_radius",
-    "_nearest_square",
+    "_least_root",
     "_walk_rows",
 }
 ORACLE = {"brute_force_witness", "_row_scan", "_pair_scan", "_least", "_squares_through", "_square_table"}
@@ -629,6 +660,9 @@ def test_max_radius_frozen():
     # Row x = 1 (14 + 7y, |y| <= 4) spans n = 1 .. 6, one short of a period,
     # and misses 14's one root class, n = 0 (mod 7); row 2 holds 7^2 = 28 + 3*7.
     assert max_radius(14, 7, 4, 56) == 1
+    # Rows y: row 1 (15 + 3x) holds 3^2 at x = -2, its root 3 = isqrt(15)
+    # itself, the greatest root at or below the centre.
+    assert max_radius(3, 15, 1, 21) == 1 == oracle_max_radius(3, 15, 1, 21)
     with pytest.raises(DomainError):
         max_radius(13, 15, 1, 14)  # the other axis alone reaches 15
     with pytest.raises(DomainError):
@@ -642,11 +676,12 @@ def _counted_row_search(monkeypatch) -> tuple[list[int], list[int], list[tuple[i
     the (centre, modulus) of the rows it solves roots for, in order.
 
     Every row but the centre row, which has a closed form, first takes the
-    character test `is_square_mod`, so its calls count the rows examined.
+    character test `is_square_mod`, so its calls count the rows examined;
+    a row solves roots through `sqrt_classes`, so its calls count those.
     """
     factored, read, solved = [], [], []
     factorize_, residue_test = progression.factorize, progression.is_square_mod
-    nearest = progression._nearest_square
+    classes_of = progression.sqrt_classes
 
     def counted_factorize(n):
         factored.append(n)
@@ -656,13 +691,13 @@ def _counted_row_search(monkeypatch) -> tuple[list[int], list[int], list[tuple[i
         read.append(math.prod(p**k for p, k in factors.items()))
         return residue_test(a, factors)
 
-    def counted_nearest(center, m, factors, t):
-        solved.append((center, m))
-        return nearest(center, m, factors, t)
+    def counted_classes(center, factors):
+        solved.append((center, math.prod(p**k for p, k in factors.items())))
+        return classes_of(center, factors)
 
     monkeypatch.setattr(progression, "factorize", counted_factorize)
     monkeypatch.setattr(progression, "is_square_mod", counted_residue_test)
-    monkeypatch.setattr(progression, "_nearest_square", counted_nearest)
+    monkeypatch.setattr(progression, "sqrt_classes", counted_classes)
     return factored, read, solved
 
 

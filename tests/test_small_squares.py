@@ -274,6 +274,13 @@ def test_brute_force_small_square_matches_oracle():
             assert brute_force_small_square(q1, q2, 5) == want, (q1, q2)
 
 
+def test_brute_force_small_square_refuses_non_positive_steps():
+    # (1, 0) is coprime, but a zero step has no classes to scan.
+    for q1, q2 in ((1, 0), (0, 1), (-1, 2), (3, -5)):
+        with pytest.raises(DomainError, match="steps must be positive"):
+            brute_force_small_square(q1, q2, 3)
+
+
 def test_construction_dominated_by_minimal():
     # The constructive witness can never beat the exhaustive minimizer.
     rng = random.Random(3)

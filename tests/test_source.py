@@ -49,3 +49,37 @@ def test_no_unused_module_level_import():
         used |= _exported(tree)
         found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert not found, f"unused imports: {found}"
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level private functions, classes and assigned names."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names read, attributes taken and names imported anywhere in a module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {alias.name for alias in node.names}
+    return found
+
+
+def test_every_private_name_has_a_caller():
+    # A private helper whose last caller has gone is dead code.
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in sorted(PACKAGE.rglob("*.py"))]
+    private = set().union(*map(_private_definitions, trees))
+    assert len(private) > 40
+    referenced = set().union(*map(_references, trees))
+    assert not private - referenced, f"private names nothing refers to: {sorted(private - referenced)}"
