@@ -56,6 +56,6 @@ for fb in result.family_bests:
 best = result.best
 print(f"overall best: {best.family} with {best.size} pairs "
       f"(= {cardinality(best.progression)} re-counted)")
-print(f"  size / T^(20/27)      = {result.ratio_to_t_20_27}")
-print(f"  size / (sqrt(T) ln T) = {result.ratio_to_sqrt_t_log_t}")
+print(f"  size / T^(20/27)      = {result.ratio_to_t_20_27:.6f}")
+print(f"  size / (sqrt(T) ln T) = {result.ratio_to_sqrt_t_log_t:.6f}")
 print(f"  for scale: sqrt(T) = {math.isqrt(t)}")

@@ -313,16 +313,13 @@ class CutoffVerdict:
     trace: SmallSquareTrace | None = None
 
 
-def cutoff_check(
-    q1: int,
-    q2: int,
-    x1bound: Fraction,
-    x2bound: Fraction,
-    ceiling: int = 8,
-) -> CutoffVerdict:
-    """Check the dichotomy: either one radius is below ceiling*sqrt(q2), or
-    the constructive representation (at cap N = ceil(q2^(3/4))) produces a
-    square value inside the box.
+CUTOFF_CEILING = 8
+
+
+def cutoff_check(q1: int, q2: int, x1bound: Fraction, x2bound: Fraction) -> CutoffVerdict:
+    """Check the dichotomy: either one radius is at most
+    CUTOFF_CEILING*sqrt(q2), or the constructive representation (at cap
+    N = ceil(q2^(3/4))) produces a square value inside the box.
 
     A False verdict flags a box where the constructed witness escapes; such
     flags are reported for survey purposes, never asserted, because the
@@ -331,8 +328,8 @@ def cutoff_check(
     if math.gcd(q1, q2) != 1:
         raise DomainError(f"steps must be coprime, got ({q1}, {q2})")
     x1b, x2b = F(x1bound), F(x2bound)
-    big1 = x1b * x1b > ceiling * ceiling * q2
-    big2 = x2b * x2b > ceiling * ceiling * q2
+    big1 = x1b * x1b > CUTOFF_CEILING**2 * q2
+    big2 = x2b * x2b > CUTOFF_CEILING**2 * q2
     if not (big1 and big2):
         return CutoffVerdict(True, "cutoff-holds", None)
     cap = ceil_root_ratio(q2**3, 1, 4)  # ceil(q2^(3/4))

@@ -422,12 +422,10 @@ def _max_radius(q: int, other_q: int, fo: dict[int, int], other_r: int, t: int) 
 
 
 def _certificate(a: TwoDAP, t: int, search) -> Certificate:
-    """A witness from `search(a, t)`, or square-freeness up to min(t, bound)."""
-    if t < 0:
-        raise DomainError(f"ambient bound must be non-negative, got {t}")
-    cap = min(t, a.value_bound())
-    n_max = isqrt(cap) if cap >= 0 else 0
+    """A witness from `search(a, t)`, which refuses t < 0, or square-freeness
+    up to min(t, bound)."""
     w = search(a, t)
+    n_max = isqrt(min(t, a.value_bound()))
     if w is None:
         return Certificate("square_free", None, n_max)
     return Certificate("witness", w, n_max)
@@ -514,24 +512,27 @@ def _pair_scan(a: TwoDAP, cap: int) -> SquareWitness | None:
 
 
 def brute_force_witness(
-    a: TwoDAP, t: int | None = None, guard: int = BRUTE_FORCE_GUARD
+    a: TwoDAP, t: int, guard: int = BRUTE_FORCE_GUARD
 ) -> SquareWitness | None:
     """Independent oracle: enumerate the whole box and pick the minimal witness.
 
-    Applies the same tie-break as `find_square_witness` ((n, |x1|, sign of
-    x1)).  If t is omitted the full value bound is searched.  Refuses boxes
-    with more than `guard` coefficient pairs (TooLarge), so guard = 0
-    refuses every box, and a negative guard (DomainError).  Exact at any
-    integer size.  Scans by rows, unless the box has fewer pairs than there
-    are squares up to the cap (small boxes of huge values), so memory stays
-    O(pairs) beyond the kept table of at most SQUARE_TABLE_ROOTS squares.
+    Searches n^2 <= min(t, value bound) and applies the same tie-break as
+    `find_square_witness` ((n, |x1|, sign of x1)).  Refuses t < 0 as the
+    routes do, a negative guard (DomainError), and boxes with more than
+    `guard` coefficient pairs (TooLarge), so guard = 0 refuses every box.
+    Exact at any integer size.  Scans by rows, unless the box has fewer
+    pairs than there are squares up to the cap (small boxes of huge
+    values), so memory stays O(pairs) beyond the kept table of at most
+    SQUARE_TABLE_ROOTS squares.
     """
+    if t < 0:
+        raise DomainError(f"ambient bound must be non-negative, got {t}")
     if guard < 0:
         raise DomainError(f"guard must be non-negative, got {guard}")
     pairs = cardinality(a)
     if pairs > guard:
         raise TooLarge(f"box has {pairs} pairs, guard is {guard}")
-    cap = a.value_bound() if t is None else min(t, a.value_bound())
+    cap = min(t, a.value_bound())
     if cap < 1:
         return None
     return _pair_scan(a, cap) if isqrt(cap) > pairs else _row_scan(a, cap)

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import repeat
 
 from .arith import (
@@ -38,31 +37,32 @@ from .arith import (
     NotFound,
     TooLarge,
     VerificationFailed,
+    ceil_root_ratio,
     factorize,
-    iroot,
     mod_inverse,
     sqrt_classes,
 )
 from .progression import SquareWitness
 
 COVER_HEIGHT_GUARD = 100_000
-# Below this modulus a cached table of canonical square roots is used;
-# above it the modulus is factored once per scan and each root solved
-# from that factorization.
+# Up to this modulus `_sqrt_solver` builds a table of canonical square
+# roots; above it the modulus is factored once and each root solved from
+# that factorization.
 _SQRT_TABLE_BOUND = 50_000
 
 
-def square_cover_height(k: int, guard: int = COVER_HEIGHT_GUARD) -> int:
+def square_cover_height(k: int) -> int:
     """Smallest h such that every x coprime to k is y*z^2 (mod k), |y| <= h.
 
     Only units y and z can contribute to covering a unit x, so the scan
     marks +/- y * (unit squares) for y = 1, 2, ... until all units are
     covered.  By convention the degenerate moduli 1 and 2 give height 1.
+    Refuses k < 1 (DomainError) and k past COVER_HEIGHT_GUARD (TooLarge).
     """
     if k < 1:
         raise DomainError(f"modulus must be positive, got {k}")
-    if k > guard:
-        raise TooLarge(f"cover height guard is {guard}, got modulus {k}")
+    if k > COVER_HEIGHT_GUARD:
+        raise TooLarge(f"cover height guard is {COVER_HEIGHT_GUARD}, got modulus {k}")
     if k <= 2:
         return 1
     is_unit = bytearray(k)
@@ -87,7 +87,6 @@ def square_cover_height(k: int, guard: int = COVER_HEIGHT_GUARD) -> int:
     raise NotFound(f"cover scan exhausted for modulus {k}")  # pragma: no cover
 
 
-@lru_cache(maxsize=4)
 def _sqrt_table(m: int) -> dict[int, int]:
     """Canonical square roots modulo m: {z*z % m: smallest such z}.
 
@@ -234,12 +233,15 @@ def brute_force_small_square(q1: int, q2: int, n_cap: int) -> SquareWitness:
     Minimizes max(|x1|, |x2|) over all x1*q1 + x2*q2 = n^2 with n <= n_cap
     and |x1|, |x2| <= q2**2; ties broken by (n, |x1|, sign, |x2|, sign).
     Independent of the constructive route; intended as a test oracle for
-    small inputs.  Raises NotFound if the box contains no representation.
+    small inputs.  Refuses the arguments `construct_small_square` refuses
+    (DomainError); raises NotFound if the box contains no representation.
     """
     if q1 < 1 or q2 < 1:
         raise DomainError(f"steps must be positive, got ({q1}, {q2})")
     if math.gcd(q1, q2) != 1:
         raise DomainError(f"steps must be coprime, got ({q1}, {q2})")
+    if n_cap < 1:
+        raise DomainError(f"size cap must be positive, got {n_cap}")
     box = q2 * q2
     inv = mod_inverse(q1 % q2, q2) if q2 > 1 else 0
     best: tuple[tuple, SquareWitness] | None = None
@@ -267,9 +269,7 @@ def balanced_n(q1: int, q2: int) -> int:
     """
     if q1 < 1 or q2 < 1:
         raise DomainError(f"steps must be positive, got ({q1}, {q2})")
-    target = q1**9 * q2**4
-    r = iroot(target, 16)
-    return r if r**16 == target else r + 1
+    return ceil_root_ratio(q1**9 * q2**4, 1, 16)
 
 
 @dataclass

@@ -68,6 +68,8 @@ class SweepConfig:
             raise DomainError(f"sweep needs T <= 10^16, got {self.t}")
         if not 1 <= self.budget <= MAX_BUDGET:
             raise DomainError(f"budget must be in 1..{MAX_BUDGET}, got {self.budget}")
+        if not self.families:
+            raise DomainError(f"families must name at least one of {', '.join(FAMILIES)}")
         bad = [f for f in self.families if f not in FAMILIES]
         if bad:
             raise DomainError(f"unknown families: {bad}")
@@ -86,8 +88,8 @@ class SweepResult:
     config: SweepConfig
     family_bests: tuple[FamilyBest, ...]
     best: FamilyBest
-    ratio_to_t_20_27: str  # size / T^(20/27), display decimal string
-    ratio_to_sqrt_t_log_t: str  # size / (sqrt(T) * log T), display
+    ratio_to_t_20_27: float  # size / T^(20/27), display only
+    ratio_to_sqrt_t_log_t: float  # size / (sqrt(T) * log T), display only
 
 
 def _one_d_family(t: int) -> FamilyBest:
@@ -197,4 +199,4 @@ def sweep(config: SweepConfig) -> SweepResult:
             raise VerificationFailed(f"{fb.family} box leaves [-{t}, {t}]: {fb.progression}")
     r1 = best.size / t ** (20 / 27)
     r2 = best.size / (math.sqrt(t) * math.log(t))
-    return SweepResult(config, bests, best, f"{r1:.6f}", f"{r2:.6f}")
+    return SweepResult(config, bests, best, r1, r2)

@@ -356,8 +356,108 @@ def test_verify_reduction_random_instances():
                 continue
             step = divide_out_step(q1, q2, x1b, x2b)
         a = TwoDAP(q1, q2, x1b, x2b)
-        verdict = verify_reduction(step, a, 40_000, rng=random.Random(7))
+        verdict = verify_reduction(step, a, 40_000)
         assert verdict.ok, (q1, q2, x1b, x2b, verdict.checks)
+
+
+_EXACT_EMBEDDING = textwrap.dedent(
+    """
+    import math
+    import sys
+    from dataclasses import replace
+    from fractions import Fraction
+    from random import Random
+
+    from sqavoid.lattice import congruence_lattice, divide_out_step, reduce_step, verify_reduction
+    from sqavoid.progression import TwoDAP
+
+    if not sys.flags.optimize:
+        sys.exit("expected to run under python -O")
+
+    def embedding(step, a):
+        return next(ok for name, ok, _ in verify_reduction(step, a, 1000).checks if name == "embedding")
+
+    def every_point_embeds(step, a):
+        # The claim itself, point by point over the whole derived box.
+        q1, q2, x1b, x2b = a.q1, a.q2, Fraction(a.x1bound), Fraction(a.x2bound)
+        if step.swapped:
+            q1, q2, x1b, x2b = q2, q1, x2b, x1b
+        (u1, u2), (v1, v2) = step.u, step.v
+        for a1 in range(-step.xt1_floor, step.xt1_floor + 1):
+            for a2 in range(-step.xt2_floor, step.xt2_floor + 1):
+                y1, y2 = a1 * u1 + a2 * v1, a1 * u2 + a2 * v2
+                if abs(y1) > x1b or abs(y2) > x2b:
+                    return False
+                if y1 * q1 + y2 * q2 != step.d**2 * (a1 * step.p1 + a2 * step.p2):
+                    return False
+        return True
+
+    for step, a in (
+        (reduce_step(6, 10, 4, 4), TwoDAP(6, 10, 4, 4)),
+        (divide_out_step(12, 20, 9, 9), TwoDAP(12, 20, 9, 9)),
+    ):
+        if not embedding(step, a):
+            sys.exit(f"the honest step {step} fails embedding")
+        for forged in (replace(step, p1=step.p1 + 1), replace(step, xt1_floor=step.xt1_floor + 1)):
+            if embedding(forged, a):
+                sys.exit(f"the forged step {forged} passes embedding")
+            if verify_reduction(forged, a, 1000) != verify_reduction(forged, a, 1000):
+                sys.exit(f"two calls disagree on {forged}")
+
+    # Small random steps of both kinds: a third honest, a third with one field
+    # forged, and a third with any small lattice vectors u, v (so the value
+    # identity holds, with p_i = (w . qt) / d) and floors, in a box whose
+    # radii lie within 2 of the widest |y1|, |y2| of the derived box.
+    rng = Random(4177)
+    forgeries = (
+        lambda s: replace(s, p1=s.p1 + rng.choice((-1, 1))),
+        lambda s: replace(s, p2=s.p2 + rng.choice((-1, 1))),
+        lambda s: replace(s, xt1_floor=s.xt1_floor + rng.randint(1, 2)),
+        lambda s: replace(s, xt2_floor=s.xt2_floor + rng.randint(1, 2)),
+        lambda s: replace(s, u=(s.u[0] + rng.choice((-1, 1)), s.u[1])),
+        lambda s: replace(s, v=(s.v[0], s.v[1] + rng.choice((-1, 1)))),
+    )
+    verdicts = []
+    while len(verdicts) < 210:
+        d = rng.randint(2, 12)
+        qt1, qt2 = rng.randint(1, 9), rng.randint(1, 9)
+        if math.gcd(qt1, qt2) != 1:
+            continue
+        x1b = Fraction(rng.randint(3, 30), rng.randint(1, 3))
+        x2b = Fraction(rng.randint(3, 30), rng.randint(1, 3))
+        if rng.random() < 0.5:
+            step = reduce_step(d * qt1, d * qt2, x1b, x2b)
+        elif x1b >= d and x2b >= d:
+            step = divide_out_step(d * qt1, d * qt2, x1b, x2b)
+        else:
+            continue
+        a = TwoDAP(d * qt1, d * qt2, x1b, x2b)
+        kind = len(verdicts) % 3
+        if kind == 1:
+            step = rng.choice(forgeries)(step)
+        elif kind == 2:
+            (h11, h12), (_, h22) = congruence_lattice(d, step.qt1, step.qt2).rows
+            i, j, k, m = (rng.randint(-2, 2) for _ in range(4))
+            u, v = (i * h11, i * h12 + j * h22), (k * h11, k * h12 + m * h22)
+            p1, p2 = ((w[0] * step.qt1 + w[1] * step.qt2) // d for w in (u, v))
+            b1t, b2t = rng.randint(0, 4), rng.randint(0, 4)
+            step = replace(step, u=u, v=v, p1=p1, p2=p2, xt1_floor=b1t, xt2_floor=b2t)
+            r1, r2 = (max(0, b1t * abs(wu) + b2t * abs(wv) + rng.randint(-2, 1)) for wu, wv in zip(u, v))
+            a = TwoDAP(a.q1, a.q2, *((r2, r1) if step.swapped else (r1, r2)))
+        verdict = embedding(step, a)
+        if verdict != every_point_embeds(step, a):
+            sys.exit(f"the embedding check says {verdict} on {step}, {a}")
+        verdicts.append((step.mode, verdict))
+    kinds = {case: verdicts.count(case) for case in set(verdicts)}
+    if len(kinds) < 4 or min(kinds.values()) < 10:
+        sys.exit(f"too few cases of some kind: {kinds}")
+    """
+)
+
+
+def test_embedding_check_is_exact_under_python_O(run_python):
+    proc = run_python("-O", "-c", _EXACT_EMBEDDING)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # ------------------------------------------------------------ recursion
@@ -411,7 +511,7 @@ def test_reduce_recursive_chain_replay():
         prod = 1
         for step in chain:
             a = TwoDAP(*cur[:4])
-            verdict = verify_reduction(step, a, cur[4], rng=random.Random(3))
+            verdict = verify_reduction(step, a, cur[4])
             assert verdict.ok, (cur, verdict.checks)
             derived, scale = derived_instance(step)
             prod *= step.d**2

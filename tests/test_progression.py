@@ -791,8 +791,19 @@ def test_root_walk_limit(monkeypatch):
 
 
 def test_brute_force_guard():
+    a = TwoDAP(1, 1, 10**6, 10**6)
     with pytest.raises(TooLarge):
-        brute_force_witness(TwoDAP(1, 1, 10**6, 10**6))
+        brute_force_witness(a, a.value_bound())
+
+
+def test_brute_force_refuses_a_negative_bound():
+    # No square lies below a negative bound, but that is not a verdict: the
+    # oracle refuses t < 0 as both routes do, with their message.
+    a = TwoDAP(3, 5, 2, 2)
+    for t in (-1, -(10**30)):
+        for search in (find_square_witness, walk_roots, brute_force_witness):
+            with pytest.raises(DomainError, match=f"^ambient bound must be non-negative, got {t}$"):
+                search(a, t)
 
 
 # ------------------------------------------------------------- invariants

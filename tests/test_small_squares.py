@@ -221,11 +221,11 @@ def test_construct_invariants_random():
 def test_canonical_sqrt_routes_agree():
     # Table route vs factored route on every unit of every small modulus.
     for m in range(1, 300):
+        root = _sqrt_solver(m)
         for a in range(m):
             if math.gcd(a, m) != 1:
                 continue
-            assert _sqrt_solver(m)(a) == sqrt_mod(a, m), (a, m)
-    _sqrt_table.cache_clear()
+            assert root(a) == sqrt_mod(a, m), (a, m)
 
 
 def test_sqrt_table_is_the_plain_definition():
@@ -234,7 +234,6 @@ def test_sqrt_table_is_the_plain_definition():
         for z in range(m):
             want.setdefault(z * z % m, z)
         assert _sqrt_table(m) == want, m
-    _sqrt_table.cache_clear()
 
 
 def test_large_modulus_is_factored_once(monkeypatch):
@@ -279,6 +278,14 @@ def test_brute_force_small_square_refuses_non_positive_steps():
     for q1, q2 in ((1, 0), (0, 1), (-1, 2), (3, -5)):
         with pytest.raises(DomainError, match="steps must be positive"):
             brute_force_small_square(q1, q2, 3)
+
+
+def test_brute_force_small_square_refuses_what_the_construction_refuses():
+    # A size cap below 1 leaves no n to search: a refusal, not NotFound.
+    for n_cap in (0, -2):
+        for route in (construct_small_square, brute_force_small_square):
+            with pytest.raises(DomainError, match=f"^size cap must be positive, got {n_cap}$"):
+                route(3, 5, n_cap)
 
 
 def test_construction_dominated_by_minimal():

@@ -83,3 +83,20 @@ def test_every_private_name_has_a_caller():
     assert len(private) > 40
     referenced = set().union(*map(_references, trees))
     assert not private - referenced, f"private names nothing refers to: {sorted(private - referenced)}"
+
+
+def test_only_the_sweep_imports_random():
+    # random_local draws seeded pairs; every verifier and every other search
+    # is exact, so no other module may sample.
+    importers = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "random" or m.startswith("random.") for m in modules):
+                importers.add(path.name)
+    assert importers == {"sweep.py"}

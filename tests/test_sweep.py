@@ -22,6 +22,7 @@ from sqavoid.arith import (
     primes_up_to,
 )
 from sqavoid.cli import main
+from sqavoid.formats import value
 from sqavoid.lowerbound import MIN_PRIME, build_instance
 from sqavoid.progression import TwoDAP, cardinality, certify_square_free, is_proper
 from sqavoid.sweep import (
@@ -245,6 +246,18 @@ def test_sweep_config_validation():
     assert SweepConfig(t=1000, families=("one_d", "one_d")).families == ("one_d",)
 
 
+def test_sweep_config_refuses_no_family(capsys):
+    # Refused when built, before any family runs: an empty list is not a sweep.
+    with pytest.raises(DomainError, match="families must name at least one of"):
+        SweepConfig(t=1000, families=())
+    assert main(["sweep", "--t", "1000", "--families", ""]) == 2
+    captured = capsys.readouterr()
+    (rec,) = map(json.loads, captured.out.splitlines())
+    assert (rec["kind"], rec["error"]) == ("Error", "DomainError")
+    assert rec["message"] == "families must name at least one of one_d, lower_bound, random_local"
+    assert captured.err == f"error: {rec['message']}\n"
+
+
 def test_sweep_emits_only_verified_instances():
     for t in (10_000, 100_000, 1_000_000):
         res = sweep(SweepConfig(t=t, seed=1, budget=40))
@@ -320,7 +333,7 @@ def test_sweep_records_frozen_past_the_residue_scan_limit(capsys):
 def test_sweep_best_dominates_families():
     res = sweep(SweepConfig(t=100_000, seed=7, budget=60))
     assert res.best.size == max(fb.size for fb in res.family_bests)
-    assert res.ratio_to_t_20_27 == f"{res.best.size / 100_000 ** (20 / 27):.6f}"
+    assert value(res.ratio_to_t_20_27) == f"{res.best.size / 100_000 ** (20 / 27):.6f}"
 
 
 def test_sweep_family_subset():
