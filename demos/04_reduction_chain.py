@@ -3,8 +3,9 @@
 When gcd(q1, q2) = d > 1, the values divisible by d^2 form a congruence
 sublattice of the coefficient box.  Reducing that lattice (Gauss-style,
 under the gauge induced by the box's aspect ratio) produces a derived box
-with coprime-smaller steps and ambient bound T/d^2, and square-avoidance
-transfers.  Iterating yields a chain that always terminates.
+with coprime steps and ambient bound T/d^2, and square-avoidance
+transfers.  Coprime steps leave nothing to reduce, so one step is all a
+reduction takes.
 
 Every step here is re-verified by an independent checker that replays the
 lattice enumeration, the Minkowski window, and the value-preserving
@@ -33,30 +34,27 @@ print(f"congruence lattice det 5, row basis {lat.rows}")
 print(f"successive minima: |{u}|^2 = {l1_sq}, |{v}|^2 = {l2_sq}")
 print(f"Minkowski window: d^2/4 = {F(25, 4)} <= {l1_sq * l2_sq} <= {25}\n")
 
-# Now full chains.  A small gcd (here 6) is divided straight out of the
-# coefficients; a larger one (here 17) goes through the lattice step, with
-# the derived radii set by the reduced basis's successive minima.
+# Now the reduction itself.  A small gcd (here 6) is divided straight out
+# of the coefficients; a larger one (here 17) goes through the lattice step,
+# with the derived radii set by the reduced basis's successive minima.
 for q1, q2, x1b, x2b, t in [(84, 198, 40, 40, 10**8), (34, 51, 30, 30, 10**6)]:
     chain = reduce_recursive(q1, q2, F(x1b), F(x2b), t)
     print(f"reduce ({q1}, {q2}) radii ({x1b}, {x2b}) under T = {t}:")
-    cur = (q1, q2, F(x1b), F(x2b), t)
-    for i, step in enumerate(chain):
-        verdict = verify_reduction(step, TwoDAP(*cur[:4]), cur[4])
+    for step in chain:  # the one step
+        verdict = verify_reduction(step, TwoDAP(q1, q2, x1b, x2b), t)
         derived, scale = derived_instance(step)
-        print(f"  step {i}: mode {step.mode}, d = {step.d}, "
+        print(f"  step: mode {step.mode}, d = {step.d}, "
               f"minima attainers u = {step.u}, v = {step.v}")
-        print(f"          derived steps ({derived.q1}, {derived.q2}), "
-              f"radii ({derived.x1bound}, {derived.x2bound}), T -> {cur[4] // scale}")
-        print(f"          independent verifier: "
+        print(f"        derived steps ({derived.q1}, {derived.q2}), "
+              f"radii ({derived.x1bound}, {derived.x2bound}), T -> {t // scale}")
+        print(f"        independent verifier: "
               f"{'all checks pass' if verdict.ok else verdict.checks}")
         assert verdict.ok
-        cur = (derived.q1, derived.q2, derived.x1bound, derived.x2bound,
-               cur[4] // scale)
     print(f"  terminated: {chain.termination}; final steps "
           f"({chain.final_q1}, {chain.final_q2}), final T = {chain.final_t}\n")
 
 # Square-avoidance transfers: if the original box misses all squares up to
-# T, so does every derived box up to its rescaled bound.  (20, 26) with
+# T, so does the derived box up to its rescaled bound.  (20, 26) with
 # radii 3 is square-free under T = 400; its values are all even, so any
 # square among them would be 4*m^2 with 2*m^2 landing in the derived box.
 a0 = TwoDAP(20, 26, 3, 3)  # gcd 2
@@ -65,13 +63,10 @@ chain0 = reduce_recursive(20, 26, F(3), F(3), t0)
 w0 = brute_force_witness(a0, t0)
 assert w0 is None
 print(f"({a0.q1}, {a0.q2}) radii 3 under T = {t0}: square-free")
-cur_t = t0
-for step in chain0:
-    derived, scale = derived_instance(step)
-    cur_t //= scale
-    floored = TwoDAP(derived.q1, derived.q2, derived.b1, derived.b2)
-    wd = brute_force_witness(floored, cur_t)
-    print(f"  derived ({derived.q1}, {derived.q2}) radii "
-          f"({floored.x1bound}, {floored.x2bound}) under T = {cur_t}: "
-          f"{'square-free' if wd is None else f'witness {wd}'}")
-    assert wd is None  # avoidance transfers
+floored = TwoDAP(chain0.final_q1, chain0.final_q2,
+                 int(chain0.final_x1bound), int(chain0.final_x2bound))
+wd = brute_force_witness(floored, chain0.final_t)
+print(f"  derived ({floored.q1}, {floored.q2}) radii "
+      f"({floored.x1bound}, {floored.x2bound}) under T = {chain0.final_t}: "
+      f"{'square-free' if wd is None else f'witness {wd}'}")
+assert wd is None  # avoidance transfers

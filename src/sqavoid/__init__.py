@@ -11,8 +11,9 @@ The package answers, with integer-exact certificates rather than floats:
 * the piecewise exponent surface governing upper bounds on square-free
   box sizes, and its exact supremum 20/27 (`case_exponent`,
   `exponent_supremum`);
-* how boxes with gcd(q1, q2) > 1 reduce through congruence lattices and
-  gauge minima (`congruence_lattice`, `box_minima`, `reduce_recursive`);
+* how a box with gcd(q1, q2) > 1 reduces in one step to a box with
+  coprime steps, through congruence lattices and gauge minima
+  (`congruence_lattice`, `box_minima`, `reduce_recursive`);
 * explicit large square-avoiding boxes from quadratic non-residues
   (`build_instance`, `residue_certificate`);
 * an extremal-search sweep tying the families together (`sweep`), also
@@ -38,14 +39,9 @@ from .arith import (
 )
 from .bounds import (
     CaseReport,
-    CutoffVerdict,
     ExponentPoint,
     case_exponent,
-    cutoff_check,
     exponent_supremum,
-    interval_caps,
-    n_window,
-    n_window_conditions,
     one_d_bound,
 )
 from .lattice import (
@@ -101,7 +97,6 @@ __all__ = [
     "BadPrime",
     "Certificate",
     "CaseReport",
-    "CutoffVerdict",
     "DomainError",
     "ExponentPoint",
     "FAMILIES",
@@ -137,22 +132,18 @@ __all__ = [
     "congruence_lattice",
     "construct_small_square",
     "convergent_denominators",
-    "cutoff_check",
     "derived_instance",
     "divide_out_step",
     "enumerate_gauge_ball",
     "exponent_supremum",
     "factorize",
     "find_square_witness",
-    "interval_caps",
     "is_perfect_square",
     "is_prime",
     "is_proper",
     "jacobi",
     "least_nonresidue_scan",
     "least_qnr",
-    "n_window",
-    "n_window_conditions",
     "one_d_bound",
     "reduce_recursive",
     "reduce_step",

@@ -18,23 +18,24 @@ mechanisms:
 The two top-level cases condition on which side the cutoff kills; the
 final exponent is the max of the two case bounds, with global supremum
 exactly 20/27 attained at (a, b) = (16/27, 2/3).  All values are exact
-`fractions.Fraction`s; the suprema are certified by evaluating on a grid
-together with every pairwise intersection of the boundary lines, which
-covers all vertices of the linearity regions.  `exponent_surface` walks
-that set once; `exponent_supremum` and `sqavoid exponent` reduce the walk.
+`fractions.Fraction`s.  On each region cut out by the boundary lines both
+case bounds are linear, so their max is convex there; it also creases
+along lines that are not boundary lines (1B = 2A2 along a + b/2 = 1).  A
+convex function on a polygon peaks at a vertex, so the suprema are
+certified by evaluating on a grid together with every pairwise
+intersection of the boundary lines, which covers all vertices of the
+regions.  `exponent_surface` walks that set once; `exponent_supremum` and
+`sqavoid exponent` reduce the walk.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .arith import DomainError, ceil_root_ratio, floor_root_ratio, squarefree_kernel
-from .small_squares import SmallSquareTrace, construct_small_square
-from .progression import SquareWitness
+from .arith import DomainError, squarefree_kernel
 
 F = Fraction
 
@@ -56,15 +57,6 @@ def one_d_bound(q: int, t: int) -> int:
     if t < 0:
         raise DomainError(f"ambient bound must be non-negative, got {t}")
     return min(t // q, squarefree_kernel(q) - 1)
-
-
-def interval_caps(q1: int, q2: int, t: int) -> tuple[Fraction, Fraction]:
-    """Trivial radii caps (T/q1, T/q2) for a progression inside [-T, T]."""
-    if q1 < 1 or q2 < 1:
-        raise DomainError(f"steps must be positive, got ({q1}, {q2})")
-    if t < 0:
-        raise DomainError(f"ambient bound must be non-negative, got {t}")
-    return (F(t, q1), F(t, q2))
 
 
 @dataclass(frozen=True, order=True)  # by (a, b), as `exponent_surface` walks them
@@ -228,113 +220,14 @@ def exponent_supremum(
 ) -> tuple[Fraction, list[ExponentPoint]]:
     """Exact supremum of the exponent over the simplex 0 <= a <= b <= 1, and
     the points attaining it, sorted by (a, b), from one `exponent_surface`
-    walk (its arguments and `DomainError`s).  The bound is linear on each
-    region cut out by the boundary lines, so its supremum over the grid and
-    their vertices, each evaluated once, is the supremum over the simplex.
+    walk (its arguments and `DomainError`s).  Each case bound is linear on
+    each region cut out by the boundary lines, and "overall", their max, is
+    convex there, though it creases inside a region (1B = 2A2 along
+    a + b/2 = 1).  A convex function on a polygon peaks at a vertex, and
+    the regions' vertices are the boundary lines' intersections, so the
+    grid and those vertices, each evaluated once, give the supremum over
+    the simplex.  A vertex takes the value of the one piece whose
+    inequalities it meets, so a neighbouring piece with a strict edge there
+    counts only if it reaches its peak at a vertex it contains.
     """
     return surface_supremum(exponent_surface(resolution, b_max=b_max, component=component))
-
-
-# ------------------------------------------------------------ size windows
-
-
-def _power_product(pairs: list[tuple[int, Fraction]]) -> tuple[int, int, int]:
-    """Represent prod base^exp as (A, B, K) with the value equal to (A/B)^(1/K)."""
-    k = math.lcm(*(F(e).denominator for _, e in pairs)) if pairs else 1
-    num = den = 1
-    for base, e in pairs:
-        e = F(e)
-        power = abs(e.numerator) * (k // e.denominator)
-        if e >= 0:
-            num *= base**power
-        else:
-            den *= base**power
-    return num, den, k
-
-
-def _window_terms(q1: int, q2: int, t: int, eps: Fraction):
-    eps = F(eps)
-    upper = [(q1, F(1)), (q2, -(F(1, 2) + eps)), (t, F(20, 27) + 2 * eps)]
-    lower1 = [(q1, F(5, 4) + eps), (q2, F(3, 2) + eps), (t, -(F(20, 27) + eps))]
-    lower2 = [(q1, F(5, 4) + eps), (t, F(7, 27))]
-    return upper, lower1, lower2
-
-
-def n_window(
-    q1: int, q2: int, t: int, eps: Fraction = F(0)
-) -> tuple[int, int] | None:
-    """Integer window [N_lo, N_hi] of size caps compatible with all three
-    feasibility inequalities, or None when the window is empty.
-
-    The inequalities compare N^2 against products of fractional powers of
-    q1, q2, T; each is decided exactly by clearing denominators of the
-    exponents and comparing huge integers.  Requires 1 <= q1 <= q2 <= t
-    and eps >= 0.
-    """
-    if not (1 <= q1 <= q2 <= t):
-        raise DomainError(f"need 1 <= q1 <= q2 <= T, got ({q1}, {q2}, {t})")
-    if F(eps) < 0:
-        raise DomainError(f"eps must be non-negative, got {eps}")
-    upper, lower1, lower2 = _window_terms(q1, q2, t, eps)
-    a, b, k = _power_product(upper)
-    n_hi = floor_root_ratio(a, b, 2 * k)
-    lo = 1
-    for terms in (lower1, lower2):
-        a, b, k = _power_product(terms)
-        lo = max(lo, ceil_root_ratio(a, b, 2 * k))
-    if lo > n_hi:
-        return None
-    return lo, n_hi
-
-
-def n_window_conditions(
-    q1: int, q2: int, t: int, eps: Fraction, n: int
-) -> tuple[bool, bool, bool]:
-    """Exact truth values of (upper, lower1, lower2) at size cap n."""
-    upper, lower1, lower2 = _window_terms(q1, q2, t, eps)
-    out = []
-    for terms, is_upper in ((upper, True), (lower1, False), (lower2, False)):
-        a, b, k = _power_product(terms)
-        lhs = n ** (2 * k) * b
-        out.append(lhs <= a if is_upper else lhs >= a)
-    return tuple(out)  # type: ignore[return-value]
-
-
-# --------------------------------------------------------- cutoff checking
-
-
-@dataclass(frozen=True)
-class CutoffVerdict:
-    """Outcome of the small-side cutoff check on one box."""
-
-    ok: bool
-    reason: str  # "cutoff-holds" | "witness-in-box" | "witness-escapes-box"
-    witness: SquareWitness | None
-    trace: SmallSquareTrace | None = None
-
-
-CUTOFF_CEILING = 8
-
-
-def cutoff_check(q1: int, q2: int, x1bound: Fraction, x2bound: Fraction) -> CutoffVerdict:
-    """Check the dichotomy: either one radius is at most
-    CUTOFF_CEILING*sqrt(q2), or the constructive representation (at cap
-    N = ceil(q2^(3/4))) produces a square value inside the box.
-
-    A False verdict flags a box where the constructed witness escapes; such
-    flags are reported for survey purposes, never asserted, because the
-    construction is only guaranteed up to constants.
-    """
-    if math.gcd(q1, q2) != 1:
-        raise DomainError(f"steps must be coprime, got ({q1}, {q2})")
-    x1b, x2b = F(x1bound), F(x2bound)
-    big1 = x1b * x1b > CUTOFF_CEILING**2 * q2
-    big2 = x2b * x2b > CUTOFF_CEILING**2 * q2
-    if not (big1 and big2):
-        return CutoffVerdict(True, "cutoff-holds", None)
-    cap = ceil_root_ratio(q2**3, 1, 4)  # ceil(q2^(3/4))
-    trace = construct_small_square(q1, q2, cap)
-    w = trace.witness
-    if abs(w.x1) <= x1b and abs(w.x2) <= x2b:
-        return CutoffVerdict(True, "witness-in-box", w, trace)
-    return CutoffVerdict(False, "witness-escapes-box", w, trace)

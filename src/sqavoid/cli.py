@@ -8,7 +8,8 @@ Eight subcommands map onto the library modules:
                   guarded brute force) with the agreement recorded.
 * ``construct`` - the small-square constructive witness with its full
                   arithmetic trace.
-* ``reduce``    - the gcd reduction chain, one record per step.
+* ``reduce``    - the gcd reduction: a record for its one step, if it
+                  takes one, and a record for where it ends.
 * ``lower``     - the non-residue instance for a prime with its machine
                   certificate.
 * ``scan-nqr``  - least non-residues over primes 1 mod 4, with records.
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q2", type=integer, required=True)
     sp.add_argument("--n-cap", type=integer, default=None, help="root budget; default balances the steps")
 
-    sp = sub.add_parser("reduce", parents=[common], help="gcd reduction chain")
+    sp = sub.add_parser("reduce", parents=[common], help="gcd reduction")
     box_args(sp)
 
     sp = sub.add_parser("lower", parents=[common], help="non-residue instance for a prime")
@@ -200,7 +201,7 @@ def _cmd_reduce(args):
     records = [
         {"kind": "ReductionStep", "index": value(i)} | record(step) for i, step in enumerate(chain)
     ]
-    # The chain record counts its steps; each step has its own record above.
+    # The chain record counts its steps; the step, if any, has its record above.
     records.append({"kind": "ReductionChain"} | record(chain) | {"steps": value(len(chain))})
     return records, EXIT_OK, f"{len(chain)} step(s), terminated: {chain.termination}"
 

@@ -52,7 +52,7 @@ F = Fraction
 
 _ENUM_GUARD = 2_000_000
 # `reduce_recursive` divides a gcd up to this size straight out of both
-# steps (x_i = d*a_i) and keeps full lattice steps for larger gcds.
+# steps (x_i = d*a_i) and takes a full lattice step for a larger gcd.
 SMALL_GCD = 16
 
 
@@ -490,14 +490,14 @@ def verify_reduction(step: ReductionStep, a: TwoDAP, t: int) -> ReductionVerdict
     return ReductionVerdict(all(ok for _, ok, _ in checks), tuple(checks))
 
 
-# ------------------------------------------------------------- recursion
+# ------------------------------------------------------------- reduction
 
 
 @dataclass(frozen=True)
 class ReductionChain:
-    """Sequence of reduction steps with the terminal instance and reason."""
+    """The reduction's one step (or none), the terminal instance and reason."""
 
-    steps: tuple[ReductionStep, ...]
+    steps: tuple[ReductionStep, ...]  # 0 or 1 steps
     termination: str  # "coprime" | "large-gcd" | "small-box" | "one-dimensional"
     final_q1: int
     final_q2: int
@@ -522,47 +522,41 @@ def reduce_recursive(
     x2bound: Fraction,
     t: int,
 ) -> ReductionChain:
-    """Drive the reduction until the gcd is gone or a terminal case is hit.
+    """Take the one reduction step the box admits, or stop.
 
-    Case analysis on d = gcd(q1, q2) at each stage:
+    The box is checked as `TwoDAP` checks it.  Case analysis on
+    d = gcd(q1, q2):
 
     * d = 1: stop ("coprime"); no reduction applies.
     * d <= SMALL_GCD (small): divide out d when both radii reach d, else stop
       ("small-box": the box is so flat the one-dimensional bound applies).
     * d >= ceil(sqrt(T)): stop ("large-gcd"): for proper inputs one radius
       is already below the complementary reduced step.
+    * a radius below 1: stop ("one-dimensional").
     * otherwise: a full lattice step.
 
-    Either step continues on its `derived_instance`, with ambient bound
-    T // d^2.
-
-    The ambient bound shrinks by d^2 >= 4 per step, so the chain is finite.
+    A step ends "coprime" on its `derived_instance`, with ambient bound
+    T // d^2: a divide-out leaves steps q1/d and q2/d, and after a lattice
+    step x -> x.qt/d maps L onto Z while u, v is a basis of L, so
+    gcd(p1, p2) = 1.  So a reduction never takes a second step.
     """
     if t < 0:
         raise DomainError(f"ambient bound must be non-negative, got {t}")
+    TwoDAP(q1, q2, x1bound, x2bound)
     x1b, x2b = F(x1bound), F(x2bound)
-    steps: list[ReductionStep] = []
-    while True:
-        d = math.gcd(q1, q2)
-        if d == 1:
-            term = "coprime"
-            break
-        if d <= SMALL_GCD:
-            if x1b < d or x2b < d:
-                term = "small-box"
-                break
-            step = divide_out_step(q1, q2, x1b, x2b)
-        elif d >= ceil_root_ratio(t, 1, 2):
-            term = "large-gcd"
-            break
-        elif x1b < 1 or x2b < 1:
-            term = "one-dimensional"
-            break
-        else:
-            step = reduce_step(q1, q2, x1b, x2b)
-        steps.append(step)
-        derived, _ = derived_instance(step)
-        q1, q2 = derived.q1, derived.q2
-        x1b, x2b = F(derived.x1bound), F(derived.x2bound)
-        t //= d * d
-    return ReductionChain(tuple(steps), term, q1, q2, x1b, x2b, t)
+    d = math.gcd(q1, q2)
+    if d == 1:
+        stop = "coprime"
+    elif d <= SMALL_GCD:
+        stop = "small-box" if x1b < d or x2b < d else ""
+    elif d >= ceil_root_ratio(t, 1, 2):
+        stop = "large-gcd"
+    else:
+        stop = "one-dimensional" if x1b < 1 or x2b < 1 else ""
+    if stop:
+        return ReductionChain((), stop, q1, q2, x1b, x2b, t)
+    step = (divide_out_step if d <= SMALL_GCD else reduce_step)(q1, q2, x1b, x2b)
+    a, scale = derived_instance(step)
+    if math.gcd(a.q1, a.q2) != 1:
+        raise VerificationFailed(f"{step.mode} step left steps ({a.q1}, {a.q2})")
+    return ReductionChain((step,), "coprime", a.q1, a.q2, F(a.x1bound), F(a.x2bound), t // scale)

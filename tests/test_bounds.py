@@ -1,4 +1,4 @@
-"""Tests for the exponent calculus, size windows, and cutoff checks."""
+"""Tests for the one-dimensional bound and the exponent calculus."""
 
 from __future__ import annotations
 
@@ -12,17 +12,11 @@ from sqavoid.arith import DomainError, is_perfect_square
 from sqavoid.bounds import (
     MAX_GRID,
     CaseReport,
-    CutoffVerdict,
     ExponentPoint,
     case_exponent,
-    cutoff_check,
     exponent_supremum,
-    interval_caps,
-    n_window,
-    n_window_conditions,
     one_d_bound,
 )
-from sqavoid.progression import SquareWitness
 
 
 # ---------------------------------------------------------------- oracles
@@ -58,12 +52,6 @@ def test_one_d_bound_below_sqrt():
         q = rng.randint(1, 10**6)
         t = rng.randint(0, 10**9)
         assert one_d_bound(q, t) <= math.isqrt(t)
-
-
-def test_interval_caps():
-    assert interval_caps(3, 7, 100) == (F(100, 3), F(100, 7))
-    with pytest.raises(DomainError):
-        interval_caps(3, 7, -1)
 
 
 # --------------------------------------------------------- case exponents
@@ -156,89 +144,3 @@ def test_supremum_matches_dense_scan():
             best = max(best, v)
     assert best == F(20, 27)
 
-
-# ------------------------------------------------------------ size window
-
-
-def test_n_window_frozen():
-    # q1 = q2 = 1: the window reduces to T^(7/54) <= N <= T^(10/27).
-    lo, hi = n_window(1, 1, 10**6)
-    assert lo == 6  # ceil(10^(42/54)) = ceil(5.995...)
-    assert hi == 166  # floor(10^(20/9) / 1) = floor(sqrt(27825.6...))
-    assert n_window_conditions(1, 1, 10**6, F(0), lo) == (True, True, True)
-    assert n_window_conditions(1, 1, 10**6, F(0), hi) == (True, True, True)
-    assert not all(n_window_conditions(1, 1, 10**6, F(0), lo - 1))
-    assert not all(n_window_conditions(1, 1, 10**6, F(0), hi + 1))
-
-
-def test_n_window_membership_exact():
-    rng = random.Random(17)
-    for _ in range(60):
-        t = rng.randint(10**5, 10**8)
-        q1 = rng.randint(1, 30)
-        q2 = rng.randint(q1, 200)
-        win = n_window(q1, q2, t)
-        if win is None:
-            continue
-        lo, hi = win
-        assert 1 <= lo <= hi
-        for n in {lo, hi, (lo + hi) // 2}:
-            assert all(n_window_conditions(q1, q2, t, F(0), n)), (q1, q2, t, n)
-
-
-def test_n_window_nonempty_in_compatible_region():
-    # Points with a + 2b comfortably below 52/27 and b <= 2/3 give room for
-    # an integer cap once T is large.
-    t = 10**8
-    rng = random.Random(23)
-    for _ in range(40):
-        b = F(rng.randint(0, 60), 100)  # b <= 3/5 < 2/3
-        a = F(rng.randint(0, int(min(b * 100, (F(52, 27) - 2 * b - F(1, 5)) * 100))), 100)
-        q1 = max(1, int(t ** float(a)))
-        q2 = max(q1, int(t ** float(b)))
-        assert n_window(q1, q2, t) is not None, (a, b)
-
-
-def test_n_window_domain():
-    with pytest.raises(DomainError):
-        n_window(5, 3, 100)
-    with pytest.raises(DomainError):
-        n_window(1, 1, 10, F(-1, 2))
-
-
-# ---------------------------------------------------------- cutoff checks
-
-
-def test_cutoff_check_small_box_vacuous():
-    v = cutoff_check(3, 5, 2, 100)
-    assert v == CutoffVerdict(True, "cutoff-holds", None)
-
-
-def test_cutoff_check_witness_in_box_frozen():
-    v = cutoff_check(3, 5, 100, 100)
-    assert v.ok and v.reason == "witness-in-box"
-    assert v.witness == SquareWitness(3, 0, 3)
-
-
-def test_cutoff_check_survey():
-    # Survey over a band of coprime pairs with boxes just above the cutoff;
-    # flags are counted and reported, not asserted away.
-    flags = 0
-    total = 0
-    rng = random.Random(31)
-    for _ in range(200):
-        q1 = rng.randint(2, 200)
-        q2 = rng.randint(q1, 200)
-        if math.gcd(q1, q2) != 1:
-            continue
-        total += 1
-        big = 9 * math.isqrt(q2) + 9
-        v = cutoff_check(q1, q2, big, big)
-        assert v.ok == (v.reason != "witness-escapes-box")
-        if not v.ok:
-            flags += 1
-        if v.witness is not None:
-            w = v.witness
-            assert w.x1 * q1 + w.x2 * q2 == w.n * w.n
-    print(f"cutoff survey: {flags} flags out of {total}")
-    assert total > 100

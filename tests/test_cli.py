@@ -275,6 +275,25 @@ def test_reduce_frozen_chain(capsys):
     assert chain["final_t"] == "625"
 
 
+@pytest.mark.parametrize(
+    "box, message",
+    [
+        ("12 20 -9 9", "radii must be non-negative"),
+        ("-3 5 2 2", "steps must be positive, got (-3, 5)"),
+        ("0 0 2 2", "steps must be positive, got (0, 0)"),
+    ],
+)
+def test_reduce_refuses_the_boxes_witness_refuses(capsys, box, message):
+    flags = [f for flag, x in zip(("--q1", "--q2", "--x1", "--x2"), box.split()) for f in (flag, x)]
+    for command in ("witness", "reduce"):
+        code, recs, err = run(capsys, command, *flags, "--t", "10000")
+        assert code == 2, command
+        assert recs == [
+            {"kind": "Error", "error": "DomainError", "message": message, "schema_version": SCHEMA_VERSION}
+        ]
+        assert err == f"error: {message}\n"
+
+
 def test_lower_frozen_instance(capsys):
     code, recs, _ = run(capsys, "lower", "--p", "13")
     assert code == 0

@@ -1,4 +1,4 @@
-"""Tests for congruence lattices, box-gauge minima, and the reduction chain."""
+"""Tests for congruence lattices, box-gauge minima, and the one-step reduction."""
 
 from __future__ import annotations
 
@@ -9,10 +9,13 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sqavoid.arith import DomainError
 from sqavoid.formats import record
 from sqavoid.lattice import (
+    SMALL_GCD,
     Lattice2,
     ReductionChain,
     box_minima,
@@ -179,6 +182,8 @@ _FORGED_INTERNALS = textwrap.dedent(
     refused("a Hermite row outside the lattice", lambda: lattice.congruence_lattice(6, 1, 1))
     lattice._hnf = lambda d, qt1, qt2: ((1, d - 1), (0, 2 * d))  # inside, but determinant 2d
     refused("a Hermite form of the wrong determinant", lambda: lattice.congruence_lattice(6, 1, 1))
+    lattice.derived_instance = lambda step: (lattice.TwoDAP(2, 4, 1, 1), 4)  # keeps the factor 2
+    refused("a step that leaves a common factor", lambda: lattice.reduce_recursive(12, 20, 9, 9, 10**4))
     """
 )
 
@@ -495,8 +500,8 @@ def test_reduce_recursive_terminal_reasons():
 
 
 def test_reduce_recursive_chain_replay():
-    """Every step of every chain must survive independent verification,
-    and the ambient bound must compose as T // prod(d_i^2).
+    """The step, when one is taken, must survive independent verification,
+    and the chain must end on its derived instance with bound T // d^2.
     """
     rng = random.Random(360360)
     for _ in range(60):
@@ -507,28 +512,58 @@ def test_reduce_recursive_chain_replay():
         x2b = F(rng.randint(2, 30))
         t = rng.choice([10**4, 10**6, 10**8])
         chain = reduce_recursive(q1, q2, x1b, x2b, t)
-        cur = (q1, q2, x1b, x2b, t)
-        prod = 1
-        for step in chain:
-            a = TwoDAP(*cur[:4])
-            verdict = verify_reduction(step, a, cur[4])
-            assert verdict.ok, (cur, verdict.checks)
+        final = (chain.final_q1, chain.final_q2, chain.final_x1bound, chain.final_x2bound, chain.final_t)
+        if len(chain) == 0:
+            assert final == (q1, q2, x1b, x2b, t)
+        else:
+            (step,) = chain
+            verdict = verify_reduction(step, TwoDAP(q1, q2, x1b, x2b), t)
+            assert verdict.ok, (q1, q2, x1b, x2b, t, verdict.checks)
             derived, scale = derived_instance(step)
-            prod *= step.d**2
-            cur = (
-                derived.q1,
-                derived.q2,
-                derived.x1bound,
-                derived.x2bound,
-                cur[4] // scale,
-            )
-        assert chain.final_t == t // prod
-        assert (chain.final_q1, chain.final_q2) == cur[:2]
+            assert scale == math.gcd(q1, q2) ** 2
+            assert final == (derived.q1, derived.q2, derived.x1bound, derived.x2bound, t // scale)
         if chain.termination == "coprime":
             assert math.gcd(chain.final_q1, chain.final_q2) == 1
         elif chain.termination == "large-gcd":
             dd = math.gcd(chain.final_q1, chain.final_q2)
             assert dd * dd >= chain.final_t
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.one_of(st.integers(2, SMALL_GCD), st.integers(SMALL_GCD + 1, 400)),
+    qt1=st.integers(1, 300),
+    qt2=st.integers(1, 300),
+    x1b=st.fractions(0, 10**5, max_denominator=4),
+    x2b=st.fractions(0, 10**5, max_denominator=4),
+    t=st.integers(0, 10**16),
+)
+def test_one_step_leaves_coprime_steps_hypothesis(d, qt1, qt2, x1b, x2b, t):
+    # Why a reduction takes at most one step: every derived instance has
+    # coprime steps, so the next stage could only stop as "coprime".
+    assume(math.gcd(qt1, qt2) == 1)
+    q1, q2 = d * qt1, d * qt2
+    derived = []
+    if x1b >= d and x2b >= d:
+        derived.append(derived_instance(divide_out_step(q1, q2, x1b, x2b)))
+    if x1b >= 1 and x2b >= 1:
+        derived.append(derived_instance(reduce_step(q1, q2, x1b, x2b)))
+    for a, scale in derived:
+        assert math.gcd(a.q1, a.q2) == 1 and scale == d * d, (a, scale)
+    chain = reduce_recursive(q1, q2, x1b, x2b, t)
+    assert len(chain) <= 1
+    if chain:
+        assert chain.termination == "coprime" and chain.final_t == t // (d * d)
+
+
+def test_reduce_recursive_refuses_what_twodap_refuses():
+    for box in [(12, 20, -9, 9), (12, 20, 9, F(-1, 2)), (-3, 5, 2, 2), (0, 0, 2, 2)]:
+        with pytest.raises(DomainError) as refused:
+            TwoDAP(*box)
+        with pytest.raises(DomainError) as reduce_refused:
+            reduce_recursive(*box, 10_000)
+        assert str(reduce_refused.value) == str(refused.value), box
+
 
 
 def test_square_avoidance_transfers_along_chain():
@@ -585,6 +620,9 @@ def test_reduction_chain_is_iterable():
     assert [s.mode for s in chain] == ["divide_out"]
     assert chain[0] is chain.steps[0]
     assert len(chain) == 1
+    stopped = reduce_recursive(3, 5, 10, 10, 100)
+    assert list(stopped) == [] and stopped.steps == ()
+    assert len(stopped) == 0
 
 
 def test_step_json_round_trip_fields():

@@ -51,20 +51,24 @@ def test_no_unused_module_level_import():
     assert not found, f"unused imports: {found}"
 
 
+def _defined_names(node: ast.stmt) -> set[str]:
+    """The names a module-level function, class or assignment defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+    return set()
+
+
 def _private_definitions(tree: ast.Module) -> set[str]:
     """Module-level private functions, classes and assigned names."""
-    names = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    names = set().union(*map(_defined_names, tree.body))
     return {name for name in names if name.startswith("_") and not name.startswith("__")}
 
 
-def _references(tree: ast.Module) -> set[str]:
-    """Names read, attributes taken and names imported anywhere in a module."""
+def _references(tree: ast.AST) -> set[str]:
+    """Names read, attributes taken and names imported anywhere in a tree."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -83,6 +87,44 @@ def test_every_private_name_has_a_caller():
     assert len(private) > 40
     referenced = set().union(*map(_references, trees))
     assert not private - referenced, f"private names nothing refers to: {sorted(private - referenced)}"
+
+
+# Public names kept with no caller outside the tests, each for a reason.
+TEST_ORACLES = {
+    "is_perfect_square",  # the square test the suites check witnesses and kernels with
+    "sqrt_mod",  # one least root mod m, the oracle for the survey's root solver
+    "least_qnr",  # n(p) with its prime check; the package scans primes it already knows
+    "max_radius",  # `_max_radius` behind argument checks; the sweep calls the kernel
+}
+
+
+def test_every_public_name_has_a_caller():
+    # A public name that only the tests reach is dead code, and so is one
+    # that only dead code reaches.  Reach starts from the bench, the demos,
+    # the package's module-level statements that define nothing (such as
+    # cli's `__main__` block) and the oracles above; a re-export in
+    # `__init__.py` calls nothing.
+    root = PACKAGE.parents[1]
+    calls: dict[str, set[str]] = {}  # module-level name -> names its definition refers to
+    reached = set(TEST_ORACLES)
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            names = _defined_names(node)
+            for name in names:
+                calls.setdefault(name, set()).update(_references(node))
+            if not names:
+                reached |= _references(node)
+    for path in sorted((root / "bench").rglob("*.py")) + sorted((root / "demos").rglob("*.py")):
+        reached |= _references(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    public = {name for name in calls if not name.startswith("_")}
+    assert len(public) > 60 and TEST_ORACLES <= public
+    todo = list(reached)
+    while todo:
+        todo.extend(calls.pop(todo.pop(), ()))
+    uncalled = sorted(public & calls.keys())
+    assert not uncalled, f"public names nothing but the tests reaches: {uncalled}"
 
 
 def test_only_the_sweep_imports_random():
