@@ -255,7 +255,11 @@ def squarefree_kernel(q: int) -> int:
 
 def _kernel_of(factors: dict[int, int]) -> int:
     """The squarefree kernel of the number whose factorization is `factors`."""
-    return math.prod(p for p, e in factors.items() if e % 2)
+    kernel = 1
+    for p, e in factors.items():
+        if e % 2:
+            kernel *= p
+    return kernel
 
 
 def jacobi(a: int, n: int) -> int:

@@ -135,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=integer,
         default=200,
-        help=f"random_local's coprime step pairs (1..{MAX_BUDGET}), one max_radius row walk each, "
-        "most rows settled without a modular square root",
+        help=f"random_local's coprime step pairs (1..{MAX_BUDGET}), at most one max_radius row walk "
+        "each, most rows settled without a modular square root",
     )
     sp.add_argument("--seed", type=integer, default=0, help="seed for random_local's search")
 

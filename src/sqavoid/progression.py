@@ -38,11 +38,11 @@ a square iff a modular square root lands near its centre.  It reads the
 rows across its own axis, min(r + 1, R, room) steps past the centre row;
 only when that walk outlasts R < room does it factor its step and read
 the 2R + 1 rows along it.  Most rows it settles without solving a root:
-a character test
-(`is_square_mod`), or a row wide enough to span a whole period of roots,
-decides them.  Its boxes are re-certified by `certify_square_free`, which
-always takes the root walk: that walk shares no code with `max_radius`,
-so it stays an independent check of them.
+a character test (`is_square_mod`), or a row wide enough to span a whole
+period of roots, or half a period when the roots pair up as +-r, decides
+them.  Its boxes are re-certified by `certify_square_free`, which always
+takes the root walk: that walk shares no code with `max_radius`, so it
+stays an independent check of them.
 """
 
 from __future__ import annotations
@@ -153,8 +153,10 @@ def _root_blocks(q1: int, q2: int, b2: int, top: int) -> Iterator[Iterable[int]]
 
     A witness n^2 = x1*q1 + x2*q2 has n^2 = x2*q2 (mod q1) with |x2| <= b2,
     so n lies in the classes C modulo q1 whose squares are such residues.
-    If the residues miss some class (2*b2 + 1 < q1) and fit under
-    RESIDUE_SCAN_LIMIT, the first block is C's members s <= min(q1 // 2,
+    A residue has one root class modulo q1 on average, so C holds about
+    2*b2 + 1 classes.  If that is at most half of both q1 and
+    RESIDUE_SCAN_LIMIT (past either, the scan tends to overflow and fall
+    back, and costs more than it saves), the first block is C's members s <= min(q1 // 2,
     top), found by squaring at C speed as the walk asks for them, so a walk
     that stops early stops the scan.  s and q1 - s have one square, and 0,
     always in C (x2 = 0), stands for q1: the next blocks hold the rest of C,
@@ -163,7 +165,7 @@ def _root_blocks(q1: int, q2: int, b2: int, top: int) -> Iterator[Iterable[int]]
     half the classes, the last block is every root past the last one kept.
     """
     last = 0  # the roots up to last are settled
-    if 2 * b2 + 1 < q1 and 2 * b2 < RESIDUE_SCAN_LIMIT:
+    if 2 * (2 * b2 + 1) <= min(q1, RESIDUE_SCAN_LIMIT):
         wanted = set(map(mod, range(-b2 * q2, b2 * q2 + 1, q2), repeat(q1)))
         half = range(min(q1 // 2, top) + 1)
         squares = map(mod, accumulate(range(1, 2 * len(half) - 1, 2), initial=0), repeat(q1))
@@ -357,6 +359,11 @@ def max_radius(q: int, other_q: int, other_r: int, t: int) -> int:
     * a row whose residue x*q fails `is_square_mod` holds no square;
     * the n with |n^2 - x*q| <= reach form an interval [lo, hi]; if it
       holds other_q integers it meets every root class, so the row holds one;
+    * if other_q does not divide x*q, the roots r != 0 (mod other_q) pair
+      up with other_q - r, so each half-block [j*other_q + 1,
+      j*other_q + other_q // 2] and [j*other_q + (other_q + 1) // 2,
+      j*other_q + other_q - 1] holds one: a row whose [lo, hi] contains a
+      half-block holds a square;
     * otherwise `sqrt_classes` solves the roots (a few modular square
       roots), and the row holds a square iff `_least_root(lo, ...)` <= hi.
 
@@ -387,6 +394,8 @@ def _max_radius(q: int, other_q: int, fo: dict[int, int], other_r: int, t: int) 
     """`max_radius` on checked arguments, with fo = factorize(other_q)."""
     reach = other_r * other_q
     room = (t - reach) // q
+    # The half-blocks of a period: [1, half] and [(other_q + 1) // 2, other_q - 1].
+    half, half_starts = other_q // 2, [1, (other_q + 1) // 2]
     # Row x = 0 (values y*other_q) has its least square at y = kernel(other_q).
     if _kernel_of(fo) <= other_r:
         return -1
@@ -403,7 +412,13 @@ def _max_radius(q: int, other_q: int, fo: dict[int, int], other_r: int, t: int) 
             if center + reach < 1:
                 continue
             lo, hi = isqrt(max(center - reach, 1) - 1) + 1, isqrt(center + reach)
-            if hi - lo + 1 >= other_q or _least_root(lo, *sqrt_classes(center, fo)) <= hi:
+            if hi - lo + 1 >= other_q:
+                return k - 1
+            # Roots r and other_q - r pair up, and r != 0 when other_q does not
+            # divide center: every half-block of the period holds one.
+            if center % other_q and _least_root(lo, other_q, half_starts) + half <= hi + 1:
+                return k - 1
+            if _least_root(lo, *sqrt_classes(center, fo)) <= hi:
                 return k - 1
     if room <= other_r:
         return room
@@ -446,7 +461,8 @@ def certify_box(a: TwoDAP, t: int) -> Certificate:
     """Exhaustive verdict by the cheaper route of `find_square_witness`.
 
     The same certificate as `certify_square_free`; the `witness` and
-    `verify` commands use this one.
+    `verify` commands use this one, and so does the sweep for the boxes
+    its closed-form families find.
     """
     return _certificate(a, t, find_square_witness)
 

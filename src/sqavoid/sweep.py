@@ -20,21 +20,30 @@ deterministic given the configuration:
                    q1*(kernel(q1) - 1) <= T - q2; otherwise (as when
                    q1*(kernel(q1) - 1) >= T and X1 = T // q1 takes all the
                    room) the box is one-dimensional and never beats
-                   ``one_d``.  The budget counts pairs, one row walk
-                   each: min(X2 + 1, X1, room) steps past the centre,
-                   and then X1's 2*X1 + 1 rows, with q2 factored, only
-                   when the walk outlasts X1 < room.  Most rows solve no
-                   modular square root (see `max_radius`).  Pairs are
-                   ranked on plain integers; one is built as a box, and
-                   checked for properness, only if it would beat the
-                   best so far.
+                   ``one_d``.  The budget counts the coprime pairs drawn.
+                   A pair is walked only if X2 = room, the most the walk
+                   can return, would beat the best so far; the walk takes
+                   min(X2 + 1, X1, room) steps past the centre, and then
+                   X1's 2*X1 + 1 rows, with q2 factored, only when it
+                   outlasts X1 < room.  Most rows solve no modular square
+                   root (see `max_radius`).  Pairs are ranked on plain
+                   integers; one is built as a box, and checked for
+                   properness, only if it would beat the best so far.
 
 Within a family ties go to the lexicographically smallest steps; the
 overall best is the largest box, ties to the smallest (q1, q2).  Every
 emitted best instance is re-certified, properness-checked and checked to
 lie in [-T, T] at emission time; the sweep refuses to report anything it
-cannot verify.  The re-certification is the root walk of
-`certify_square_free`, which shares no code with `max_radius`'s row walk.
+cannot verify.  Each family is re-certified by the cheapest route that
+shares no kernel with its search, as the runner table in `sweep` names:
+
+* ``one_d`` and ``lower_bound`` find their boxes in closed form, from the
+  squarefree kernel and from `jacobi`, so `certify_box` checks them (by
+  the row route at sweep sizes: one row for ``one_d``, 2n - 1 for
+  ``lower_bound``);
+* ``random_local`` searches by rows (`max_radius`'s `is_square_mod`,
+  `sqrt_classes` and `_least_root`), so its box takes the root walk of
+  `certify_square_free`, which shares none of them.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from random import Random
 from .arith import PRIME_SIEVE_LIMIT, DomainError, VerificationFailed, _kernel_of, factorize, isqrt
 from .bounds import one_d_bound
 from .lowerbound import build_instance, least_nonresidues, residue_certificate
-from .progression import TwoDAP, _max_radius, cardinality, certify_square_free, is_proper
+from .progression import TwoDAP, _max_radius, cardinality, certify_box, certify_square_free, is_proper
 
 FAMILIES = ("one_d", "lower_bound", "random_local")
 # Most random_local pairs one sweep may take: about 40 s at T = 10^7.
@@ -159,6 +168,11 @@ def _random_local_family(t: int, seed: int, budget: int) -> FamilyBest | None:
         q1, q2 = min(q1, q2), max(q1, q2)
         f1 = factorize(q1)  # once: for X1 and as max_radius's other step
         x1 = min(t // q1, _kernel_of(f1) - 1)  # one_d_bound(q1, t)
+        # X2 is at most the room X1 leaves: skip the walk if even that loses.
+        # Up to T = 10^16 a walk cannot raise, so a skip hides no refusal.
+        room = (t - x1 * q1) // q2
+        if best is not None and ((2 * x1 + 1) * (2 * room + 1), -q1, -q2) <= best[:3]:
+            continue
         x2 = _max_radius(q2, q1, f1, x1, t)
         rank = ((2 * x1 + 1) * (2 * x2 + 1), -q1, -q2)
         # Only a pair that would win is built and checked for properness.
@@ -174,12 +188,16 @@ def _random_local_family(t: int, seed: int, budget: int) -> FamilyBest | None:
 def sweep(config: SweepConfig) -> SweepResult:
     """Run the configured families and report the verified best instance."""
     t = config.t
+    # Each family's search, and the re-certification that shares no kernel with it.
     runners = {
-        "one_d": lambda: _one_d_family(t),
-        "lower_bound": lambda: _lower_bound_family(t),
-        "random_local": lambda: _random_local_family(t, config.seed, config.budget),
+        "one_d": (lambda: _one_d_family(t), certify_box),
+        "lower_bound": (lambda: _lower_bound_family(t), certify_box),
+        "random_local": (
+            lambda: _random_local_family(t, config.seed, config.budget),
+            certify_square_free,
+        ),
     }
-    results = [runners[n]() for n in config.families]
+    results = [runners[n][0]() for n in config.families]
     bests = tuple(r for r in results if r is not None)
     if not bests:
         raise DomainError("no family produced a candidate")
@@ -191,7 +209,7 @@ def sweep(config: SweepConfig) -> SweepResult:
     for fb in bests:
         if not is_proper(fb.progression):
             raise VerificationFailed(f"{fb.family} box is not proper: {fb.progression}")
-        if certify_square_free(fb.progression, t).kind != "square_free":
+        if runners[fb.family][1](fb.progression, t).kind != "square_free":
             raise VerificationFailed(f"{fb.family} box holds a square <= {t}: {fb.progression}")
         if cardinality(fb.progression) != fb.size:
             raise VerificationFailed(f"{fb.family} box size is not {fb.size}: {fb.progression}")

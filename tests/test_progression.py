@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import json
 import math
@@ -45,7 +46,9 @@ from sqavoid.progression import (
     max_radius,
     walk_roots,
 )
-from sqavoid.sweep import certify_square_free as sweep_certify
+
+# The package's `sweep` attribute is the function, so fetch the module.
+sweep_module = importlib.import_module("sqavoid.sweep")
 
 
 # ---------------------------------------------------------------- oracles
@@ -490,23 +493,32 @@ def test_brute_force_refuses_a_negative_guard():
     assert brute_force_witness(a, 25, guard=cardinality(a)) == SquareWitness(2, -1, 1)
 
 
-def _names_reached(*fns) -> set[str]:
-    """Global and attribute names the functions use, following every function
-    of `progression` they name, and the comprehensions inside them."""
-    names, seen = set(), set()
-    todo = [f.__code__ for f in fns]
+def _code_reached(*fns) -> dict[types.CodeType, types.FunctionType]:
+    """The code of the functions and of every sqavoid function they name, at
+    any depth, and the comprehensions inside them, each with its function."""
+    seen, todo = {}, [(f, f.__code__) for f in fns]
     while todo:
-        code = todo.pop()
+        f, code = todo.pop()
         if code in seen:
             continue
-        seen.add(code)
-        names.update(code.co_names)
-        todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        seen[code] = f
+        todo += [(f, c) for c in code.co_consts if isinstance(c, types.CodeType)]
         for name in code.co_names:
-            f = getattr(progression, name, None)
-            if inspect.isfunction(f) and f.__module__ == progression.__name__:
-                todo.append(f.__code__)
-    return names
+            g = f.__globals__.get(name)
+            if inspect.isfunction(g) and g.__module__.startswith("sqavoid."):
+                todo.append((g, g.__code__))
+    return seen
+
+
+def _names_reached(*fns) -> set[str]:
+    """Global and attribute names the functions use, following every sqavoid
+    function they name, and the comprehensions inside them."""
+    return {name for code in _code_reached(*fns) for name in code.co_names}
+
+
+def _functions_reached(*fns) -> set[str]:
+    """`module.name` of the functions and of every sqavoid function they reach."""
+    return {f"{f.__module__.rpartition('.')[2]}.{f.__name__}" for f in _code_reached(*fns).values()}
 
 
 # What the row searches (max_radius and the row route) are built from, and
@@ -523,14 +535,50 @@ ROW_SEARCH = {
 ORACLE = {"brute_force_witness", "_row_scan", "_pair_scan", "_least", "_squares_through", "_square_table"}
 
 
+# What a family's search and its re-certification may share: factoring and
+# modular inversion, whose answers are checked facts of arithmetic.
+SHARED_PRIMITIVES = {
+    "arith.factorize",
+    "arith.is_prime",
+    "arith._mr_is_composite",
+    "arith._brent_rho",
+    "arith.mod_inverse",
+}
+
+
+def _sweep_routes() -> dict[str, object]:
+    """Family -> the route `sweep` re-certifies that family's box by."""
+    taken = []
+    with pytest.MonkeyPatch.context() as mp:
+        for route in (certify_box, certify_square_free):
+            mp.setattr(
+                sweep_module,
+                route.__name__,
+                lambda a, t, route=route: taken.append((a, route)) or route(a, t),
+            )
+        res = sweep_module.sweep(sweep_module.SweepConfig(t=10**6))
+    assert len(taken) == len(res.family_bests) == 3
+    return {fb.family: route for fb in res.family_bests for a, route in taken if a == fb.progression}
+
+
 def test_walk_filter_shares_no_code_with_max_radius():
-    # The root walk re-certifies the sweep's boxes, which max_radius finds
-    # by modular square roots: neither the walk nor the sweep's
-    # re-certification may reach those routines or the row route.
-    assert sweep_certify is certify_square_free
+    # The root walk re-certifies random_local's boxes, which max_radius
+    # finds by modular square roots: neither the walk nor its certificate
+    # may reach those routines or the row route.
     for f in (walk_roots, _root_blocks, certify_square_free):
         assert not (ROW_SEARCH | {"find_square_witness"}) & _names_reached(f), f
     assert not {"walk_roots", "_root_blocks", "certify_square_free"} & _names_reached(max_radius)
+
+
+def test_each_family_route_reaches_none_of_its_search():
+    # one_d and lower_bound find their boxes in closed form, from the kernel
+    # and from `jacobi`, so the row route re-certifies them; random_local
+    # searches by rows, so its box stays on the root walk.
+    routes = _sweep_routes()
+    assert routes == {"one_d": certify_box, "lower_bound": certify_box, "random_local": certify_square_free}
+    for family, route in routes.items():
+        search = _functions_reached(getattr(sweep_module, f"_{family}_family")) - SHARED_PRIMITIVES
+        assert not search & _functions_reached(route), family
 
 
 def test_oracle_shares_no_code_with_either_route():
@@ -598,18 +646,29 @@ def radius_cases(draw) -> tuple[int, int, int, int]:
     A common factor g gives gcd > 1; steps may carry a prime power (2^k,
     3^k, 5^2, 7^2), so the square roots modulo a step include non-units
     and zero with reduced moduli; an other_r of at most 3 beside a wide
-    room makes the rows y decide the radius.
+    room makes the rows y decide the radius.  In the other half of the
+    cases other_q, even or odd, has a reach other_r*other_q of other_q^2/4
+    to other_q^2, so rows x = +-1 span n from 1 to about other_q/2 ..
+    other_q: more than half a period of roots but often less than a whole
+    one.  There q is a multiple of other_q half the time, so every row x
+    has x*q = 0 (mod other_q), whose roots include 0 and do not pair up.
     """
     g = draw(st.integers(1, 6))
-    power = st.sampled_from([1, 2, 4, 8, 16, 32, 3, 9, 27, 25, 49])
-    q = g * draw(st.integers(1, 40)) * draw(power)
-    other_q = g * draw(st.integers(1, 40)) * draw(power)
-    other_r = draw(st.one_of(st.integers(0, 3), st.integers(0, 12)))
+    if draw(st.booleans()):
+        power = st.sampled_from([1, 2, 4, 8, 16, 32, 3, 9, 27, 25, 49])
+        q = g * draw(st.integers(1, 40)) * draw(power)
+        other_q = g * draw(st.integers(1, 40)) * draw(power)
+        other_r = draw(st.one_of(st.integers(0, 3), st.integers(0, 12)))
+    else:
+        other_q = draw(st.integers(2, 90))
+        kernel = squarefree_kernel(other_q)  # other_r below it leaves row 0 clear
+        other_r = draw(st.integers(other_q // 4, max(other_q // 4, kernel - 1)))
+        q = other_q * draw(st.integers(1, 3)) if draw(st.booleans()) else g * draw(st.integers(1, 90))
     t = other_r * other_q + draw(st.one_of(st.integers(0, 3000), st.integers(0, 60 * q)))
     return q, other_q, other_r, t
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(radius_cases())
 def test_max_radius_matches_radius_by_radius_oracle(case):
     q, other_q, other_r, t = case

@@ -21,10 +21,11 @@ from sqavoid.arith import (
     least_qnr,
     primes_up_to,
 )
+from sqavoid.bounds import one_d_bound
 from sqavoid.cli import main
 from sqavoid.formats import value
 from sqavoid.lowerbound import MIN_PRIME, build_instance
-from sqavoid.progression import TwoDAP, cardinality, certify_square_free, is_proper
+from sqavoid.progression import TwoDAP, cardinality, certify_square_free, is_proper, max_radius
 from sqavoid.sweep import (
     MAX_BUDGET,
     FamilyBest,
@@ -180,49 +181,88 @@ def test_random_local_family_is_deterministic():
 
 
 def test_random_local_work_is_its_budget_for_every_seed(monkeypatch):
-    """One max_radius walk per coprime pair: exactly `budget` walks."""
-    walks = []
-    kernel = sweep_module._max_radius
+    """`budget` coprime pairs drawn, each q1 factored once; at most that many walks."""
+    drawn, walks = [], []
+    factor, kernel = sweep_module.factorize, sweep_module._max_radius
+
+    def counted_factorize(n):
+        drawn.append(n)
+        return factor(n)
 
     def counted(q, other_q, fo, other_r, t):
         walks.append((q, other_q, other_r))
         return kernel(q, other_q, fo, other_r, t)
 
+    monkeypatch.setattr(sweep_module, "factorize", counted_factorize)
     monkeypatch.setattr(sweep_module, "_max_radius", counted)
     t, budget = 1_000_000, 30
     for seed in range(5):
+        drawn.clear()
         walks.clear()
         fb = _random_local_family(t, seed=seed, budget=budget)
-        assert len(walks) == budget, seed
+        assert len(drawn) == budget and len(walks) <= budget, seed
         assert all(math.gcd(q, other_q) == 1 for q, other_q, _ in walks)
         assert fb.progression.value_bound() <= t
 
 
 def test_random_local_factors_q1_once_per_pair(monkeypatch):
     # X1's kernel and the row walk's other step share one factorization of
-    # q1; the walk may factor q2 for its rows y, and nothing else.
-    walks, factored = [], []
+    # q1; the walk may factor q2 for its rows y, and nothing else.  A pair
+    # whose walk is skipped factors q1 alone.
+    pairs, walks = [], []
     factor, kernel = arith.factorize, sweep_module._max_radius
 
-    def counted_factorize(n):
-        factored.append(n)
+    def pair_factorize(n):  # the sweep's own call: one per coprime pair, on q1
+        pairs.append([n])
+        return factor(n)
+
+    def inner_factorize(n):
+        pairs[-1].append(n)
         return factor(n)
 
     def counted_kernel(q, other_q, fo, other_r, t):
-        r = kernel(q, other_q, fo, other_r, t)
-        walks.append((other_q, q, factored[:]))  # the pair's calls, the walk's included
-        factored.clear()
-        return r
+        walks.append((len(pairs) - 1, other_q, q))
+        return kernel(q, other_q, fo, other_r, t)
 
-    for module in (arith, progression, sweep_module):
-        monkeypatch.setattr(module, "factorize", counted_factorize)
+    for module in (arith, progression):
+        monkeypatch.setattr(module, "factorize", inner_factorize)
+    monkeypatch.setattr(sweep_module, "factorize", pair_factorize)
     monkeypatch.setattr(sweep_module, "_max_radius", counted_kernel)
     for t, seed in ((5_200_000, 1), (7_300_000, 2), (9_700_000, 3)):
+        pairs.clear()
         walks.clear()
         _random_local_family(t, seed=seed, budget=200)
-        assert len(walks) == 200
-        for q1, q2, calls in walks:
-            assert calls.count(q1) == 1 and set(calls) <= {q1, q2}, (t, q1, q2, calls)
+        assert len(pairs) == 200 and len(walks) <= 200
+        walked = {i: (q1, q2) for i, q1, q2 in walks}
+        for i, calls in enumerate(pairs):
+            q1, q2 = walked.get(i, (calls[0], None))
+            assert calls[0] == q1 and calls.count(q1) == 1 and set(calls) <= {q1, q2}, (t, calls)
+
+
+def oracle_random_local(t: int, seed: int, budget: int) -> FamilyBest | None:
+    """random_local with every pair walked: the largest proper box, ties to the
+    smallest steps, over the same seeded coprime pairs."""
+    rng, top = random.Random(seed), max(3, 2 * isqrt(t))
+    best, pairs = None, 0
+    while pairs < budget:
+        q1, q2 = sorted((rng.randint(2, top), rng.randint(2, top)))
+        if math.gcd(q1, q2) != 1:
+            continue
+        pairs += 1
+        x1 = one_d_bound(q1, t)
+        a = TwoDAP(q1, q2, x1, max_radius(q2, q1, x1, t))
+        rank = (cardinality(a), -q1, -q2)
+        if is_proper(a) and (best is None or rank > best[0]):
+            best = (rank, a)
+    return None if best is None else FamilyBest("random_local", best[1], best[0][0])
+
+
+def test_random_local_skips_no_winning_pair():
+    # Walks the family skips could not have beaten its best box.  At small
+    # T the room X1 leaves is often the winner's X2 itself.
+    for t in (*range(100, 1000, 49), 10_000, 1_000_000, 7_500_000, 10**8):
+        for seed in range(10):
+            assert _random_local_family(t, seed, 200) == oracle_random_local(t, seed, 200), (t, seed)
 
 
 # ------------------------------------------------------------ full sweep
@@ -320,14 +360,20 @@ def test_sweep_records_frozen_under_python_O(run_python):
 
 
 def test_sweep_records_frozen_past_the_residue_scan_limit(capsys):
-    # `sqavoid sweep --t 4*10^12 --seed S` for S in 0, 1, byte for byte: the
-    # winners' q1 pass RESIDUE_SCAN_LIMIT, so their re-certifying walks are
-    # filtered only because the limit bounds the classes held, not q1.
+    # `sqavoid sweep --t 4*10^12 --seed S` for S in 0, 1, byte for byte.
     out = []
     for seed in (0, 1):
         assert main(["sweep", "--t", str(4 * 10**12), "--seed", str(seed)]) == 0
         out.append(capsys.readouterr().out)
     assert "".join(out) == (BENCH_BAND.parent / "sweep_4e12.jsonl").read_text()
+
+
+def test_sweep_records_frozen_at_1e14(capsys):
+    # `sqavoid sweep --t 10^14 --seed 0`, byte for byte.  random_local's q1,
+    # 7,289,821, passes RESIDUE_SCAN_LIMIT, so its re-certifying root walk is
+    # filtered only because the limit bounds the classes held, not q1.
+    assert main(["sweep", "--t", str(10**14), "--seed", "0"]) == 0
+    assert capsys.readouterr().out == (BENCH_BAND.parent / "sweep_1e14.jsonl").read_text()
 
 
 def test_sweep_best_dominates_families():
@@ -400,6 +446,38 @@ _UNCONTAINED = textwrap.dedent(
 )
 
 
+_PLANTED = textwrap.dedent(
+    """
+    import importlib
+    import sys
+    from sqavoid.arith import VerificationFailed
+    from sqavoid.progression import TwoDAP, cardinality, is_proper
+
+    if not sys.flags.optimize:
+        sys.exit("expected to run under python -O")
+    sweep_module = importlib.import_module("sqavoid.sweep")  # the package's `sweep` is the function
+    # Proper boxes inside [-1000, 1000], each one radius past square-free.
+    planted = {
+        "one_d": TwoDAP(12, 1, 5, 0),  # 3*12 = 6^2
+        "lower_bound": TwoDAP(13, 15, 13, 1),  # 13*13 = 13^2
+        "random_local": TwoDAP(7, 9, 5, 1),  # 0*7 + 1*9 = 3^2
+    }
+    for family, box in planted.items():
+        if not (is_proper(box) and box.value_bound() <= 1000):
+            sys.exit(f"{family}: {box} would fail another check first")
+        found = sweep_module.FamilyBest(family, box, cardinality(box))
+        setattr(sweep_module, f"_{family}_family", lambda *args, found=found: found)
+        try:
+            sweep_module.sweep(sweep_module.SweepConfig(t=1000, families=(family,)))
+        except VerificationFailed as e:
+            if "holds a square" not in str(e):
+                sys.exit(f"{family}: {e}")
+        else:
+            sys.exit(f"sweep reported {family}'s box {box}, which holds a square")
+    """
+)
+
+
 _FORGED = textwrap.dedent(
     """
     import dataclasses
@@ -437,6 +515,11 @@ def test_containment_check_survives_optimized_mode(run_python):
     rec = json.loads(proc.stdout.splitlines()[-1])
     assert (rec["kind"], rec["error"]) == ("Error", "VerificationFailed")
     assert "leaves" in rec["message"]
+
+
+def test_every_family_route_rejects_a_planted_square_under_python_O(run_python):
+    proc = run_python("-O", "-c", _PLANTED)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_trace_check_survives_optimized_mode(run_python):
