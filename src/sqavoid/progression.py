@@ -25,8 +25,10 @@ q1 past 10^12, and cannot foresee an early witness):
   far, like the paper's non-residue boxes, cost almost nothing.
 
 `brute_force_witness`, the independent oracle, enumerates the whole
-coefficient box row by row against a set of squares (kept across calls
-up to SQUARE_TABLE_ROOTS roots), with no residue-class arithmetic.  All
+coefficient box row by row, skipping only the values whose residue
+modulo the fixed SQUARE_MODULUS = 144 no square takes, and tests the rest
+against a set of squares (kept across calls up to SQUARE_TABLE_ROOTS
+roots) or by isqrt; it does no residue arithmetic modulo q1.  All
 three apply the same deterministic tie-break (smallest n, then smallest
 |x1|, positive x1 before negative), so their results are comparable
 object-for-object.  `certify_box`, behind the `witness` and `verify`
@@ -75,8 +77,10 @@ ROOT_WALK_LIMIT = 100_000_000
 # Most residues, and most root classes, a witness walk's filter holds at once.
 RESIDUE_SCAN_LIMIT = 1 << 20
 # Roots whose squares the brute-force oracle keeps between calls: 2^16
-# squares, about 6 MiB.  A call that needs more builds its own set.
+# squares, about 6 MiB.  A call that needs more tests each value by isqrt.
 SQUARE_TABLE_ROOTS = 1 << 16
+# The modulus whose square residues the brute-force oracle reads rows by.
+SQUARE_MODULUS = 144
 
 
 @dataclass(frozen=True)
@@ -471,17 +475,12 @@ def certify_box(a: TwoDAP, t: int) -> Certificate:
 # m <= SQUARE_TABLE_ROOTS that a call has needed.  It only ever grows, and
 # holds the same squares whichever calls grew it.
 _square_table: set[int] = set()
+# The residues modulo SQUARE_MODULUS that squares take, by squaring every class.
+_SQUARE_RESIDUES = frozenset(n * n % SQUARE_MODULUS for n in range(SQUARE_MODULUS))
 
 
 def _squares_through(m: int) -> set[int]:
-    """A set holding 1, 4, ..., m^2, and perhaps larger squares.
-
-    Up to SQUARE_TABLE_ROOTS roots this is the kept table, grown by the
-    squares it lacks; past that bound, a set built for the caller.
-    """
-    if m > SQUARE_TABLE_ROOTS:
-        r = range(1, m + 1)
-        return set(map(mul, r, r))
+    """The kept table, grown to hold 1, 4, ..., m^2 (m <= SQUARE_TABLE_ROOTS)."""
     r = range(len(_square_table) + 1, m + 1)
     _square_table.update(map(mul, r, r))
     return _square_table
@@ -494,37 +493,43 @@ def _least(hits) -> SquareWitness | None:
 
 
 def _row_scan(a: TwoDAP, cap: int) -> SquareWitness | None:
-    """Brute force one row (fixed x2) at a time against a set of squares.
+    """Brute force one row (fixed x2) at a time, skipping classes with no square.
 
-    A row's values x1*q1 + x2*q2 in [1, cap] form one range with step q1;
-    intersecting it with a set holding {1, 4, ..., isqrt(cap)^2} tests
-    every pair by hash lookup at C speed.  The set may also hold larger
-    squares (`_squares_through` keeps one table for every call), which no
-    clipped row can meet.  A row's least square is its only candidate: it
-    alone has the row's smallest n.
+    A row's values x1*q1 + x2*q2 in [1, cap] form one range with step q1.
+    A row of at least 4*SQUARE_MODULUS values (shorter ones cost less whole)
+    is split into SQUARE_MODULUS sub-ranges with step SQUARE_MODULUS*q1, one
+    residue modulo SQUARE_MODULUS each, and only those whose residue is in
+    `_SQUARE_RESIDUES` are read: 16 of 144 when q1 is prime to 6, fewer
+    otherwise.  Each value read is tested exactly: by hash lookup at C speed
+    in the kept table when isqrt(cap) <= min(pairs, SQUARE_TABLE_ROOTS),
+    otherwise by isqrt, so that no set is built and only the row's squares
+    are held.  The table may also hold larger squares, which no clipped row
+    can meet.  A row's least square is its only candidate: it alone has the
+    row's smallest n.
     """
-    squares = _squares_through(isqrt(cap))
+    n_hi, m = isqrt(cap), SQUARE_MODULUS
+    kept = n_hi <= min(cardinality(a), SQUARE_TABLE_ROOTS)
+    squares = _squares_through(n_hi) if kept else None
     q1, b1 = a.q1, a.b1
     hits = []
     for x2 in range(-a.b2, a.b2 + 1):
         base = x2 * a.q2
         lo = max(-b1, -((base - 1) // q1))  # least x1 with base + x1*q1 >= 1
         hi = min(b1, (cap - base) // q1)
-        row = squares.intersection(range(base + lo * q1, base + hi * q1 + 1, q1))
-        if row:
-            v = min(row)
+        if lo > hi:
+            continue
+        row = range(base + lo * q1, base + hi * q1 + 1, q1)
+        parts = [row]
+        if len(row) >= 4 * m:
+            parts = [row[i::m] for i in range(m) if row[i] % m in _SQUARE_RESIDUES]
+        if kept:
+            found = [v for part in parts for v in squares.intersection(part)]
+        else:
+            found = [v for part in parts for v in part if isqrt(v) ** 2 == v]
+        if found:
+            v = min(found)
             hits.append((isqrt(v), (v - base) // q1, x2))
     return _least(hits)
-
-
-def _pair_scan(a: TwoDAP, cap: int) -> SquareWitness | None:
-    """Brute force pair by pair, with an integer square root per value."""
-    return _least(
-        (isqrt(v), x1, x2)
-        for x1 in range(-a.b1, a.b1 + 1)
-        for x2 in range(-a.b2, a.b2 + 1)
-        if 1 <= (v := x1 * a.q1 + x2 * a.q2) <= cap and isqrt(v) ** 2 == v
-    )
 
 
 def brute_force_witness(
@@ -536,10 +541,10 @@ def brute_force_witness(
     `find_square_witness` ((n, |x1|, sign of x1)).  Refuses t < 0 as the
     routes do, a negative guard (DomainError), and boxes with more than
     `guard` coefficient pairs (TooLarge), so guard = 0 refuses every box.
-    Exact at any integer size.  Scans by rows, unless the box has fewer
-    pairs than there are squares up to the cap (small boxes of huge
-    values), so memory stays O(pairs) beyond the kept table of at most
-    SQUARE_TABLE_ROOTS squares.
+    Exact at any integer size.  Scans by rows (`_row_scan`), reading only
+    the values whose residue modulo SQUARE_MODULUS a square can take; its
+    memory is O(rows) beyond the kept table of at most SQUARE_TABLE_ROOTS
+    squares, which only boxes with at least isqrt(cap) pairs grow.
     """
     if t < 0:
         raise DomainError(f"ambient bound must be non-negative, got {t}")
@@ -551,4 +556,4 @@ def brute_force_witness(
     cap = min(t, a.value_bound())
     if cap < 1:
         return None
-    return _pair_scan(a, cap) if isqrt(cap) > pairs else _row_scan(a, cap)
+    return _row_scan(a, cap)

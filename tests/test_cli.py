@@ -557,6 +557,29 @@ def test_lower_bound_box_past_10_9_is_certified(run_python):
         assert rec["n_max"] == "1000000013"
 
 
+# The child's own peak RSS: ru_maxrss would also count the forking parent's
+# peak, which Linux carries across exec.
+_VERIFY_PEAK_RSS = """
+import re
+from sqavoid.cli import main
+box = ["--q1", "50000001", "--q2", "1", "--x1", "49999999", "--x2", "0", "--t", "2500000100000000"]
+code = main(["verify", *box])
+with open("/proc/self/status") as f:
+    print(code, int(re.search(r"VmHWM:\\s*(\\d+) kB", f.read())[1]) * 1024)
+"""
+
+
+def test_verify_at_the_guard_limit_runs_in_bounded_memory(run_python):
+    # 99,999,999 pairs, just inside the guard, with squares up to 2.5*10^15:
+    # a set of the 5*10^7 squares below the cap would take gigabytes.
+    proc = run_python("-c", _VERIFY_PEAK_RSS, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    record, last = proc.stdout.splitlines()
+    code, peak = map(int, last.split())
+    assert code == 0 and json.loads(record)["brute_force"] == "agree"
+    assert peak < 64 * 2**20, peak
+
+
 # ------------------------------------------------------ one parser per process
 
 

@@ -7,6 +7,7 @@ import inspect
 import json
 import math
 import random
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -33,7 +34,6 @@ from sqavoid.progression import (
     SquareWitness,
     TwoDAP,
     _least_root,
-    _pair_scan,
     _root_blocks,
     _row_scan,
     _walk_rows,
@@ -459,16 +459,23 @@ def test_kept_square_table_matches_pair_scan(monkeypatch):
     rng = random.Random(16)
 
     def check(cap: int) -> None:
-        # Boxes with a square planted at x1 = 1 near or below the cap.
+        # Boxes with a square planted at x1 = 1 near or below the cap, and
+        # with at least min(isqrt(cap), SQUARE_TABLE_ROOTS) pairs, so that
+        # within the bound the row scan reads the table.
         for _ in range(12):
             n = rng.choice([isqrt(cap), rng.randint(1, isqrt(cap))])
-            b1, b2 = rng.randint(1, 15), rng.randint(0, 15)
+            b2 = rng.randint(0, 15)
+            b1 = max(rng.randint(1, 15), min(isqrt(cap), progression.SQUARE_TABLE_ROOTS) // (2 * b2 + 1))
             x2, q2 = rng.randint(-b2, b2), rng.randint(1, cap // 30 + 1)
             q1 = n * n - x2 * q2 if n * n > x2 * q2 else n * n
             a = TwoDAP(q1, q2, b1, b2)
-            assert _row_scan(a, cap) == _pair_scan(a, cap) is not None, (a, cap)
+            assert _row_scan(a, cap) == oracle_witness(a, cap) is not None, (a, cap)
         assert len(progression._square_table) <= progression.SQUARE_TABLE_ROOTS
 
+    # A box with fewer pairs than roots tests its values by isqrt.
+    a = TwoDAP(99 * 99 - 7, 7, 2, 1)
+    assert _row_scan(a, 10**8) == oracle_witness(a, 10**8) == SquareWitness(1, 1, 99)
+    assert not progression._square_table
     caps = [10**8, 10**6, 4000, 50, 1]
     for cap in caps:  # descending: the table keeps its largest size
         check(cap)
@@ -476,12 +483,44 @@ def test_kept_square_table_matches_pair_scan(monkeypatch):
     for cap in reversed(caps):  # ascending: nothing to add
         check(cap)
     assert len(progression._square_table) == 10**4
-    check(2**34)  # 2^17 roots, past the bound: a set for the call alone
+    check(2**34)  # 2^17 roots, past the bound: each value tested by isqrt
     assert len(progression._square_table) == 10**4
     check(2**32)  # exactly the bound's 2^16 roots
     assert progression._square_table == {n * n for n in range(1, 2**16 + 1)}
     check(2**32 + 2**17 + 1)  # 2^16 + 1 roots: one past the bound
     assert len(progression._square_table) == progression.SQUARE_TABLE_ROOTS == 2**16
+
+
+def test_square_residues_are_the_squares_mod_144():
+    assert progression._SQUARE_RESIDUES == {n * n % 144 for n in range(144)}
+
+
+def test_row_scan_reads_every_class_that_holds_squares():
+    # Row x2 = 1 of (p, q2, 576, 1) runs q2 + x1*p for x1 = 0..576, and row
+    # x2 = 0 holds no square (p > 576 is prime).  q2 puts the least square
+    # of the box at x1 = j, so each of the row's 144 classes holds it once.
+    for p in (10007, 10**9 + 7):  # the kept table, then isqrt
+        for i in range(144):
+            j = i + 144 * (i % 4)
+            n = isqrt(j * p) + 1
+            a = TwoDAP(p, n * n - j * p, 576, 1)
+            cap = a.value_bound()
+            assert _row_scan(a, cap) == oracle_witness(a, cap) == SquareWitness(j, 1, n), (p, j)
+
+
+def test_oracle_past_the_table_keeps_no_set(monkeypatch):
+    # One row of 4*10^6 values up to 1.6*10^13: a set of the 4*10^6 squares
+    # up to the cap would take about 285 MiB.
+    monkeypatch.setattr(progression, "_square_table", set())
+    a = TwoDAP(4_000_001, 1, 4_000_000, 0)
+    tracemalloc.start()
+    try:
+        w = brute_force_witness(a, a.value_bound())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w is None and peak < 2 * 2**20, peak
+    assert not progression._square_table
 
 
 def test_brute_force_refuses_a_negative_guard():
@@ -532,7 +571,15 @@ ROW_SEARCH = {
     "_least_root",
     "_walk_rows",
 }
-ORACLE = {"brute_force_witness", "_row_scan", "_pair_scan", "_least", "_squares_through", "_square_table"}
+ORACLE = {
+    "brute_force_witness",
+    "_row_scan",
+    "_least",
+    "_squares_through",
+    "_square_table",
+    "SQUARE_MODULUS",
+    "_SQUARE_RESIDUES",
+}
 
 
 # What a family's search and its re-certification may share: factoring and
@@ -623,7 +670,49 @@ def test_row_scan_matches_pair_scan_hypothesis(case):
     assert brute_force_witness(a, t) == w
     cap = min(t, a.value_bound())
     if cap >= 1:
-        assert _row_scan(a, cap) == _pair_scan(a, cap) == oracle_witness(a, cap) == w
+        assert _row_scan(a, cap) == oracle_witness(a, cap) == w
+
+
+@st.composite
+def long_row_boxes(draw) -> tuple[TwoDAP, int]:
+    """Boxes whose rows hold 600 to 5,001 values before clipping, past the filter.
+
+    q1 is a multiple of 1, 2, 3, 16, 48 or 144, so a row reads anywhere
+    from none to 16 of its classes modulo 144, and log-uniform, so steps
+    past 2^64 are common.  Most boxes get a square planted at (x1, +-1),
+    which gives rows with negative bases; t falls in the upper half of the
+    value bound, past it, on either side of 2^32, or where isqrt(t) meets
+    the pair count, the edge between the kept table and isqrt.
+    """
+    k = draw(st.integers(0, 70))
+    q1 = draw(st.sampled_from([1, 2, 3, 16, 48, 144])) * draw(st.integers(2**k, 2 ** (k + 1)))
+    b1, b2 = draw(st.integers(600, 2500)), draw(st.integers(0, 2))
+    q2 = draw(st.integers(1, b1 * q1))
+    if b2 and draw(st.booleans()):
+        x1 = draw(st.integers(-b1, b1))
+        q2 = abs(draw(st.integers(1, isqrt(2 * b1 * q1))) ** 2 - x1 * q1) or q2
+    a = TwoDAP(q1, q2, b1, b2)
+    bound, pairs = a.value_bound(), cardinality(a)
+    t = draw(
+        st.one_of(
+            st.integers(bound // 2, bound),
+            st.integers(bound, 2 * bound),
+            st.integers(2**32 - 2**20, 2**32 + 2**20),
+            st.integers(max(0, pairs * pairs - 3 * pairs), pairs * pairs + 3 * pairs),
+        )
+    )
+    return a, t
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(long_row_boxes())
+def test_filtered_row_scan_matches_pair_oracle_hypothesis(case):
+    a, t = case
+    w = find_square_witness(a, t)
+    assert brute_force_witness(a, t) == w
+    cap = min(t, a.value_bound())
+    if cap >= 1:
+        assert _row_scan(a, cap) == oracle_witness(a, cap) == w
 
 
 def test_brute_force_exact_past_int64():
