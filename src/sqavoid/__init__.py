@@ -24,7 +24,6 @@ from .arith import (
     BadPrime,
     DomainError,
     FactorizationFailed,
-    NotCoprime,
     NotFound,
     NotInvertible,
     TooLarge,
@@ -34,7 +33,6 @@ from .arith import (
     is_prime,
     jacobi,
     least_qnr,
-    sqrt_mod,
     squarefree_kernel,
 )
 from .bounds import (
@@ -105,7 +103,6 @@ __all__ = [
     "Lattice2",
     "LowerBoundInstance",
     "NonResidueRecord",
-    "NotCoprime",
     "NotFound",
     "NotInvertible",
     "ReductionChain",
@@ -150,7 +147,6 @@ __all__ = [
     "residue_certificate",
     "size_vs_t",
     "small_square_survey",
-    "sqrt_mod",
     "square_cover_height",
     "squarefree_kernel",
     "sweep",

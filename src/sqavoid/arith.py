@@ -5,10 +5,10 @@ Everything in this module computes over arbitrary-precision Python integers
 any verdict: inequalities involving fractional powers are decided by integer
 cross-multiplication, and square roots by `math.isqrt`.
 
-The factor-dependent routines (`squarefree_kernel`, `sqrt_mod`,
-`is_square_mod`, `sqrt_classes`) rely on `factorize`, which combines trial
-division below 10**6 with Brent's cycle method driven by a deterministic
-parameter schedule, so repeated runs give identical results.
+The factor-dependent routines (`squarefree_kernel`, `is_square_mod`,
+`sqrt_classes`) rely on `factorize`, which combines trial division below
+10**6 with Brent's cycle method driven by a deterministic parameter
+schedule, so repeated runs give identical results.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ class DomainError(ValueError):
 
 class NotInvertible(DomainError):
     """Modular inverse requested for a non-unit residue."""
-
-
-class NotCoprime(DomainError):
-    """Arguments were required to be coprime but are not."""
 
 
 class BadPrime(DomainError):
@@ -102,26 +98,6 @@ def iroot(n: int, k: int) -> int:
     while x ** k > n:
         x -= 1
     return x
-
-
-def floor_root_ratio(a: int, b: int, k: int) -> int:
-    """Largest integer r >= 0 with r**k * b <= a: floor((a/b)^(1/k)) for b >= 1."""
-    r = iroot(a // b, k)
-    while (r + 1) ** k * b <= a:
-        r += 1
-    while r > 0 and r**k * b > a:
-        r -= 1
-    return r
-
-
-def ceil_root_ratio(a: int, b: int, k: int) -> int:
-    """Smallest integer r >= 0 with r**k * b >= a: ceil((a/b)^(1/k)) for b >= 1."""
-    r = iroot(a // b, k)
-    while r**k * b < a:
-        r += 1
-    while r > 0 and (r - 1) ** k * b >= a:
-        r -= 1
-    return r
 
 
 def _mr_is_composite(n: int, a: int, d: int, r: int) -> bool:
@@ -365,26 +341,6 @@ def _roots_mod_two_power(a: int, k: int) -> list[int]:
     mod = 1 << k
     half = 1 << (k - 1)
     return sorted({r % mod, (-r) % mod, (r + half) % mod, (-r + half) % mod})
-
-
-def sqrt_mod(a: int, m: int) -> int | None:
-    """Smallest c in [0, m) with c*c = a (mod m), or None if no root exists.
-
-    Requires gcd(a, m) = 1.  The modulus is factored; roots of each prime
-    power are combined over all CRT branches and the minimum is returned, so
-    the result is canonical.  Factoring cannot fail for m < 10^12 (trial
-    division to 10^6 leaves a prime cofactor); beyond that it raises
-    FactorizationFailed only for a cofactor that Brent's method cannot split.
-    """
-    if m < 1:
-        raise DomainError(f"modulus must be positive, got {m}")
-    if m == 1:
-        return 0
-    a %= m
-    if math.gcd(a, m) != 1:
-        raise NotCoprime(f"sqrt_mod requires gcd(a, m) = 1, got gcd = {math.gcd(a, m)}")
-    # a is a unit, so the classes of `sqrt_classes` are taken modulo m itself.
-    return min(sqrt_classes(a, factorize(m))[1], default=None)
 
 
 def is_square_mod(a: int, factors: dict[int, int]) -> bool:

@@ -37,8 +37,6 @@ from .arith import (
     DomainError,
     TooLarge,
     VerificationFailed,
-    ceil_root_ratio,
-    floor_root_ratio,
     isqrt,
     mod_inverse,
 )
@@ -218,8 +216,9 @@ def enumerate_gauge_ball(
         x1 = s * h11
         if x1 * x1 * un * un > bound_scaled:
             break
-        # |x2| <= sqrt(bound_scaled)/ud, over the class x2 = s*h12 (mod h22).
-        x2cap = floor_root_ratio(bound_scaled.numerator, bound_scaled.denominator * ud * ud, 2)
+        # |x2| <= sqrt(bound_scaled)/ud, over the class x2 = s*h12 (mod h22);
+        # floor(sqrt(x)) = isqrt(floor(x)) for a rational x >= 0.
+        x2cap = isqrt(bound_scaled.numerator // (bound_scaled.denominator * ud * ud))
         t_lo = -(x2cap + s * h12) // h22
         t_hi = (x2cap - s * h12) // h22
         if t_hi - t_lo > _ENUM_GUARD or len(out) > _ENUM_GUARD:
@@ -293,7 +292,8 @@ def reduce_step(
     p2, r2 = divmod(v[0] * qt1 + v[1] * qt2, d)
     if r1 != 0 or r2 != 0:
         raise VerificationFailed(f"attainers {u}, {v} miss the congruence mod {d}")
-    # Xt_i^2 = (X1 * X2) / (4 * lambda_i^2), an exact rational.
+    # Xt_i^2 = (X1 * X2) / (4 * lambda_i^2), an exact rational, and
+    # floor(Xt_i) = isqrt(floor(Xt_i^2)).
     area = x1b * x2b
     xt1_sq = area / (4 * lam1_sq)
     xt2_sq = area / (4 * lam2_sq)
@@ -312,8 +312,8 @@ def reduce_step(
         p2,
         xt1_sq,
         xt2_sq,
-        floor_root_ratio(xt1_sq.numerator, xt1_sq.denominator, 2),
-        floor_root_ratio(xt2_sq.numerator, xt2_sq.denominator, 2),
+        isqrt(xt1_sq.numerator // xt1_sq.denominator),
+        isqrt(xt2_sq.numerator // xt2_sq.denominator),
     )
 
 
@@ -549,7 +549,7 @@ def reduce_recursive(
         stop = "coprime"
     elif d <= SMALL_GCD:
         stop = "small-box" if x1b < d or x2b < d else ""
-    elif d >= ceil_root_ratio(t, 1, 2):
+    elif d * d >= t:
         stop = "large-gcd"
     else:
         stop = "one-dimensional" if x1b < 1 or x2b < 1 else ""

@@ -25,10 +25,11 @@ q1 past 10^12, and cannot foresee an early witness):
   far, like the paper's non-residue boxes, cost almost nothing.
 
 `brute_force_witness`, the independent oracle, enumerates the whole
-coefficient box row by row, skipping only the values whose residue
-modulo the fixed SQUARE_MODULUS = 144 no square takes, and tests the rest
-against a set of squares (kept across calls up to SQUARE_TABLE_ROOTS
-roots) or by isqrt; it does no residue arithmetic modulo q1.  All
+coefficient box row by row along its longer axis, skipping only the
+values whose residue modulo the fixed SQUARE_MODULUS = 144 no square
+takes, and tests the rest against a set of squares (kept across calls up
+to SQUARE_TABLE_ROOTS roots) or by isqrt; it does no residue arithmetic
+modulo q1 or q2.  All
 three apply the same deterministic tie-break (smallest n, then smallest
 |x1|, positive x1 before negative), so their results are comparable
 object-for-object.  `certify_box`, behind the `witness` and `verify`
@@ -36,10 +37,11 @@ commands, searches by the cheaper route.
 
 `max_radius`, the largest square-free radius r on one axis, also walks
 rows, asking `_least_root` as the row route does: a row of the box holds
-a square iff a modular square root lands near its centre.  It reads the
-rows across its own axis, min(r + 1, R, room) steps past the centre row;
-only when that walk outlasts R < room does it factor its step and read
-the 2R + 1 rows along it.  Most rows it settles without solving a root:
+a square iff a modular square root lands near its centre.  It takes the
+other axis's step already factored (the sweep factors q1 once, for X1
+and for this), reads the rows across its own axis, min(r + 1, R, room)
+steps past the centre row, and only when that walk outlasts R < room
+does it factor its own step and read the 2R + 1 rows along it.  Most rows it settles without solving a root:
 a character test (`is_square_mod`), or a row wide enough to span a whole
 period of roots, or half a period when the roots pair up as +-r, decides
 them.  Its boxes are re-certified by `certify_square_free`, which always
@@ -346,17 +348,18 @@ def find_square_witness(a: TwoDAP, t: int) -> SquareWitness | None:
     return _walk_rows(a, cap, factors)
 
 
-def max_radius(q: int, other_q: int, other_r: int, t: int) -> int:
+def max_radius(q: int, other_q: int, other_factors: dict[int, int], other_r: int, t: int) -> int:
     """Largest r with TwoDAP(q, other_q, r, other_r) in [-t, t] and square-free.
 
-    The box is searched one row at a time, out from the centre, within the
-    room (t - other_r*other_q) // q that the other axis leaves.  Row x
-    (values x*q + y*other_q, |y| <= other_r) holds a square iff some n >= 1
-    with n^2 = x*q (mod other_q) has |n^2 - x*q| <= reach = other_r*other_q.
-    Step k reads rows x = +-k, and a square there makes r = k - 1, so the
-    walk takes min(r + 1, other_r, room) steps past the centre row, with
-    other_q factored once.  Each row takes the cheapest test that decides
-    it:
+    Takes other_factors = factorize(other_q), which the sweep already holds,
+    steps q, other_q >= 1 and 0 <= other_r*other_q <= t, as the sweep's
+    pairs have them.  The box is searched one row at a time, out from the
+    centre, within the room (t - other_r*other_q) // q that the other axis
+    leaves.  Row x (values x*q + y*other_q, |y| <= other_r) holds a square
+    iff some n >= 1 with n^2 = x*q (mod other_q) has |n^2 - x*q| <= reach =
+    other_r*other_q.  Step k reads rows x = +-k, and a square there makes
+    r = k - 1, so the walk takes min(r + 1, other_r, room) steps past the
+    centre row.  Each row takes the cheapest test that decides it:
 
     * the centre row holds a square iff other_r >= kernel(other_q), as
       other_q*kernel(other_q) is its least (-1 if so);
@@ -384,31 +387,19 @@ def max_radius(q: int, other_q: int, other_r: int, t: int) -> int:
     ROOT_WALK_LIMIT raises TooLarge.  Returns -1 when even r = 0 holds a
     square.
     """
-    if q < 1 or other_q < 1:
-        raise DomainError(f"steps must be positive, got ({q}, {other_q})")
-    if other_r < 0:
-        raise DomainError("radii must be non-negative")
-    reach = other_r * other_q
-    if reach > t:
-        raise DomainError(f"the other axis reaches {reach}, past t = {t}")
-    return _max_radius(q, other_q, factorize(other_q), other_r, t)
-
-
-def _max_radius(q: int, other_q: int, fo: dict[int, int], other_r: int, t: int) -> int:
-    """`max_radius` on checked arguments, with fo = factorize(other_q)."""
     reach = other_r * other_q
     room = (t - reach) // q
     # The half-blocks of a period: [1, half] and [(other_q + 1) // 2, other_q - 1].
     half, half_starts = other_q // 2, [1, (other_q + 1) // 2]
     # Row x = 0 (values y*other_q) has its least square at y = kernel(other_q).
-    if _kernel_of(fo) <= other_r:
+    if _kernel_of(other_factors) <= other_r:
         return -1
     for k in range(1, min(room, other_r) + 1):
         if k > ROOT_WALK_LIMIT:
             raise TooLarge(f"the row walk passes {ROOT_WALK_LIMIT} steps")
         for x in (k, -k):
             center = x * q
-            if not is_square_mod(center, fo):
+            if not is_square_mod(center, other_factors):
                 continue
             # The n >= 1 with |n^2 - center| <= reach (n^2 <= t follows) run
             # from lo to hi, none if center + reach < 1; other_q consecutive
@@ -422,7 +413,7 @@ def _max_radius(q: int, other_q: int, fo: dict[int, int], other_r: int, t: int) 
             # divide center: every half-block of the period holds one.
             if center % other_q and _least_root(lo, other_q, half_starts) + half <= hi + 1:
                 return k - 1
-            if _least_root(lo, *sqrt_classes(center, fo)) <= hi:
+            if _least_root(lo, *sqrt_classes(center, other_factors)) <= hi:
                 return k - 1
     if room <= other_r:
         return room
@@ -493,32 +484,38 @@ def _least(hits) -> SquareWitness | None:
 
 
 def _row_scan(a: TwoDAP, cap: int) -> SquareWitness | None:
-    """Brute force one row (fixed x2) at a time, skipping classes with no square.
+    """Brute force one row at a time along the longer axis, skipping non-square classes.
 
-    A row's values x1*q1 + x2*q2 in [1, cap] form one range with step q1.
+    A row holds one coefficient fixed: x2 (values x1*q1 + x2*q2, a range
+    with step q1), or x1 when b2 > b1 (a range with step q2), so that the
+    rows are few and long.  Each row is clipped to the values in [1, cap].
     A row of at least 4*SQUARE_MODULUS values (shorter ones cost less whole)
-    is split into SQUARE_MODULUS sub-ranges with step SQUARE_MODULUS*q1, one
-    residue modulo SQUARE_MODULUS each, and only those whose residue is in
-    `_SQUARE_RESIDUES` are read: 16 of 144 when q1 is prime to 6, fewer
-    otherwise.  Each value read is tested exactly: by hash lookup at C speed
-    in the kept table when isqrt(cap) <= min(pairs, SQUARE_TABLE_ROOTS),
-    otherwise by isqrt, so that no set is built and only the row's squares
-    are held.  The table may also hold larger squares, which no clipped row
-    can meet.  A row's least square is its only candidate: it alone has the
-    row's smallest n.
+    is split into SQUARE_MODULUS sub-ranges, one residue modulo
+    SQUARE_MODULUS each, and only those whose residue is in
+    `_SQUARE_RESIDUES` are read: 16 of 144 when the step is prime to 6,
+    fewer otherwise.  Each value read is tested exactly: by hash lookup at
+    C speed in the kept table when isqrt(cap) <= min(pairs,
+    SQUARE_TABLE_ROOTS), otherwise by isqrt, so that no set is built and
+    only the row's squares are held.  The table may also hold larger
+    squares, which no clipped row can meet.  A row's least square is its
+    only candidate: it alone has the row's smallest n, and one value of a
+    row fixes its pair, so the tie-break (n, |x1|, x1 < 0) stays exact in
+    either orientation.
     """
     n_hi, m = isqrt(cap), SQUARE_MODULUS
     kept = n_hi <= min(cardinality(a), SQUARE_TABLE_ROOTS)
     squares = _squares_through(n_hi) if kept else None
-    q1, b1 = a.q1, a.b1
+    # Row y holds the values y*q_y + x*q_x, |x| <= b_x.
+    across = a.b2 > a.b1  # rows of fixed x1
+    q_y, b_y, q_x, b_x = (a.q1, a.b1, a.q2, a.b2) if across else (a.q2, a.b2, a.q1, a.b1)
     hits = []
-    for x2 in range(-a.b2, a.b2 + 1):
-        base = x2 * a.q2
-        lo = max(-b1, -((base - 1) // q1))  # least x1 with base + x1*q1 >= 1
-        hi = min(b1, (cap - base) // q1)
+    for y in range(-b_y, b_y + 1):
+        base = y * q_y
+        lo = max(-b_x, -((base - 1) // q_x))  # least x with base + x*q_x >= 1
+        hi = min(b_x, (cap - base) // q_x)
         if lo > hi:
             continue
-        row = range(base + lo * q1, base + hi * q1 + 1, q1)
+        row = range(base + lo * q_x, base + hi * q_x + 1, q_x)
         parts = [row]
         if len(row) >= 4 * m:
             parts = [row[i::m] for i in range(m) if row[i] % m in _SQUARE_RESIDUES]
@@ -528,7 +525,8 @@ def _row_scan(a: TwoDAP, cap: int) -> SquareWitness | None:
             found = [v for part in parts for v in part if isqrt(v) ** 2 == v]
         if found:
             v = min(found)
-            hits.append((isqrt(v), (v - base) // q1, x2))
+            x = (v - base) // q_x
+            hits.append((isqrt(v), y, x) if across else (isqrt(v), x, y))
     return _least(hits)
 
 

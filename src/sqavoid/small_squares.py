@@ -37,14 +37,17 @@ from .arith import (
     NotFound,
     TooLarge,
     VerificationFailed,
-    ceil_root_ratio,
     factorize,
+    iroot,
     mod_inverse,
     sqrt_classes,
 )
 from .progression import SquareWitness
 
 COVER_HEIGHT_GUARD = 100_000
+# The survey counts a pair's coefficients as small when they stay below
+# this many times the theoretical envelopes.
+RATIO_CEILING = 64
 # Up to this modulus `_sqrt_solver` builds a table of canonical square
 # roots; above it the modulus is factored once and each root solved from
 # that factorization.
@@ -154,21 +157,17 @@ class SmallSquareTrace:
     approx_d: int
     witness: SquareWitness
 
-    def validate(self, check_cover: bool = False) -> None:
+    def validate(self) -> None:
         """Check every structural invariant of the trace.
 
         Raises VerificationFailed if any fails.  The cover-height bound
         |b| <= H(q1) is mathematically guaranteed but costs O(q1 * H) to
-        confirm, so it is only checked on demand.
+        confirm, so it is not checked here.
         """
         w = self.witness
-        ok = (
-            w.n == self.n
-            and _invariants_hold(
-                self.q1, self.q2, self.n_cap, self.b, self.c, self.c_bar,
-                self.n, self.m, self.approx_d, w.x1, w.x2,
-            )
-            and (not check_cover or abs(self.b) <= square_cover_height(self.q1))
+        ok = w.n == self.n and _invariants_hold(
+            self.q1, self.q2, self.n_cap, self.b, self.c, self.c_bar,
+            self.n, self.m, self.approx_d, w.x1, w.x2,
         )
         if not ok:
             raise VerificationFailed(f"small-square trace breaks an invariant: {self}")
@@ -269,7 +268,9 @@ def balanced_n(q1: int, q2: int) -> int:
     """
     if q1 < 1 or q2 < 1:
         raise DomainError(f"steps must be positive, got ({q1}, {q2})")
-    return ceil_root_ratio(q1**9 * q2**4, 1, 16)
+    target = q1**9 * q2**4
+    r = iroot(target, 16)
+    return r if r**16 == target else r + 1
 
 
 @dataclass
@@ -290,18 +291,12 @@ class SurveyReport:
         return self.pairs == self.n_in_range == self.x1_ratio_ok == self.x2_ratio_ok
 
 
-def small_square_survey(
-    q_max: int,
-    *,
-    q_min: int = 2,
-    ratio_ceiling: int = 64,
-    on_row=None,
-) -> SurveyReport:
+def small_square_survey(q_max: int, *, q_min: int = 2, on_row=None) -> SurveyReport:
     """Run the construction over every coprime pair q_min <= q1 <= q2 <= q_max.
 
     Each pair uses the balanced size cap N = balanced_n(q1, q2).  The report
     counts pairs whose n stays within N and whose coefficients stay below
-    `ratio_ceiling` times the theoretical envelopes (decided exactly); the
+    RATIO_CEILING times the theoretical envelopes (decided exactly); the
     float ratio fields are display-only.  `on_row` receives
     (q1, q2, N, b, n, x1, x2, ratio_x1, ratio_x2) per pair when given.
 
@@ -313,14 +308,12 @@ def small_square_survey(
     _SQRT_TABLE_BOUND one factorization of q1) are made once per row; each
     pair is one call of the kernel `_construct`, which checks every trace
     invariant and raises VerificationFailed if one fails.  Refuses
-    q_min < 1 and a negative `ratio_ceiling` with DomainError.
+    q_min < 1 with DomainError.
     """
     if q_min < 1:
         raise DomainError(f"q_min must be positive, got {q_min}")
-    if ratio_ceiling < 0:
-        raise DomainError(f"ratio_ceiling must be non-negative, got {ratio_ceiling}")
     report = SurveyReport()
-    ceiling4 = ratio_ceiling**4
+    ceiling4 = RATIO_CEILING**4
     for q1 in range(q_min, q_max + 1):
         q1_9 = q1**9
         x2_bound = ceiling4 * q1_9  # |x2| * N^2 / q1^(9/4) < ceiling, by 4th powers
@@ -345,7 +338,7 @@ def small_square_survey(
             r2 = a2 * cap2 / q1_225
             # |x1| < ceiling * (N^2/q1 + q1^(5/4)*q2/N^2).  Clear q1*N^2, move
             # the rational term left and decide the rest by 4th powers.
-            lhs = a1 * q1 * cap2 - ratio_ceiling * cap2 * cap2
+            lhs = a1 * q1 * cap2 - RATIO_CEILING * cap2 * cap2
             if lhs < 0 or lhs**4 < ceiling4 * target:
                 report.x1_ratio_ok += 1
             if (a2 * cap2) ** 4 < x2_bound:

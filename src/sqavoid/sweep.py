@@ -14,8 +14,8 @@ deterministic given the configuration:
                    prime; only the winner is built and certified.
 * ``random_local``- seeded random coprime pairs q1 < q2 up to 2*sqrt(T):
                    X1 = one_d_bound(q1, T), exact while X2 = 0, then
-                   X2 = max_radius(q2, q1, X1, T) in the room X1 leaves,
-                   with q1 factored once for both.
+                   X2 = max_radius(q2, q1, factors of q1, X1, T) in the
+                   room X1 leaves, with q1 factored once for both.
                    X1 leaves room for X2 >= 1 exactly when
                    q1*(kernel(q1) - 1) <= T - q2; otherwise (as when
                    q1*(kernel(q1) - 1) >= T and X1 = T // q1 takes all the
@@ -55,7 +55,7 @@ from random import Random
 from .arith import PRIME_SIEVE_LIMIT, DomainError, VerificationFailed, _kernel_of, factorize, isqrt
 from .bounds import one_d_bound
 from .lowerbound import build_instance, least_nonresidues, residue_certificate
-from .progression import TwoDAP, _max_radius, cardinality, certify_box, certify_square_free, is_proper
+from .progression import TwoDAP, cardinality, certify_box, certify_square_free, is_proper, max_radius
 
 FAMILIES = ("one_d", "lower_bound", "random_local")
 # Most random_local pairs one sweep may take: about 40 s at T = 10^7.
@@ -173,7 +173,7 @@ def _random_local_family(t: int, seed: int, budget: int) -> FamilyBest | None:
         room = (t - x1 * q1) // q2
         if best is not None and ((2 * x1 + 1) * (2 * room + 1), -q1, -q2) <= best[:3]:
             continue
-        x2 = _max_radius(q2, q1, f1, x1, t)
+        x2 = max_radius(q2, q1, f1, x1, t)
         rank = ((2 * x1 + 1) * (2 * x2 + 1), -q1, -q2)
         # Only a pair that would win is built and checked for properness.
         if best is None or rank > best[:3]:

@@ -16,7 +16,6 @@ from sqavoid import arith
 from sqavoid.arith import (
     BadPrime,
     DomainError,
-    NotCoprime,
     NotInvertible,
     factorize,
     iroot,
@@ -28,7 +27,6 @@ from sqavoid.arith import (
     mod_inverse,
     primes_up_to,
     sqrt_classes,
-    sqrt_mod,
     squarefree_kernel,
 )
 
@@ -58,13 +56,6 @@ def oracle_is_prime(n: int) -> bool:
     if n < 2:
         return False
     return all(n % f for f in range(2, math.isqrt(n) + 1))
-
-
-def oracle_sqrt_mod(a: int, m: int) -> int | None:
-    for c in range(m):
-        if c * c % m == a % m:
-            return c
-    return None
 
 
 # ----------------------------------------------------------- frozen values
@@ -121,13 +112,14 @@ def test_least_qnr_frozen():
         least_qnr(2)
 
 
-def test_sqrt_mod_frozen():
-    assert sqrt_mod(2, 7) == 3  # 3^2 = 9 = 2; the other root 4 is larger
-    assert sqrt_mod(4, 15) == 2  # roots are {2, 7, 8, 13}
-    assert sqrt_mod(0, 1) == 0
-    assert sqrt_mod(5, 7) is None
-    with pytest.raises(NotCoprime):
-        sqrt_mod(3, 9)
+def test_sqrt_classes_frozen():
+    assert sqrt_classes(2, {7: 1}) == (7, [3, 4])  # 3^2 = 9 = 2 (mod 7)
+    assert sorted(sqrt_classes(4, {3: 1, 5: 1})[1]) == [2, 7, 8, 13]
+    assert sqrt_classes(0, {}) == (1, [0])  # modulo 1 every n is a root
+    assert sqrt_classes(5, {7: 1}) == (1, [])
+    # A non-unit: n^2 = 3 (mod 9) has no root, n^2 = 0 (mod 9) needs 3 | n.
+    assert sqrt_classes(3, {3: 2}) == (1, [])
+    assert sqrt_classes(0, {3: 2}) == (3, [0])
 
 
 def test_is_prime_frozen():
@@ -246,33 +238,6 @@ def test_least_qnr_matches_scan():
         assert least_qnr(p) == want
         # Classical bound: the least non-residue is below sqrt(p) + 1.
         assert (want - 1) ** 2 < p
-
-
-def test_sqrt_mod_matches_scan():
-    for m in range(1, 120):
-        for a in range(m):
-            if math.gcd(a, m) != 1:
-                continue
-            want = oracle_sqrt_mod(a, m)
-            got = sqrt_mod(a, m)
-            assert got == want, (a, m, got, want)
-
-
-def test_sqrt_mod_random_moduli():
-    rng = random.Random(99)
-    for _ in range(200):
-        m = rng.randint(2, 5000)
-        a = rng.randint(1, m - 1)
-        if math.gcd(a, m) != 1:
-            continue
-        got = sqrt_mod(a, m)
-        if got is None:
-            # Cross-check absence on a subsample of candidate roots.
-            assert oracle_sqrt_mod(a, m) is None
-        else:
-            assert got * got % m == a
-            # Canonical: no smaller root exists.
-            assert all(c * c % m != a for c in range(got))
 
 
 def test_tonelli_shanks_exhaustive(monkeypatch):

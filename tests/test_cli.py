@@ -120,7 +120,7 @@ def test_huge_sweep_t_is_refused_with_exit_two(capsys):
 def test_unbounded_sweep_budget_is_refused_with_exit_two(capsys, monkeypatch):
     sweep_module = importlib.import_module("sqavoid.sweep")  # the package's `sweep` is the function
     walks = []
-    monkeypatch.setattr(sweep_module, "_max_radius", lambda *args: walks.append(args))
+    monkeypatch.setattr(sweep_module, "max_radius", lambda *args: walks.append(args))
     code, recs, _ = run(capsys, "sweep", "--t", "1000", "--budget", str(10**18))
     assert code == 2 and walks == []
     assert (recs[0]["kind"], recs[0]["error"]) == ("Error", "DomainError")

@@ -87,6 +87,11 @@ def oracle_max_radius(q: int, other_q: int, other_r: int, t: int) -> int:
     return r
 
 
+def radius(q: int, other_q: int, other_r: int, t: int) -> int:
+    """`max_radius` handed the other step's factors, as the sweep hands them."""
+    return max_radius(q, other_q, factorize(other_q), other_r, t)
+
+
 def random_instance(rng: random.Random, qmax: int = 60, xmax: int = 8) -> TwoDAP:
     q1 = rng.randint(1, qmax)
     q2 = rng.randint(1, qmax)
@@ -567,7 +572,6 @@ ROW_SEARCH = {
     "is_square_mod",
     "factorize",
     "max_radius",
-    "_max_radius",
     "_least_root",
     "_walk_rows",
 }
@@ -682,7 +686,9 @@ def long_row_boxes(draw) -> tuple[TwoDAP, int]:
     past 2^64 are common.  Most boxes get a square planted at (x1, +-1),
     which gives rows with negative bases; t falls in the upper half of the
     value bound, past it, on either side of 2^32, or where isqrt(t) meets
-    the pair count, the edge between the kept table and isqrt.
+    the pair count, the edge between the kept table and isqrt.  Half the
+    boxes are transposed, (q2, q1, b2, b1), so that b2 > b1 and the oracle
+    reads them by rows of fixed x1.
     """
     k = draw(st.integers(0, 70))
     q1 = draw(st.sampled_from([1, 2, 3, 16, 48, 144])) * draw(st.integers(2**k, 2 ** (k + 1)))
@@ -691,7 +697,7 @@ def long_row_boxes(draw) -> tuple[TwoDAP, int]:
     if b2 and draw(st.booleans()):
         x1 = draw(st.integers(-b1, b1))
         q2 = abs(draw(st.integers(1, isqrt(2 * b1 * q1))) ** 2 - x1 * q1) or q2
-    a = TwoDAP(q1, q2, b1, b2)
+    a = TwoDAP(q2, q1, b2, b1) if draw(st.booleans()) else TwoDAP(q1, q2, b1, b2)
     bound, pairs = a.value_bound(), cardinality(a)
     t = draw(
         st.one_of(
@@ -704,7 +710,7 @@ def long_row_boxes(draw) -> tuple[TwoDAP, int]:
     return a, t
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(long_row_boxes())
 def test_filtered_row_scan_matches_pair_oracle_hypothesis(case):
     a, t = case
@@ -713,6 +719,19 @@ def test_filtered_row_scan_matches_pair_oracle_hypothesis(case):
     cap = min(t, a.value_bound())
     if cap >= 1:
         assert _row_scan(a, cap) == oracle_witness(a, cap) == w
+
+
+def test_row_scan_reads_the_longer_axis(monkeypatch):
+    # One column x1 = 0 of 2*10^6 + 1 values up to about 10^12, past the
+    # kept table, and its transpose: each is read as one row of which the
+    # filter keeps the 16 classes of 144 that hold squares, so about 1.1*10^5
+    # values take isqrt, not one per row of 2*10^6 one-value rows.
+    calls = []
+    monkeypatch.setattr(progression, "isqrt", lambda n: calls.append(n) or isqrt(n))
+    for a in (TwoDAP(7, 1000003, 0, 10**6), TwoDAP(1000003, 7, 10**6, 0)):
+        calls.clear()
+        assert brute_force_witness(a, a.value_bound()) is None
+        assert len(calls) < 120_000, len(calls)
 
 
 def test_brute_force_exact_past_int64():
@@ -761,9 +780,9 @@ def radius_cases(draw) -> tuple[int, int, int, int]:
 @given(radius_cases())
 def test_max_radius_matches_radius_by_radius_oracle(case):
     q, other_q, other_r, t = case
-    r = max_radius(q, other_q, other_r, t)
+    r = radius(q, other_q, other_r, t)
     assert r == oracle_max_radius(q, other_q, other_r, t)
-    assert max_radius(q, other_q, 0, t) == one_d_bound(q, t)
+    assert radius(q, other_q, 0, t) == one_d_bound(q, t)
 
 
 @st.composite
@@ -795,33 +814,28 @@ def rootless_radius_cases(draw) -> tuple[int, int, int, int]:
 @given(rootless_radius_cases())
 def test_max_radius_rootless_rows_match_oracle(case):
     q, other_q, other_r, t = case
-    assert max_radius(q, other_q, other_r, t) == oracle_max_radius(q, other_q, other_r, t)
+    assert radius(q, other_q, other_r, t) == oracle_max_radius(q, other_q, other_r, t)
 
 
 def test_max_radius_frozen():
     # The lower-bound box (13, 15, 12, 1): x1 = 13 gives 13^2.
-    assert max_radius(13, 15, 1, 10**6) == 12
+    assert radius(13, 15, 1, 10**6) == 12
     # Containment alone: 13 + 15 > 27 leaves room for x1 <= 0 only.
-    assert max_radius(13, 15, 1, 27) == 0
+    assert radius(13, 15, 1, 27) == 0
     # The square 4 = 4*1 + 0*5 at r = 0: no radius works.
-    assert max_radius(5, 4, 1, 100) == -1
+    assert radius(5, 4, 1, 100) == -1
     # Row x = 1 (14 + 7y, |y| <= 4) spans n = 1 .. 6, one short of a period,
     # and misses 14's one root class, n = 0 (mod 7); row 2 holds 7^2 = 28 + 3*7.
-    assert max_radius(14, 7, 4, 56) == 1
+    assert radius(14, 7, 4, 56) == 1
     # Rows y: row 1 (15 + 3x) holds 3^2 at x = -2, its root 3 = isqrt(15)
     # itself, the greatest root at or below the centre.
-    assert max_radius(3, 15, 1, 21) == 1 == oracle_max_radius(3, 15, 1, 21)
-    with pytest.raises(DomainError):
-        max_radius(13, 15, 1, 14)  # the other axis alone reaches 15
-    with pytest.raises(DomainError):
-        max_radius(0, 15, 1, 100)
-    with pytest.raises(DomainError):
-        max_radius(13, 15, -1, 100)
+    assert radius(3, 15, 1, 21) == 1 == oracle_max_radius(3, 15, 1, 21)
 
 
 def _counted_row_search(monkeypatch) -> tuple[list[int], list[int], list[tuple[int, int]]]:
-    """The steps max_radius factors, the moduli of the rows it examines, and
-    the (centre, modulus) of the rows it solves roots for, in order.
+    """The steps max_radius factors itself (the other step comes factored),
+    the moduli of the rows it examines, and the (centre, modulus) of the
+    rows it solves roots for, in order.
 
     Every row but the centre row, which has a closed form, first takes the
     character test `is_square_mod`, so its calls count the rows examined;
@@ -857,19 +871,19 @@ def test_max_radius_walk_ending_early_reads_no_row_y(monkeypatch):
     factored, read, solved = _counted_row_search(monkeypatch)
     # A square on row x = 10, with other_r = 2232 and room 111: rows x only,
     # x = +-1 .. +-10 at most, as the centre row reads none.
-    assert max_radius(2834, 2233, 2232, 5_300_000) == 9
-    assert factored == [2233] and set(read) == {2233} and len(read) <= 20
+    assert radius(2834, 2233, 2232, 5_300_000) == 9
+    assert factored == [] and set(read) == {2233} and len(read) <= 20
     # Roots are solved only for a row whose residue has them.
     assert len(solved) <= len(read) and all(_has_root(c, m) for c, m in solved)
     # The room, 0, runs out before other_r = 1: row x = 0 alone, in closed form.
     factored.clear()
     read.clear()
     solved.clear()
-    assert max_radius(13, 15, 1, 27) == 0
-    assert factored == [15] and read == [] and solved == []
+    assert radius(13, 15, 1, 27) == 0
+    assert factored == read == solved == []
     # Row x = 1 (13 + 15y) spans n = 1 .. 7 >= 7 = other_q and 13 + 15y is a
     # square mod 7: a whole period of roots decides it, no root solved.
-    assert max_radius(17, 15, 13, 535) == 1 == oracle_max_radius(17, 15, 13, 535)
+    assert radius(17, 15, 13, 535) == 1 == oracle_max_radius(17, 15, 13, 535)
     assert read == [15] * 3 and solved == []
 
 
@@ -892,8 +906,8 @@ def test_max_radius_rows_y_decide_past_other_r(monkeypatch):
         read.clear()
         solved.clear()
         room = (t - other_r * other_q) // q
-        assert max_radius(q, other_q, other_r, t) == r, (q, other_q, other_r, t)
-        assert factored == [other_q, q] and other_r < room
+        assert radius(q, other_q, other_r, t) == r, (q, other_q, other_r, t)
+        assert factored == [q] and other_r < room
         # Rows x = +-1 .. +-other_r, then exactly the 2*other_r + 1 rows y.
         assert read == [other_q] * (2 * other_r) + [q] * (2 * other_r + 1)
         assert all(_has_root(c, m) for c, m in solved)
@@ -907,10 +921,10 @@ def test_max_radius_factors_a_huge_step_only_for_rows_y():
     q = 2_000_000_000_003 * 2_000_001_000_001
     with pytest.raises(DomainError):
         factorize(q)
-    assert max_radius(q, 3, 2, 10) == 0  # the room, 0, runs out first
-    assert max_radius(q, 1, 5, 10) == -1  # 1 and 4 on row x = 0
+    assert radius(q, 3, 2, 10) == 0  # the room, 0, runs out first
+    assert radius(q, 1, 5, 10) == -1  # 1 and 4 on row x = 0
     with pytest.raises(DomainError):
-        max_radius(q, 3, 0, 10**30)  # room 249,999 > other_r: rows y need q's factors
+        radius(q, 3, 0, 10**30)  # room 249,999 > other_r: rows y need q's factors
 
 
 def test_root_walk_limit(monkeypatch):
@@ -932,10 +946,10 @@ def test_root_walk_limit(monkeypatch):
         find_square_witness(one_d, 10**8)
     # The row walk counts steps: r = 9 needs 10 of them, past a limit of 5.
     monkeypatch.setattr(progression, "ROOT_WALK_LIMIT", 10**8)
-    assert max_radius(2834, 2233, 2232, 5_300_000) == 9
+    assert radius(2834, 2233, 2232, 5_300_000) == 9
     monkeypatch.setattr(progression, "ROOT_WALK_LIMIT", 5)
     with pytest.raises(TooLarge):
-        max_radius(2834, 2233, 2232, 5_300_000)
+        radius(2834, 2233, 2232, 5_300_000)
 
 
 def test_brute_force_guard():

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from sqavoid import arith, small_squares
-from sqavoid.arith import DomainError, TooLarge, sqrt_mod
+from sqavoid.arith import DomainError, TooLarge
 from sqavoid.progression import SquareWitness
 from sqavoid.small_squares import (
     _SQRT_TABLE_BOUND,
@@ -183,7 +183,8 @@ def test_construct_large_cap_hits_exact_multiple():
     # Once the cap admits the full denominator q1, the construction can use
     # n = q1 and a zero displacement.
     tr = construct_small_square(12, 35, 100)
-    tr.validate(check_cover=True)
+    tr.validate()
+    assert abs(tr.b) <= square_cover_height(12)
     assert 1 <= tr.n <= 100
     assert tr.witness.x1 * 12 + tr.witness.x2 * 35 == tr.n**2
 
@@ -208,24 +209,43 @@ def test_construct_invariants_random():
         count += 1
         cap = rng.randint(1, 40)
         tr = construct_small_square(q1, q2, cap)
-        tr.validate(check_cover=True)
+        tr.validate()
         w = tr.witness
         assert w.x1 * q1 + w.x2 * q2 == tr.n * tr.n
         assert 1 <= tr.n <= cap
         assert abs(tr.approx_d) * cap <= q1
-        # Coefficient envelope: |x2| = |b| * approx_d^2 <= H(q1) * (q1/cap)^2.
+        # The scan for b ends within the cover height, so |b| <= H(q1) and
+        # |x2| = |b| * approx_d^2 <= H(q1) * (q1/cap)^2.
         h = square_cover_height(q1)
+        assert abs(tr.b) <= h
         assert abs(w.x2) * cap * cap <= h * q1 * q1
 
 
-def test_canonical_sqrt_routes_agree():
+def test_canonical_sqrt_routes_agree(monkeypatch):
     # Table route vs factored route on every unit of every small modulus.
-    for m in range(1, 300):
-        root = _sqrt_solver(m)
+    tables = {m: _sqrt_solver(m) for m in range(1, 300)}
+    monkeypatch.setattr(small_squares, "_SQRT_TABLE_BOUND", 0)
+    for m, table_root in tables.items():
+        factored_root = _sqrt_solver(m)
         for a in range(m):
             if math.gcd(a, m) != 1:
                 continue
-            assert root(a) == sqrt_mod(a, m), (a, m)
+            assert table_root(a) == factored_root(a), (a, m)
+
+
+def test_sqrt_solver_above_the_table_bound_matches_scan():
+    # Just above the bound the solver factors its modulus: a prime, a prime
+    # cube, and composites with 2^2, 2^5 and squared odd primes in them.
+    rng = random.Random(99)
+    for m in (50_021, 50_653, 50_001, 50_004, 50_016, 50_094):
+        assert m > _SQRT_TABLE_BOUND
+        root = _sqrt_solver(m)
+        least: dict[int, int] = {}
+        for z in range(m):
+            least.setdefault(z * z % m, z)
+        units = [a for a in range(1, m) if math.gcd(a, m) == 1]
+        for a in rng.sample(units, 200) + [1, m - 1]:
+            assert root(a) == least.get(a), (a, m)
 
 
 def test_sqrt_table_is_the_plain_definition():
@@ -383,19 +403,19 @@ def test_survey_matches_pair_by_pair_reference(q_min, q_max):
     assert report == want_report
 
 
-def test_survey_ceiling_decides_the_envelopes():
+def test_survey_ceiling_decides_the_envelopes(monkeypatch):
     # A ceiling of 0 admits no pair; at ceiling 1 both tests refuse some
     # pairs, and exactly the reference's.
-    none = small_square_survey(30, ratio_ceiling=0)
+    monkeypatch.setattr(small_squares, "RATIO_CEILING", 0)
+    none = small_square_survey(30)
     assert none.x1_ratio_ok == none.x2_ratio_ok == 0 < none.pairs
-    tight = small_square_survey(60, ratio_ceiling=1)
+    monkeypatch.setattr(small_squares, "RATIO_CEILING", 1)
+    tight = small_square_survey(60)
     assert tight == reference_survey(60, 2, 1)[0]
     assert (tight.pairs, tight.x1_ratio_ok, tight.x2_ratio_ok) == (1042, 1040, 1004)
 
 
 def test_survey_refuses_bad_arguments():
-    with pytest.raises(DomainError, match="ratio_ceiling"):
-        small_square_survey(60, ratio_ceiling=-64)
     for q_min in (0, -3):
         with pytest.raises(DomainError, match="q_min"):
             small_square_survey(60, q_min=q_min)

@@ -92,9 +92,7 @@ def test_every_private_name_has_a_caller():
 # Public names kept with no caller outside the tests, each for a reason.
 TEST_ORACLES = {
     "is_perfect_square",  # the square test the suites check witnesses and kernels with
-    "sqrt_mod",  # one least root mod m, the oracle for the survey's root solver
-    "least_qnr",  # n(p) with its prime check; the package scans primes it already knows
-    "max_radius",  # `_max_radius` behind argument checks; the sweep calls the kernel
+    "least_qnr",  # bench/tracing.py wraps it by name, a string the reach below cannot see
 }
 
 
@@ -125,6 +123,26 @@ def test_every_public_name_has_a_caller():
         todo.extend(calls.pop(todo.pop(), ()))
     uncalled = sorted(public & calls.keys())
     assert not uncalled, f"public names nothing but the tests reaches: {uncalled}"
+
+
+def test_every_traced_function_is_defined_where_the_bench_looks():
+    # bench/tracing.py wraps each (module, name) of TRACED by looking it up
+    # in sqavoid.<module>: a function deleted or moved would break trace mode.
+    tracing = ast.parse((PACKAGE.parents[1] / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in tracing.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets)
+    )
+    assert len(traced) > 10
+    missing = []
+    for module, name in traced:
+        path = PACKAGE / f"{module}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8")) if path.exists() else ast.Module(body=[])
+        functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        if name not in functions:
+            missing.append(f"{module}.{name}")
+    assert not missing, f"traced functions sqavoid does not define: {missing}"
 
 
 def test_only_the_sweep_imports_random():

@@ -16,6 +16,7 @@ from sqavoid import arith, progression
 from sqavoid.arith import (
     DomainError,
     VerificationFailed,
+    factorize,
     is_perfect_square,
     isqrt,
     least_qnr,
@@ -183,7 +184,7 @@ def test_random_local_family_is_deterministic():
 def test_random_local_work_is_its_budget_for_every_seed(monkeypatch):
     """`budget` coprime pairs drawn, each q1 factored once; at most that many walks."""
     drawn, walks = [], []
-    factor, kernel = sweep_module.factorize, sweep_module._max_radius
+    factor, kernel = sweep_module.factorize, sweep_module.max_radius
 
     def counted_factorize(n):
         drawn.append(n)
@@ -194,7 +195,7 @@ def test_random_local_work_is_its_budget_for_every_seed(monkeypatch):
         return kernel(q, other_q, fo, other_r, t)
 
     monkeypatch.setattr(sweep_module, "factorize", counted_factorize)
-    monkeypatch.setattr(sweep_module, "_max_radius", counted)
+    monkeypatch.setattr(sweep_module, "max_radius", counted)
     t, budget = 1_000_000, 30
     for seed in range(5):
         drawn.clear()
@@ -210,7 +211,7 @@ def test_random_local_factors_q1_once_per_pair(monkeypatch):
     # q1; the walk may factor q2 for its rows y, and nothing else.  A pair
     # whose walk is skipped factors q1 alone.
     pairs, walks = [], []
-    factor, kernel = arith.factorize, sweep_module._max_radius
+    factor, kernel = arith.factorize, sweep_module.max_radius
 
     def pair_factorize(n):  # the sweep's own call: one per coprime pair, on q1
         pairs.append([n])
@@ -227,7 +228,7 @@ def test_random_local_factors_q1_once_per_pair(monkeypatch):
     for module in (arith, progression):
         monkeypatch.setattr(module, "factorize", inner_factorize)
     monkeypatch.setattr(sweep_module, "factorize", pair_factorize)
-    monkeypatch.setattr(sweep_module, "_max_radius", counted_kernel)
+    monkeypatch.setattr(sweep_module, "max_radius", counted_kernel)
     for t, seed in ((5_200_000, 1), (7_300_000, 2), (9_700_000, 3)):
         pairs.clear()
         walks.clear()
@@ -250,7 +251,7 @@ def oracle_random_local(t: int, seed: int, budget: int) -> FamilyBest | None:
             continue
         pairs += 1
         x1 = one_d_bound(q1, t)
-        a = TwoDAP(q1, q2, x1, max_radius(q2, q1, x1, t))
+        a = TwoDAP(q1, q2, x1, max_radius(q2, q1, factorize(q1), x1, t))
         rank = (cardinality(a), -q1, -q2)
         if is_proper(a) and (best is None or rank > best[0]):
             best = (rank, a)
