@@ -26,10 +26,10 @@ q1 past 10^12, and cannot foresee an early witness):
 
 `brute_force_witness`, the independent oracle, enumerates the whole
 coefficient box row by row along its longer axis, skipping only the
-values whose residue modulo the fixed SQUARE_MODULUS = 144 no square
-takes, and tests the rest against a set of squares (kept across calls up
-to SQUARE_TABLE_ROOTS roots) or by isqrt; it does no residue arithmetic
-modulo q1 or q2.  All
+values whose residue modulo the fixed SQUARE_MODULUS = 720 no square
+takes (it solves for where the 48 others fall in a row), and tests the
+rest against a set of squares (kept across calls up to SQUARE_TABLE_ROOTS
+roots) or by isqrt; it does no residue arithmetic modulo q1 or q2.  All
 three apply the same deterministic tie-break (smallest n, then smallest
 |x1|, positive x1 before negative), so their results are comparable
 object-for-object.  `certify_box`, behind the `witness` and `verify`
@@ -56,7 +56,7 @@ from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, islice, repeat, tee
+from itertools import accumulate, chain, compress, islice, repeat, tee
 from operator import mod, mul
 
 from .arith import (
@@ -81,8 +81,9 @@ RESIDUE_SCAN_LIMIT = 1 << 20
 # Roots whose squares the brute-force oracle keeps between calls: 2^16
 # squares, about 6 MiB.  A call that needs more tests each value by isqrt.
 SQUARE_TABLE_ROOTS = 1 << 16
-# The modulus whose square residues the brute-force oracle reads rows by.
-SQUARE_MODULUS = 144
+# The modulus whose 48 square residues the brute-force oracle reads rows by;
+# 5040 = 720*7 would cost more in ranges than it saves in lookups.
+SQUARE_MODULUS = 720
 
 
 @dataclass(frozen=True)
@@ -489,18 +490,18 @@ def _row_scan(a: TwoDAP, cap: int) -> SquareWitness | None:
     A row holds one coefficient fixed: x2 (values x1*q1 + x2*q2, a range
     with step q1), or x1 when b2 > b1 (a range with step q2), so that the
     rows are few and long.  Each row is clipped to the values in [1, cap].
-    A row of at least 4*SQUARE_MODULUS values (shorter ones cost less whole)
-    is split into SQUARE_MODULUS sub-ranges, one residue modulo
-    SQUARE_MODULUS each, and only those whose residue is in
-    `_SQUARE_RESIDUES` are read: 16 of 144 when the step is prime to 6,
-    fewer otherwise.  Each value read is tested exactly: by hash lookup at
-    C speed in the kept table when isqrt(cap) <= min(pairs,
-    SQUARE_TABLE_ROOTS), otherwise by isqrt, so that no set is built and
-    only the row's squares are held.  The table may also hold larger
-    squares, which no clipped row can meet.  A row's least square is its
-    only candidate: it alone has the row's smallest n, and one value of a
-    row fixes its pair, so the tie-break (n, |x1|, x1 < 0) stays exact in
-    either orientation.
+    A row of at least 4*len(_SQUARE_RESIDUES) = 192 values (shorter ones
+    cost less whole) is read only where its residue modulo SQUARE_MODULUS
+    is one of the 48 in `_SQUARE_RESIDUES`: one range per residue, every
+    (720/g)-th value (g = gcd(step, 720)) from an offset solved by the
+    builtin pow, so 1/15 of the row when the step is prime to 30.  Each
+    value read is tested exactly: by hash lookup at C speed in the kept
+    table when isqrt(cap) <= min(pairs, SQUARE_TABLE_ROOTS), otherwise by
+    isqrt, so that no set is built and only the row's squares are held.
+    The table may also hold larger squares, which no clipped row can meet.
+    A row's least square is its only candidate: it alone has the row's
+    smallest n, and one value of a row fixes its pair, so the tie-break
+    (n, |x1|, x1 < 0) stays exact in either orientation.
     """
     n_hi, m = isqrt(cap), SQUARE_MODULUS
     kept = n_hi <= min(cardinality(a), SQUARE_TABLE_ROOTS)
@@ -508,6 +509,11 @@ def _row_scan(a: TwoDAP, cap: int) -> SquareWitness | None:
     # Row y holds the values y*q_y + x*q_x, |x| <= b_x.
     across = a.b2 > a.b1  # rows of fixed x1
     q_y, b_y, q_x, b_x = (a.q1, a.b1, a.q2, a.b2) if across else (a.q2, a.b2, a.q1, a.b1)
+    # A row value start + i*q_x is r modulo m iff g divides r - start and
+    # i = (r - start)/g * inv (mod m/g), and so is every stride-th one on.
+    g = math.gcd(q_x, m)
+    period, stride = m // g, m // g * q_x
+    inv = pow(q_x // g, -1, period)
     hits = []
     for y in range(-b_y, b_y + 1):
         base = y * q_y
@@ -515,14 +521,19 @@ def _row_scan(a: TwoDAP, cap: int) -> SquareWitness | None:
         hi = min(b_x, (cap - base) // q_x)
         if lo > hi:
             continue
-        row = range(base + lo * q_x, base + hi * q_x + 1, q_x)
-        parts = [row]
-        if len(row) >= 4 * m:
-            parts = [row[i::m] for i in range(m) if row[i] % m in _SQUARE_RESIDUES]
+        start, stop = base + lo * q_x, base + hi * q_x + 1
+        parts = [range(start, stop, q_x)]
+        if hi - lo + 1 >= 4 * len(_SQUARE_RESIDUES):
+            r0 = start % m
+            parts = [
+                range(start + (r - r0) // g * inv % period * q_x, stop, stride)
+                for r in _SQUARE_RESIDUES if (r - r0) % g == 0
+            ]
+        values = chain.from_iterable(parts)
         if kept:
-            found = [v for part in parts for v in squares.intersection(part)]
+            found = squares.intersection(values)
         else:
-            found = [v for part in parts for v in part if isqrt(v) ** 2 == v]
+            found = [v for v in values if isqrt(v) ** 2 == v]
         if found:
             v = min(found)
             x = (v - base) // q_x
@@ -540,7 +551,7 @@ def brute_force_witness(
     routes do, a negative guard (DomainError), and boxes with more than
     `guard` coefficient pairs (TooLarge), so guard = 0 refuses every box.
     Exact at any integer size.  Scans by rows (`_row_scan`), reading only
-    the values whose residue modulo SQUARE_MODULUS a square can take; its
+    the values whose residue modulo SQUARE_MODULUS = 720 a square can take; its
     memory is O(rows) beyond the kept table of at most SQUARE_TABLE_ROOTS
     squares, which only boxes with at least isqrt(cap) pairs grow.
     """

@@ -10,6 +10,7 @@ import random
 import tracemalloc
 import types
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -496,21 +497,59 @@ def test_kept_square_table_matches_pair_scan(monkeypatch):
     assert len(progression._square_table) == progression.SQUARE_TABLE_ROOTS == 2**16
 
 
-def test_square_residues_are_the_squares_mod_144():
-    assert progression._SQUARE_RESIDUES == {n * n % 144 for n in range(144)}
+def test_square_residues_are_the_squares_mod_720():
+    assert progression.SQUARE_MODULUS == 720
+    assert progression._SQUARE_RESIDUES == {n * n % 720 for n in range(720)}
+    assert len(progression._SQUARE_RESIDUES) == 48
 
 
 def test_row_scan_reads_every_class_that_holds_squares():
-    # Row x2 = 1 of (p, q2, 576, 1) runs q2 + x1*p for x1 = 0..576, and row
-    # x2 = 0 holds no square (p > 576 is prime).  q2 puts the least square
-    # of the box at x1 = j, so each of the row's 144 classes holds it once.
+    # Row x2 = 1 of (p, q2, 400, 1) runs q2 + x1*p, and q2 = n^2 - j*p puts
+    # n^2 at x1 = j, for the least n past sqrt(j*p) with n^2 = r (mod 720),
+    # once for each of the 48 square residues r.  As n < p/2, no other n' >= 1
+    # with n'^2 = n^2 (mod p) lies below n; row x2 = 0 is x1*p with |x1| < p,
+    # and row x2 = -1 is -n^2 (mod p), a non-residue as p = 3 (mod 4).  So
+    # n^2 is the box's least square, in the class of residue r.
     for p in (10007, 10**9 + 7):  # the kept table, then isqrt
-        for i in range(144):
-            j = i + 144 * (i % 4)
+        for k, r in enumerate(sorted({n * n % 720 for n in range(720)})):
+            j = 8 * k + 17
             n = isqrt(j * p) + 1
-            a = TwoDAP(p, n * n - j * p, 576, 1)
+            while n * n % 720 != r:
+                n += 1
+            a = TwoDAP(p, n * n - j * p, 400, 1)
             cap = a.value_bound()
-            assert _row_scan(a, cap) == oracle_witness(a, cap) == SquareWitness(j, 1, n), (p, j)
+            assert _row_scan(a, cap) == oracle_witness(a, cap) == SquareWitness(j, 1, n), (p, r)
+
+
+def test_row_scan_solves_for_the_classes_a_scan_would_keep(monkeypatch):
+    # For every step residue s modulo 720, rows of 95 to 721 values starting
+    # at spread residues: a row of at least 4*48 = 192 values is read only at
+    # its values with a square residue modulo 720, each once, and a shorter
+    # row whole.  The kept table is replaced by one that records what is read.
+    residues = {n * n % 720 for n in range(720)}
+    read = []
+
+    class Reads(set):
+        def intersection(self, part):
+            read.extend(part)
+            return set()
+
+    monkeypatch.setattr(progression, "_squares_through", lambda m: Reads())
+    # Row x2 = 0 holds `half` values and rows x2 = 1, 2, 3 hold 2*half + 1,
+    # so half = 95 reads rows of 95 and 191 whole, and half = 192 filters
+    # a row of 192.
+    for s, half in product(range(720), (95, 192, 360)):
+        q1 = s + 720
+        q2 = half * q1 + 1 + 131 * s  # rows x2 = 1, 2, 3 start at spread residues
+        a = TwoDAP(q1, q2, half, 3)
+        cap = a.value_bound()
+        expected = []
+        for x2 in range(4):  # rows x2 < 0 end at -1 - 131*s
+            row = [v for v in range(x2 * q2 - half * q1, x2 * q2 + half * q1 + 1, q1) if 1 <= v <= cap]
+            expected += [v for v in row if v % 720 in residues] if len(row) >= 192 else row
+        read.clear()
+        assert _row_scan(a, cap) is None
+        assert sorted(read) == sorted(expected), s
 
 
 def test_oracle_past_the_table_keeps_no_set(monkeypatch):
@@ -681,8 +720,8 @@ def test_row_scan_matches_pair_scan_hypothesis(case):
 def long_row_boxes(draw) -> tuple[TwoDAP, int]:
     """Boxes whose rows hold 600 to 5,001 values before clipping, past the filter.
 
-    q1 is a multiple of 1, 2, 3, 16, 48 or 144, so a row reads anywhere
-    from none to 16 of its classes modulo 144, and log-uniform, so steps
+    q1 is a multiple of 1, 2, 3, 5, 16, 48, 80, 144 or 720, so a row reads
+    anywhere from none to 48 of its classes modulo 720, and log-uniform, so steps
     past 2^64 are common.  Most boxes get a square planted at (x1, +-1),
     which gives rows with negative bases; t falls in the upper half of the
     value bound, past it, on either side of 2^32, or where isqrt(t) meets
@@ -691,7 +730,7 @@ def long_row_boxes(draw) -> tuple[TwoDAP, int]:
     reads them by rows of fixed x1.
     """
     k = draw(st.integers(0, 70))
-    q1 = draw(st.sampled_from([1, 2, 3, 16, 48, 144])) * draw(st.integers(2**k, 2 ** (k + 1)))
+    q1 = draw(st.sampled_from([1, 2, 3, 5, 16, 48, 80, 144, 720])) * draw(st.integers(2**k, 2 ** (k + 1)))
     b1, b2 = draw(st.integers(600, 2500)), draw(st.integers(0, 2))
     q2 = draw(st.integers(1, b1 * q1))
     if b2 and draw(st.booleans()):
@@ -724,14 +763,14 @@ def test_filtered_row_scan_matches_pair_oracle_hypothesis(case):
 def test_row_scan_reads_the_longer_axis(monkeypatch):
     # One column x1 = 0 of 2*10^6 + 1 values up to about 10^12, past the
     # kept table, and its transpose: each is read as one row of which the
-    # filter keeps the 16 classes of 144 that hold squares, so about 1.1*10^5
+    # filter keeps the 48 classes of 720 that hold squares, so about 6.7*10^4
     # values take isqrt, not one per row of 2*10^6 one-value rows.
     calls = []
     monkeypatch.setattr(progression, "isqrt", lambda n: calls.append(n) or isqrt(n))
     for a in (TwoDAP(7, 1000003, 0, 10**6), TwoDAP(1000003, 7, 10**6, 0)):
         calls.clear()
         assert brute_force_witness(a, a.value_bound()) is None
-        assert len(calls) < 120_000, len(calls)
+        assert len(calls) < 70_000, len(calls)
 
 
 def test_brute_force_exact_past_int64():
