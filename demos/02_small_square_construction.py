@@ -1,9 +1,12 @@
 """Constructing a square with provably small coefficients.
 
 For coprime steps q1 < q2 one can always write n^2 = x1*q1 + x2*q2 with n
-below a balanced cap and coefficients far smaller than brute force would
-suggest: |x2| stays under a constant times q1^(3/4)/q2^(1/2) (times n_cap
-factors), because x2 is steered by a continued-fraction convergent of q2/q1.
+at most a balanced cap N and coefficients far smaller than brute force would
+suggest.  The construction picks a small multiplier b with b*q2 a square
+c^2 mod q1, inverts c to c_bar, and takes n from the continued-fraction
+convergents of c_bar/q1, so that n*c_bar lies within q1/N of a multiple of
+q1.  Then x2 = b*d^2 with |d| <= q1/N, so |x2| <= |b|*(q1/N)^2, which at the
+balanced cap N ~ q1^(9/16)*q2^(1/4) is about |b|*q1^(7/8)/q2^(1/2).
 
 This demo walks one construction in detail, then surveys a whole range.
 """
@@ -26,20 +29,22 @@ print(f"steps q1 = {q1}, q2 = {q2}; balanced root cap = {n_cap}")
 trace = construct_small_square(q1, q2, n_cap)
 w = trace.witness
 print(f"\nchosen multiplier b = {trace.b} (b*q2 is a residue mod q1)")
-print(f"square roots of b*q2 mod q1: {trace.c}, {trace.c_bar}")
+print(f"root of b*q2 mod q1: c = {trace.c}; its inverse mod q1: c_bar = {trace.c_bar}")
 print(f"convergent denominators of {trace.c_bar}/{q1}: "
       f"{convergent_denominators(trace.c_bar, q1)}")
 print(f"root n = {trace.n}, recentering shift m = {trace.m}")
-print(f"steering denominator = {trace.approx_d}")
+print(f"displacement d = n*c_bar + m*q1 = {trace.approx_d}")
 print(f"result: ({w.x1})*{q1} + ({w.x2})*{q2} = {trace.n}^2 = {trace.n ** 2}")
+print(f"|x2| = {abs(w.x2)} <= |b|*(q1/N)^2 = {abs(trace.b) * q1**2 / n_cap**2:.2f}")
 
 # Independent route: smallest-coefficient square by exhaustive search.
 best = brute_force_small_square(q1, q2, n_cap)
 print(f"exhaustive smallest-|x2| witness: {best}")
 print(f"construction used |x2| = {abs(w.x2)}, exhaustive best |x2| = {abs(best.x2)}")
 
-# How many roots can a single square "cover"?  The cover height bounds the
-# number of n <= H sharing one value of x2 during the scan.
+# The cover height H(k) is the least h such that every unit mod k is y*z^2
+# with |y| <= h.  It bounds |b|: the scan for b stops by |b| = H(q1).
+print(f"\ncover height H({q1}) = {square_cover_height(q1)} >= |b| = {abs(trace.b)}")
 for k in (1, 2, 3, 10):
     print(f"cover height H({k}) = {square_cover_height(k)}")
 

@@ -21,8 +21,10 @@ x1, which is what makes the representation "small".
 The kernel `_construct` runs these steps on plain ints and checks every
 trace invariant (`_invariants_hold`, which `SmallSquareTrace.validate`
 also calls) before it returns.  `construct_small_square` wraps it in a
-trace; `small_square_survey` calls it directly, with one root solver per
-q1 row, and builds no object per pair.
+trace; `small_square_survey` calls it directly and builds no object per
+pair.  What depends on q1 alone, the root solver and the list of
+multipliers b coprime to q1, a survey row builds once; each pair then
+runs only the scan for b, the convergent walk and the invariant check.
 """
 
 from __future__ import annotations
@@ -109,22 +111,18 @@ def _sqrt_solver(m: int) -> Callable[[int], int | None]:
     return lambda a: min(sqrt_classes(a, factors)[1], default=None)
 
 
-def _denominators(num: int, den: int) -> Iterator[int]:
-    """The convergent denominators of num/den, in ascending order, lazily."""
-    h_prev, h = 1, 0  # denominators of the two virtual convergents before a0
-    a, b = num, den
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        h_prev, h = h, q * h + h_prev
-        yield h
-
-
 def convergent_denominators(num: int, den: int) -> list[int]:
     """Denominators of the continued-fraction convergents of num/den >= 0."""
     if den < 1 or num < 0:
         raise DomainError(f"need num >= 0 and den >= 1, got {num}/{den}")
-    return list(_denominators(num, den))
+    out = []
+    h_prev, h = 1, 0  # denominators of the two virtual convergents before a0
+    while den:
+        q = num // den
+        num, den = den, num - q * den
+        h_prev, h = h, q * h + h_prev
+        out.append(h)
+    return out
 
 
 def _invariants_hold(q1, q2, n_cap, b, c, c_bar, n, m, approx_d, x1, x2) -> bool:
@@ -173,28 +171,53 @@ class SmallSquareTrace:
             raise VerificationFailed(f"small-square trace breaks an invariant: {self}")
 
 
-def _scan_b(q1: int, q2: int, root) -> tuple[int, int]:
-    """First b (order 1, -1, 2, -2, ...) with b*q2 a square mod q1, and its root."""
+def _multipliers(q1: int) -> Iterator[tuple[int, int]]:
+    """(b, b % q1) for b = 1, -1, 2, -2, ... coprime to q1, up to |b| = q1 + 1."""
     for mag in range(1, q1 + 2):
         if math.gcd(mag, q1) == 1:
-            for b in (mag, -mag):
-                c = root(b * q2 % q1)
-                if c is not None:
-                    return b, c
+            yield mag, mag % q1
+            yield -mag, -mag % q1
+
+
+def _scan_b(q1: int, q2: int, root, taken: list, more: Iterator) -> tuple[int, int]:
+    """First b (order 1, -1, 2, -2, ...) with b*q2 a square mod q1, and its root.
+
+    The b coprime to q1 come as (b, b % q1): first from `taken`, the ones a
+    q1 row has drawn so far, then from the row's `_multipliers(q1)` iterator
+    `more`, each draw going onto `taken` for the row's later pairs.
+    """
+    for b, r in taken:
+        c = root(r * q2 % q1)
+        if c is not None:
+            return b, c
+    for b, r in more:
+        taken.append((b, r))
+        c = root(r * q2 % q1)
+        if c is not None:
+            return b, c
     raise NotFound(f"no admissible b for ({q1}, {q2})")  # pragma: no cover
 
 
-def _construct(q1: int, q2: int, n_cap: int, root) -> tuple[int, ...]:
+def _construct(
+    q1: int, q2: int, n_cap: int, root, taken: list, more: Iterator
+) -> tuple[int, ...]:
     """The construction on plain ints: (b, c, c_bar, n, m, approx_d, x1, x2).
 
-    Takes checked arguments and `root` = `_sqrt_solver(q1)`.  Every trace
-    invariant is checked before returning; a failure raises
-    VerificationFailed.
+    Takes checked arguments, `root` = `_sqrt_solver(q1)` and the q1 row's
+    multipliers `taken`, `more` (see `_scan_b`).  n is the largest
+    convergent denominator of c_bar/q1 that is <= n_cap, found by walking
+    the denominator recurrence of `convergent_denominators` until it passes
+    n_cap.  Every trace invariant is checked before returning; a failure
+    raises VerificationFailed.
     """
-    b, c = _scan_b(q1, q2, root)
+    b, c = _scan_b(q1, q2, root, taken, more)
     c_bar = mod_inverse(c, q1) if q1 > 1 else 0
-    n = 1
-    for h in _denominators(c_bar, q1):
+    n, h_prev, h = 1, 1, 0
+    num, den = c_bar, q1
+    while den:
+        a = num // den
+        num, den = den, num - a * den
+        h_prev, h = h, a * h + h_prev
         if h > n_cap:
             break
         n = h
@@ -222,7 +245,9 @@ def construct_small_square(q1: int, q2: int, n_cap: int) -> SmallSquareTrace:
         raise DomainError(f"steps must be coprime, got ({q1}, {q2})")
     if n_cap < 1:
         raise DomainError(f"size cap must be positive, got {n_cap}")
-    b, c, c_bar, n, m, approx_d, x1, x2 = _construct(q1, q2, n_cap, _sqrt_solver(q1))
+    b, c, c_bar, n, m, approx_d, x1, x2 = _construct(
+        q1, q2, n_cap, _sqrt_solver(q1), [], _multipliers(q1)
+    )
     return SmallSquareTrace(q1, q2, n_cap, b, c, c_bar, n, m, approx_d, SquareWitness(x1, x2, n))
 
 
@@ -304,11 +329,13 @@ def small_square_survey(q_max: int, *, q_min: int = 2, on_row=None) -> SurveyRep
     and is stepped up along the row, N += 1 while N**16 < q1**9 * q2**4.
     That is exact: the target grows with q2, so the previous N less one
     still falls short of it, and the stepped N is again the least.  The
-    row's powers of q1 and its square-root solver (a table, or above
-    _SQRT_TABLE_BOUND one factorization of q1) are made once per row; each
-    pair is one call of the kernel `_construct`, which checks every trace
-    invariant and raises VerificationFailed if one fails.  Refuses
-    q_min < 1 with DomainError.
+    row's powers of q1, its square-root solver (a table, or above
+    _SQRT_TABLE_BOUND one factorization of q1) and its list of multipliers
+    (b, b % q1) for b coprime to q1 are made once per row; the list grows
+    only when a pair's scan passes its end.  Each pair is one call of the
+    kernel `_construct`, which runs only the scan for b, the convergent
+    walk and the invariant check, and raises VerificationFailed if an
+    invariant fails.  Refuses q_min < 1 with DomainError.
     """
     if q_min < 1:
         raise DomainError(f"q_min must be positive, got {q_min}")
@@ -320,7 +347,7 @@ def small_square_survey(q_max: int, *, q_min: int = 2, on_row=None) -> SurveyRep
         q1_125, q1_225 = q1**1.25, q1**2.25
         cap = balanced_n(q1, q1)
         cap16 = cap**16
-        root = _sqrt_solver(q1)
+        root, taken, more = _sqrt_solver(q1), [], _multipliers(q1)
         for q2 in range(q1, q_max + 1):
             if math.gcd(q1, q2) != 1:
                 continue
@@ -328,7 +355,7 @@ def small_square_survey(q_max: int, *, q_min: int = 2, on_row=None) -> SurveyRep
             while cap16 < target:
                 cap += 1
                 cap16 = cap**16
-            b, _, _, n, _, _, x1, x2 = _construct(q1, q2, cap, root)
+            b, _, _, n, _, _, x1, x2 = _construct(q1, q2, cap, root, taken, more)
             a1, a2 = abs(x1), abs(x2)
             report.pairs += 1
             if 1 <= n <= cap:

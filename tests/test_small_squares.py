@@ -162,6 +162,22 @@ def test_dirichlet_guarantee():
         assert min(r, den - r) * cap <= den, (num, den, cap)
 
 
+def test_construct_takes_the_last_convergent_within_the_cap():
+    # The kernel walks the denominator recurrence inline; its n must be the
+    # largest denominator of convergent_denominators(c_bar, q1) that is <= N.
+    rng = random.Random(27)
+    cases = [(1, 7, 1), (1, 7, 5)]
+    while len(cases) < 400:
+        q1, q2 = rng.randint(1, 2000), rng.randint(1, 2000)
+        if math.gcd(q1, q2) == 1:
+            cases.append((q1, q2, rng.randint(1, 2 * q1 + 2)))
+    assert any(cap >= q1 > 1 for q1, _, cap in cases)
+    for q1, q2, cap in cases:
+        tr = construct_small_square(q1, q2, cap)
+        want = max(h for h in convergent_denominators(tr.c_bar, q1) if h <= cap)
+        assert tr.n == want, (q1, q2, cap)
+
+
 # ------------------------------------------------------------ construction
 
 
@@ -394,13 +410,37 @@ def test_row_stepped_cap_is_balanced_n():
     assert all(cap == balanced_n(q1, q2) for q1, q2, cap, *_ in rows)
 
 
-@pytest.mark.parametrize("q_min, q_max", [(1, 60), (150, 260)])
-def test_survey_matches_pair_by_pair_reference(q_min, q_max):
+def scan_order(q1: int) -> list[tuple[int, int]]:
+    """(b, b % q1) for b = 1, -1, 2, -2, ... coprime to q1, as far as |b| = q1 + 1."""
+    return [
+        (b, b % q1) for mag in range(1, q1 + 2) if math.gcd(mag, q1) == 1 for b in (mag, -mag)
+    ]
+
+
+# Row 1320 of the last band draws multipliers up to |b| = 131, at q2 = 1451.
+@pytest.mark.parametrize("q_min, q_max", [(1, 60), (150, 260), (1320, 1451)])
+def test_survey_matches_pair_by_pair_reference(q_min, q_max, monkeypatch):
+    lists, construct = {}, small_squares._construct
+
+    def spy(q1, q2, cap, root, taken, more):
+        assert lists.setdefault(q1, taken) is taken  # one list per row
+        return construct(q1, q2, cap, root, taken, more)
+
+    want_report, want_rows = reference_survey(q_max, q_min)
+    monkeypatch.setattr(small_squares, "_construct", spy)
     rows = []
     report = small_square_survey(q_max, q_min=q_min, on_row=rows.append)
-    want_report, want_rows = reference_survey(q_max, q_min)
     assert rows == want_rows  # floats included, bit for bit
     assert report == want_report
+    # Each row's list is the scan order up to the furthest b its pairs took:
+    # grown only when needed, never restarted and with no magnitude skipped.
+    grown = 0
+    for q1, taken in lists.items():
+        order = scan_order(q1)
+        reach = [order.index((b, b % q1)) for r_q1, _, _, b, *_ in rows if r_q1 == q1]
+        assert taken == order[: max(reach) + 1], q1
+        grown += max(reach) > reach[0]
+    assert grown > 0
 
 
 def test_survey_ceiling_decides_the_envelopes(monkeypatch):
@@ -449,6 +489,7 @@ _FORGED_ROOTS = textwrap.dedent(
     else:
         sys.exit("a forged trace passed validate()")
     # Every class gets the root 1: a unit, but seldom a root of b*q2.
+    solver = small_squares._sqrt_solver
     small_squares._sqrt_solver = lambda m: lambda a: 1
     try:
         small_squares.small_square_survey(40)
@@ -456,6 +497,17 @@ _FORGED_ROOTS = textwrap.dedent(
         pass
     else:
         sys.exit("a survey on forged roots passed")
+    small_squares._sqrt_solver = solver
+    # Each multiplier b comes as q1*b, which shares q1's factors, with the
+    # residue of the true b kept, so the roots still look right.
+    multipliers = small_squares._multipliers
+    small_squares._multipliers = lambda q1: ((q1 * b, r) for b, r in multipliers(q1))
+    try:
+        small_squares.small_square_survey(40)
+    except VerificationFailed:
+        pass
+    else:
+        sys.exit("a survey on forged multipliers passed")
     """
 )
 
