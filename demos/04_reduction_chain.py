@@ -22,7 +22,7 @@ from sqavoid import (
     brute_force_witness,
     congruence_lattice,
     derived_instance,
-    reduce_recursive,
+    reduce_box,
     verify_reduction,
 )
 
@@ -38,20 +38,20 @@ print(f"Minkowski window: d^2/4 = {F(25, 4)} <= {l1_sq * l2_sq} <= {25}\n")
 # of the coefficients; a larger one (here 17) goes through the lattice step,
 # with the derived radii set by the reduced basis's successive minima.
 for q1, q2, x1b, x2b, t in [(84, 198, 40, 40, 10**8), (34, 51, 30, 30, 10**6)]:
-    chain = reduce_recursive(q1, q2, F(x1b), F(x2b), t)
+    result = reduce_box(q1, q2, F(x1b), F(x2b), t)
+    step, final = result.step, result.final
     print(f"reduce ({q1}, {q2}) radii ({x1b}, {x2b}) under T = {t}:")
-    for step in chain:  # the one step
-        verdict = verify_reduction(step, TwoDAP(q1, q2, x1b, x2b), t)
-        derived, scale = derived_instance(step)
-        print(f"  step: mode {step.mode}, d = {step.d}, "
-              f"minima attainers u = {step.u}, v = {step.v}")
-        print(f"        derived steps ({derived.q1}, {derived.q2}), "
-              f"radii ({derived.x1bound}, {derived.x2bound}), T -> {t // scale}")
-        print(f"        independent verifier: "
-              f"{'all checks pass' if verdict.ok else verdict.checks}")
-        assert verdict.ok
-    print(f"  terminated: {chain.termination}; final steps "
-          f"({chain.final_q1}, {chain.final_q2}), final T = {chain.final_t}\n")
+    verdict = verify_reduction(step, TwoDAP(q1, q2, x1b, x2b), t)
+    print(f"  step: mode {step.mode}, d = {step.d}, "
+          f"minima attainers u = {step.u}, v = {step.v}")
+    print(f"        derived steps ({final.q1}, {final.q2}), "
+          f"radii ({final.x1bound}, {final.x2bound}), T -> {result.final_t}")
+    print(f"        independent verifier: "
+          f"{'all checks pass' if verdict.ok else verdict.checks}")
+    assert verdict.ok
+    assert final == derived_instance(step) and result.final_t == t // step.d**2
+    print(f"  terminated: {result.termination}; final steps "
+          f"({final.q1}, {final.q2}), final T = {result.final_t}\n")
 
 # Square-avoidance transfers: if the original box misses all squares up to
 # T, so does the derived box up to its rescaled bound.  (20, 26) with
@@ -59,14 +59,14 @@ for q1, q2, x1b, x2b, t in [(84, 198, 40, 40, 10**8), (34, 51, 30, 30, 10**6)]:
 # square among them would be 4*m^2 with 2*m^2 landing in the derived box.
 a0 = TwoDAP(20, 26, 3, 3)  # gcd 2
 t0 = 400
-chain0 = reduce_recursive(20, 26, F(3), F(3), t0)
+result0 = reduce_box(20, 26, F(3), F(3), t0)
 w0 = brute_force_witness(a0, t0)
 assert w0 is None
 print(f"({a0.q1}, {a0.q2}) radii 3 under T = {t0}: square-free")
-floored = TwoDAP(chain0.final_q1, chain0.final_q2,
-                 int(chain0.final_x1bound), int(chain0.final_x2bound))
-wd = brute_force_witness(floored, chain0.final_t)
+final0 = result0.final
+floored = TwoDAP(final0.q1, final0.q2, final0.b1, final0.b2)
+wd = brute_force_witness(floored, result0.final_t)
 print(f"  derived ({floored.q1}, {floored.q2}) radii "
-      f"({floored.x1bound}, {floored.x2bound}) under T = {chain0.final_t}: "
+      f"({floored.x1bound}, {floored.x2bound}) under T = {result0.final_t}: "
       f"{'square-free' if wd is None else f'witness {wd}'}")
 assert wd is None  # avoidance transfers

@@ -13,7 +13,8 @@ The package answers, with integer-exact certificates rather than floats:
   `exponent_supremum`);
 * how a box with gcd(q1, q2) > 1 reduces in one step to a box with
   coprime steps, through congruence lattices and gauge minima
-  (`congruence_lattice`, `box_minima`, `reduce_recursive`);
+  (`congruence_lattice`, `box_minima`, `reduce_box`, whose result's
+  `.step` is that one step, or None when the box stops as it is);
 * explicit large square-avoiding boxes from quadratic non-residues
   (`build_instance`, `residue_certificate`);
 * an extremal-search sweep tying the families together (`sweep`), also
@@ -44,7 +45,7 @@ from .bounds import (
 )
 from .lattice import (
     Lattice2,
-    ReductionChain,
+    Reduction,
     ReductionStep,
     ReductionVerdict,
     box_minima,
@@ -52,7 +53,7 @@ from .lattice import (
     derived_instance,
     divide_out_step,
     enumerate_gauge_ball,
-    reduce_recursive,
+    reduce_box,
     reduce_step,
     verify_reduction,
 )
@@ -105,7 +106,7 @@ __all__ = [
     "NonResidueRecord",
     "NotFound",
     "NotInvertible",
-    "ReductionChain",
+    "Reduction",
     "ReductionStep",
     "ReductionVerdict",
     "ResidueCertificate",
@@ -142,7 +143,7 @@ __all__ = [
     "least_nonresidue_scan",
     "least_qnr",
     "one_d_bound",
-    "reduce_recursive",
+    "reduce_box",
     "reduce_step",
     "residue_certificate",
     "size_vs_t",

@@ -17,7 +17,6 @@ import math
 from collections.abc import Iterator
 from itertools import compress
 
-gcd = math.gcd
 isqrt = math.isqrt
 
 

@@ -8,8 +8,8 @@ Eight subcommands map onto the library modules:
                   guarded brute force) with the agreement recorded.
 * ``construct`` - the small-square constructive witness with its full
                   arithmetic trace.
-* ``reduce``    - the gcd reduction: a record for its one step, if it
-                  takes one, and a record for where it ends.
+* ``reduce``    - the gcd reduction of `reduce_box`: a record for its
+                  `.step`, if it takes one, and a record for where it ends.
 * ``lower``     - the non-residue instance for a prime with its machine
                   certificate.
 * ``scan-nqr``  - least non-residues over primes 1 mod 4, with records.
@@ -45,7 +45,7 @@ from fractions import Fraction
 from .arith import TooLarge
 from .bounds import COMPONENTS, exponent_surface, surface_supremum
 from .formats import SCHEMA_VERSION, record, value
-from .lattice import reduce_recursive
+from .lattice import reduce_box
 from .lowerbound import (
     MIN_PRIME,
     build_instance,
@@ -197,13 +197,16 @@ def _cmd_construct(args):
 
 
 def _cmd_reduce(args):
-    chain = reduce_recursive(args.q1, args.q2, args.x1, args.x2, args.t)
-    records = [
-        {"kind": "ReductionStep", "index": value(i)} | record(step) for i, step in enumerate(chain)
-    ]
-    # The chain record counts its steps; the step, if any, has its record above.
-    records.append({"kind": "ReductionChain"} | record(chain) | {"steps": value(len(chain))})
-    return records, EXIT_OK, f"{len(chain)} step(s), terminated: {chain.termination}"
+    result = reduce_box(args.q1, args.q2, args.x1, args.x2, args.t)
+    steps = [result.step] if result.step else []
+    records = [{"kind": "ReductionStep", "index": "0"} | record(step) for step in steps]
+    # The ReductionChain record counts the step above and flattens the final box.
+    records.append(
+        {"kind": "ReductionChain", "steps": value(len(steps)), "termination": result.termination}
+        | {f"final_{name}": field for name, field in record(result.final).items()}
+        | {"final_t": value(result.final_t)}
+    )
+    return records, EXIT_OK, f"{len(steps)} step(s), terminated: {result.termination}"
 
 
 def _cmd_lower(args):

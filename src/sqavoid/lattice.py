@@ -18,7 +18,9 @@ into a square; the successive minima lambda1 <= lambda2 of the gauge
 then produce a basis u, v of L whose integer combinations a1*u + a2*v
 with |a_i| <= Xt_i := X1*U^(1/2)/(2*lambda_i) stay inside the original
 box.  Values transform as d^2 * (a1*p1 + a2*p2) with p_i = (u_i . qt)/d,
-giving a smaller progression with ambient bound T/d^2.
+giving a smaller progression with ambient bound T/d^2.  `reduce_box`
+returns a `Reduction` whose `.step` is that step (or a divide-out, for a
+small d), or None when the box admits no step.
 
 All gauge comparisons are decided on the squared, denominator-cleared
 side: with U = un/ud, the integer quantity max(x1^2*un^2, x2^2*ud^2)
@@ -49,7 +51,7 @@ from .progression import (
 F = Fraction
 
 _ENUM_GUARD = 2_000_000
-# `reduce_recursive` divides a gcd up to this size straight out of both
+# `reduce_box` divides a gcd up to this size straight out of both
 # steps (x_i = d*a_i) and takes a full lattice step for a larger gcd.
 SMALL_GCD = 16
 
@@ -356,8 +358,8 @@ def _exact_sqrt_fraction(x: Fraction) -> Fraction:
     return r
 
 
-def derived_instance(step: ReductionStep) -> tuple[TwoDAP, int]:
-    """Progression reachable after the step, and the value scale d^2.
+def derived_instance(step: ReductionStep) -> TwoDAP:
+    """Progression reachable after the step.
 
     Values of the derived progression, multiplied by d^2, are values of
     the original.  Divide-out steps keep exact (possibly fractional)
@@ -366,25 +368,20 @@ def derived_instance(step: ReductionStep) -> tuple[TwoDAP, int]:
     to the value set, so that axis is normalized to step 1 with radius 0.
     """
     if step.mode == "divide_out":
-        return (
-            TwoDAP(
-                step.qt1,
-                step.qt2,
-                _exact_sqrt_fraction(step.xt1_sq),
-                _exact_sqrt_fraction(step.xt2_sq),
-            ),
-            step.d * step.d,
-        )
+        return TwoDAP(step.qt1, step.qt2, *map(_exact_sqrt_fraction, (step.xt1_sq, step.xt2_sq)))
     p1, p2 = abs(step.p1), abs(step.p2)
     b1 = step.xt1_floor if p1 else 0
     b2 = step.xt2_floor if p2 else 0
-    return TwoDAP(max(p1, 1), max(p2, 1), b1, b2), step.d * step.d
+    return TwoDAP(max(p1, 1), max(p2, 1), b1, b2)
 
 
 @dataclass(frozen=True)
 class ReductionVerdict:
-    ok: bool
     checks: tuple[tuple[str, bool, str], ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(passed for _, passed, _ in self.checks)
 
 
 def verify_reduction(step: ReductionStep, a: TwoDAP, t: int) -> ReductionVerdict:
@@ -467,7 +464,7 @@ def verify_reduction(step: ReductionStep, a: TwoDAP, t: int) -> ReductionVerdict
     ok_emb &= b2t == 0 or v1 * q1 + v2 * q2 == step.d**2 * step.p2
     record("embedding", ok_emb)
 
-    derived, scale = derived_instance(step)
+    derived = derived_instance(step)
     if is_proper(a):
         record("properness-transfer", is_proper(derived))
     else:
@@ -487,41 +484,23 @@ def verify_reduction(step: ReductionStep, a: TwoDAP, t: int) -> ReductionVerdict
     except TooLarge:
         record("square-transfer", True, "box beyond brute-force guard; skipped")
 
-    return ReductionVerdict(all(ok for _, ok, _ in checks), tuple(checks))
+    return ReductionVerdict(tuple(checks))
 
 
 # ------------------------------------------------------------- reduction
 
 
 @dataclass(frozen=True)
-class ReductionChain:
-    """The reduction's one step (or none), the terminal instance and reason."""
+class Reduction:
+    """The reduction's one step (None when it stops), its reason and where it ends."""
 
-    steps: tuple[ReductionStep, ...]  # 0 or 1 steps
+    step: ReductionStep | None
     termination: str  # "coprime" | "large-gcd" | "small-box" | "one-dimensional"
-    final_q1: int
-    final_q2: int
-    final_x1bound: Fraction
-    final_x2bound: Fraction
+    final: TwoDAP
     final_t: int
 
-    def __iter__(self):
-        return iter(self.steps)
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __getitem__(self, i):
-        return self.steps[i]
-
-
-def reduce_recursive(
-    q1: int,
-    q2: int,
-    x1bound: Fraction,
-    x2bound: Fraction,
-    t: int,
-) -> ReductionChain:
+def reduce_box(q1: int, q2: int, x1bound: Fraction, x2bound: Fraction, t: int) -> Reduction:
     """Take the one reduction step the box admits, or stop.
 
     The box is checked as `TwoDAP` checks it.  Case analysis on
@@ -535,15 +514,16 @@ def reduce_recursive(
     * a radius below 1: stop ("one-dimensional").
     * otherwise: a full lattice step.
 
-    A step ends "coprime" on its `derived_instance`, with ambient bound
-    T // d^2: a divide-out leaves steps q1/d and q2/d, and after a lattice
-    step x -> x.qt/d maps L onto Z while u, v is a basis of L, so
-    gcd(p1, p2) = 1.  So a reduction never takes a second step.
+    A stop ends on the input box with bound T.  A step ends "coprime" on
+    its `derived_instance`, with ambient bound T // d^2: a divide-out
+    leaves steps q1/d and q2/d, and after a lattice step x -> x.qt/d maps
+    L onto Z while u, v is a basis of L, so gcd(p1, p2) = 1.  So a
+    reduction never takes a second step.
     """
     if t < 0:
         raise DomainError(f"ambient bound must be non-negative, got {t}")
-    TwoDAP(q1, q2, x1bound, x2bound)
-    x1b, x2b = F(x1bound), F(x2bound)
+    box = TwoDAP(q1, q2, x1bound, x2bound)
+    x1b, x2b = box.x1bound, box.x2bound
     d = math.gcd(q1, q2)
     if d == 1:
         stop = "coprime"
@@ -554,9 +534,9 @@ def reduce_recursive(
     else:
         stop = "one-dimensional" if x1b < 1 or x2b < 1 else ""
     if stop:
-        return ReductionChain((), stop, q1, q2, x1b, x2b, t)
+        return Reduction(None, stop, box, t)
     step = (divide_out_step if d <= SMALL_GCD else reduce_step)(q1, q2, x1b, x2b)
-    a, scale = derived_instance(step)
-    if math.gcd(a.q1, a.q2) != 1:
-        raise VerificationFailed(f"{step.mode} step left steps ({a.q1}, {a.q2})")
-    return ReductionChain((step,), "coprime", a.q1, a.q2, F(a.x1bound), F(a.x2bound), t // scale)
+    final = derived_instance(step)
+    if math.gcd(final.q1, final.q2) != 1:
+        raise VerificationFailed(f"{step.mode} step left steps ({final.q1}, {final.q2})")
+    return Reduction(step, "coprime", final, t // (d * d))

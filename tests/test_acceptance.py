@@ -20,7 +20,7 @@ from sqavoid.lattice import (
     congruence_lattice,
     derived_instance,
     enumerate_gauge_ball,
-    reduce_recursive,
+    reduce_box,
 )
 from sqavoid.lowerbound import (
     build_instance,
@@ -170,9 +170,9 @@ def test_criterion_5_minkowski_window(capsys):
 
 
 def test_criterion_6_reduction_transfer(capsys):
-    """200 composed instances with gcd in [2, 20]: every chain terminates
-    and square-avoidance transfers to each derived instance under
-    brute-force checking.  Zero violations."""
+    """200 composed instances with gcd in [2, 20]: every reduction
+    terminates and square-avoidance transfers to its derived instance
+    under brute-force checking.  Zero violations."""
     t0 = time.perf_counter()
     rng = random.Random(6174)
     built = 0
@@ -187,21 +187,19 @@ def test_criterion_6_reduction_transfer(capsys):
         x1b, x2b = rng.randint(1, 8), rng.randint(1, 8)
         t = rng.randint(10, 2000)
         a = TwoDAP(q1, q2, x1b, x2b)
-        chain = reduce_recursive(q1, q2, F(x1b), F(x2b), t)  # must terminate
+        step = reduce_box(q1, q2, F(x1b), F(x2b), t).step  # must terminate
         if brute_force_witness(a, t) is not None:
             continue  # transfer hypothesis is vacuous
         square_free_inputs += 1
-        cur_t = t
-        for step in chain:
-            derived, scale = derived_instance(step)
-            cur_t //= scale
+        if step is not None:
+            derived = derived_instance(step)
             floored = TwoDAP(derived.q1, derived.q2, derived.b1, derived.b2)
-            assert brute_force_witness(floored, cur_t) is None, (a, t, step)
+            assert brute_force_witness(floored, t // step.d**2) is None, (a, t, step)
     elapsed = time.perf_counter() - t0
     assert square_free_inputs >= 30  # the transfer claim was genuinely exercised
     with capsys.disabled():
         print(f"criterion 6 reduction-transfer: PASS "
-              f"(200 chains terminated; {square_free_inputs} square-free "
+              f"(200 reductions terminated; {square_free_inputs} square-free "
               f"inputs transferred with zero violations; {elapsed:.1f}s)")
 
 

@@ -275,6 +275,68 @@ def test_reduce_frozen_chain(capsys):
     assert chain["final_t"] == "625"
 
 
+REDUCE_FROZEN = {
+    # A divide-out: d = 4 comes straight out of both steps.
+    ("12 20 9 9 10000", "jsonl"): (
+        '{"d": "4", "index": "0", "kind": "ReductionStep", "lam1_sq": "", "lam2_sq": "", '
+        '"mode": "divide_out", "p1": "3", "p2": "5", "qt1": "3", "qt2": "5", "schema_version": "1", '
+        '"swapped": "false", "u": "[\\"4\\", \\"0\\"]", "u_ratio": "1", "v": "[\\"0\\", \\"4\\"]", '
+        '"xt1_floor": "2", "xt1_sq": "81/16", "xt2_floor": "2", "xt2_sq": "81/16"}\n'
+        '{"final_q1": "3", "final_q2": "5", "final_t": "625", "final_x1bound": "9/4", '
+        '"final_x2bound": "9/4", "kind": "ReductionChain", "schema_version": "1", "steps": "1", '
+        '"termination": "coprime"}\n'
+    ),
+    ("12 20 9 9 10000", "csv"): (
+        "schema_version,kind,index,mode,swapped,d,qt1,qt2,u_ratio,lam1_sq,lam2_sq,u,v,p1,p2,"
+        "xt1_sq,xt2_sq,xt1_floor,xt2_floor,steps,termination,final_q1,final_q2,final_x1bound,"
+        "final_x2bound,final_t\n"
+        '1,ReductionStep,0,divide_out,false,4,3,5,1,,,"[""4"", ""0""]","[""0"", ""4""]",3,5,'
+        "81/16,81/16,2,2,,,,,,,\n"
+        "1,ReductionChain,,,,,,,,,,,,,,,,,,1,coprime,3,5,9/4,9/4,625\n"
+    ),
+    # A lattice step: d = 17 goes through the gauge minima.
+    ("34 51 30 30 1000000", "jsonl"): (
+        '{"d": "17", "index": "0", "kind": "ReductionStep", "lam1_sq": "9", "lam2_sq": "16", '
+        '"mode": "lattice", "p1": "0", "p2": "1", "qt1": "2", "qt2": "3", "schema_version": "1", '
+        '"swapped": "false", "u": "[\\"3\\", \\"-2\\"]", "u_ratio": "1", "v": "[\\"4\\", \\"3\\"]", '
+        '"xt1_floor": "5", "xt1_sq": "25", "xt2_floor": "3", "xt2_sq": "225/16"}\n'
+        '{"final_q1": "1", "final_q2": "1", "final_t": "3460", "final_x1bound": "0", '
+        '"final_x2bound": "3", "kind": "ReductionChain", "schema_version": "1", "steps": "1", '
+        '"termination": "coprime"}\n'
+    ),
+    ("34 51 30 30 1000000", "csv"): (
+        "schema_version,kind,index,mode,swapped,d,qt1,qt2,u_ratio,lam1_sq,lam2_sq,u,v,p1,p2,"
+        "xt1_sq,xt2_sq,xt1_floor,xt2_floor,steps,termination,final_q1,final_q2,final_x1bound,"
+        "final_x2bound,final_t\n"
+        '1,ReductionStep,0,lattice,false,17,2,3,1,9,16,"[""3"", ""-2""]","[""4"", ""3""]",0,1,'
+        "25,225/16,5,3,,,,,,,\n"
+        "1,ReductionChain,,,,,,,,,,,,,,,,,,1,coprime,1,1,0,3,3460\n"
+    ),
+    # No step: coprime steps leave nothing to reduce.
+    ("3 5 9 9 10000", "jsonl"): (
+        '{"final_q1": "3", "final_q2": "5", "final_t": "10000", "final_x1bound": "9", '
+        '"final_x2bound": "9", "kind": "ReductionChain", "schema_version": "1", "steps": "0", '
+        '"termination": "coprime"}\n'
+    ),
+    ("3 5 9 9 10000", "csv"): (
+        "schema_version,kind,steps,termination,final_q1,final_q2,final_x1bound,final_x2bound,final_t\n"
+        "1,ReductionChain,0,coprime,3,5,9,9,10000\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("box, fmt", sorted(REDUCE_FROZEN), ids="-".join)
+def test_reduce_frozen_bytes(capsys, box, fmt):
+    # The whole stdout, so the CSV column order (first-seen keys) is pinned too.
+    q1, q2, x1, x2, t = box.split()
+    code = main(["reduce", "--q1", q1, "--q2", q2, "--x1", x1, "--x2", x2, "--t", t, "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == REDUCE_FROZEN[box, fmt]
+    steps = "0" if box.startswith("3 ") else "1"
+    assert captured.err == f"{steps} step(s), terminated: coprime\n"
+
+
 @pytest.mark.parametrize(
     "box, message",
     [

@@ -17,13 +17,13 @@ from sqavoid.formats import record
 from sqavoid.lattice import (
     SMALL_GCD,
     Lattice2,
-    ReductionChain,
+    Reduction,
     box_minima,
     congruence_lattice,
     derived_instance,
     divide_out_step,
     enumerate_gauge_ball,
-    reduce_recursive,
+    reduce_box,
     reduce_step,
     verify_reduction,
 )
@@ -182,8 +182,8 @@ _FORGED_INTERNALS = textwrap.dedent(
     refused("a Hermite row outside the lattice", lambda: lattice.congruence_lattice(6, 1, 1))
     lattice._hnf = lambda d, qt1, qt2: ((1, d - 1), (0, 2 * d))  # inside, but determinant 2d
     refused("a Hermite form of the wrong determinant", lambda: lattice.congruence_lattice(6, 1, 1))
-    lattice.derived_instance = lambda step: (lattice.TwoDAP(2, 4, 1, 1), 4)  # keeps the factor 2
-    refused("a step that leaves a common factor", lambda: lattice.reduce_recursive(12, 20, 9, 9, 10**4))
+    lattice.derived_instance = lambda step: lattice.TwoDAP(2, 4, 1, 1)  # keeps the factor 2
+    refused("a step that leaves a common factor", lambda: lattice.reduce_box(12, 20, 9, 9, 10**4))
     """
 )
 
@@ -289,9 +289,7 @@ def test_reduce_step_frozen_square_box():
     assert (step.p1, step.p2) == (4, -1)
     assert step.xt1_sq == step.xt2_sq == F(4)
     assert step.xt1_floor == step.xt2_floor == 2
-    derived, scale = derived_instance(step)
-    assert derived == TwoDAP(4, 1, 2, 2)
-    assert scale == 4
+    assert derived_instance(step) == TwoDAP(4, 1, 2, 2)
 
 
 def test_reduce_step_frozen_coprime_quotients():
@@ -322,9 +320,7 @@ def test_divide_out_frozen():
     assert step.mode == "divide_out"
     assert (step.d, step.qt1, step.qt2) == (4, 3, 5)
     assert (step.p1, step.p2) == (3, 5)
-    derived, scale = derived_instance(step)
-    assert derived == TwoDAP(3, 5, F(9, 4), F(9, 4))
-    assert scale == 16
+    assert derived_instance(step) == TwoDAP(3, 5, F(9, 4), F(9, 4))
 
 
 def test_verify_reduction_frozen_all_green():
@@ -465,43 +461,38 @@ def test_embedding_check_is_exact_under_python_O(run_python):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-# ------------------------------------------------------------ recursion
+# ------------------------------------------------------------ reduction
 
 
 def test_reduce_recursive_frozen_divide_out_to_coprime():
-    chain = reduce_recursive(12, 20, 9, 9, 10_000)
-    assert len(chain) == 1 and chain[0].mode == "divide_out"
-    assert chain.termination == "coprime"
-    assert (chain.final_q1, chain.final_q2) == (3, 5)
-    assert (chain.final_x1bound, chain.final_x2bound) == (F(9, 4), F(9, 4))
-    assert chain.final_t == 625
+    result = reduce_box(12, 20, 9, 9, 10_000)
+    assert result.step.mode == "divide_out"
+    assert result.termination == "coprime"
+    assert result.final == TwoDAP(3, 5, F(9, 4), F(9, 4))
+    assert result.final_t == 625
 
 
 def test_reduce_recursive_frozen_lattice_step_degenerate_axis():
     # gcd 17 exceeds the small-gcd cutoff; the first minimum is orthogonal
     # to the step vector, so one axis of the derived instance collapses.
-    chain = reduce_recursive(34, 51, 30, 30, 10**6)
-    assert len(chain) == 1 and chain[0].mode == "lattice"
-    assert chain[0].p1 == 0 and chain[0].p2 == 1
-    assert chain.termination == "coprime"
-    assert (chain.final_q1, chain.final_q2) == (1, 1)
-    assert (chain.final_x1bound, chain.final_x2bound) == (0, 3)
-    assert chain.final_t == 10**6 // 289
+    result = reduce_box(34, 51, 30, 30, 10**6)
+    assert result.step.mode == "lattice"
+    assert result.step.p1 == 0 and result.step.p2 == 1
+    assert result.termination == "coprime"
+    assert result.final == TwoDAP(1, 1, 0, 3)
+    assert result.final_t == 10**6 // 289
 
 
 def test_reduce_recursive_terminal_reasons():
-    assert reduce_recursive(4, 8, 2, 2, 10**6).termination == "small-box"
-    assert reduce_recursive(34, 51, 30, 30, 100).termination == "large-gcd"
-    assert (
-        reduce_recursive(36, 54, F(1, 2), 30, 10**6).termination
-        == "one-dimensional"
-    )
-    assert reduce_recursive(3, 5, 10, 10, 100).termination == "coprime"
+    assert reduce_box(4, 8, 2, 2, 10**6).termination == "small-box"
+    assert reduce_box(34, 51, 30, 30, 100).termination == "large-gcd"
+    assert reduce_box(36, 54, F(1, 2), 30, 10**6).termination == "one-dimensional"
+    assert reduce_box(3, 5, 10, 10, 100).termination == "coprime"
 
 
 def test_reduce_recursive_chain_replay():
     """The step, when one is taken, must survive independent verification,
-    and the chain must end on its derived instance with bound T // d^2.
+    and the reduction must end on its derived instance with bound T // d^2.
     """
     rng = random.Random(360360)
     for _ in range(60):
@@ -511,22 +502,20 @@ def test_reduce_recursive_chain_replay():
         x1b = F(rng.randint(2, 30))
         x2b = F(rng.randint(2, 30))
         t = rng.choice([10**4, 10**6, 10**8])
-        chain = reduce_recursive(q1, q2, x1b, x2b, t)
-        final = (chain.final_q1, chain.final_q2, chain.final_x1bound, chain.final_x2bound, chain.final_t)
-        if len(chain) == 0:
-            assert final == (q1, q2, x1b, x2b, t)
+        result = reduce_box(q1, q2, x1b, x2b, t)
+        step, final = result.step, result.final
+        if step is None:
+            assert (final, result.final_t) == (TwoDAP(q1, q2, x1b, x2b), t)
         else:
-            (step,) = chain
             verdict = verify_reduction(step, TwoDAP(q1, q2, x1b, x2b), t)
             assert verdict.ok, (q1, q2, x1b, x2b, t, verdict.checks)
-            derived, scale = derived_instance(step)
-            assert scale == math.gcd(q1, q2) ** 2
-            assert final == (derived.q1, derived.q2, derived.x1bound, derived.x2bound, t // scale)
-        if chain.termination == "coprime":
-            assert math.gcd(chain.final_q1, chain.final_q2) == 1
-        elif chain.termination == "large-gcd":
-            dd = math.gcd(chain.final_q1, chain.final_q2)
-            assert dd * dd >= chain.final_t
+            assert step.d == math.gcd(q1, q2)
+            assert (final, result.final_t) == (derived_instance(step), t // step.d**2)
+        if result.termination == "coprime":
+            assert math.gcd(final.q1, final.q2) == 1
+        elif result.termination == "large-gcd":
+            dd = math.gcd(final.q1, final.q2)
+            assert dd * dd >= result.final_t
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -548,12 +537,12 @@ def test_one_step_leaves_coprime_steps_hypothesis(d, qt1, qt2, x1b, x2b, t):
         derived.append(derived_instance(divide_out_step(q1, q2, x1b, x2b)))
     if x1b >= 1 and x2b >= 1:
         derived.append(derived_instance(reduce_step(q1, q2, x1b, x2b)))
-    for a, scale in derived:
-        assert math.gcd(a.q1, a.q2) == 1 and scale == d * d, (a, scale)
-    chain = reduce_recursive(q1, q2, x1b, x2b, t)
-    assert len(chain) <= 1
-    if chain:
-        assert chain.termination == "coprime" and chain.final_t == t // (d * d)
+    for a in derived:
+        assert math.gcd(a.q1, a.q2) == 1, a
+    result = reduce_box(q1, q2, x1b, x2b, t)
+    if result.step is not None:
+        assert result.step.d == d
+        assert result.termination == "coprime" and result.final_t == t // (d * d)
 
 
 def test_reduce_recursive_refuses_what_twodap_refuses():
@@ -561,7 +550,7 @@ def test_reduce_recursive_refuses_what_twodap_refuses():
         with pytest.raises(DomainError) as refused:
             TwoDAP(*box)
         with pytest.raises(DomainError) as reduce_refused:
-            reduce_recursive(*box, 10_000)
+            reduce_box(*box, 10_000)
         assert str(reduce_refused.value) == str(refused.value), box
 
 
@@ -585,17 +574,10 @@ def test_square_avoidance_transfers_along_chain():
         if brute_force_witness(a, t) is not None:
             continue
         found += 1
-        chain = reduce_recursive(q1, q2, F(x1b), F(x2b), t)
-        cur_t = t
-        cur = a
-        for step in chain:
-            derived, scale = derived_instance(step)
-            cur_t //= scale
-            floored = TwoDAP(
-                derived.q1, derived.q2, derived.b1, derived.b2
-            )
-            assert brute_force_witness(floored, cur_t) is None, (a, step)
-            cur = derived
+        result = reduce_box(q1, q2, F(x1b), F(x2b), t)
+        final = result.final
+        floored = TwoDAP(final.q1, final.q2, final.b1, final.b2)
+        assert brute_force_witness(floored, result.final_t) is None, (a, result.step)
     assert found >= 40  # the scan must actually exercise square-free inputs
 
 
@@ -610,19 +592,17 @@ def test_properness_preserved_by_divide_out():
         a = TwoDAP(d * qt1, d * qt2, x1b, x2b)
         if not is_proper(a):
             continue
-        derived, _ = derived_instance(divide_out_step(d * qt1, d * qt2, x1b, x2b))
-        assert is_proper(derived)
+        assert is_proper(derived_instance(divide_out_step(d * qt1, d * qt2, x1b, x2b)))
 
 
-def test_reduction_chain_is_iterable():
-    chain = reduce_recursive(12, 20, 9, 9, 10_000)
-    assert isinstance(chain, ReductionChain)
-    assert [s.mode for s in chain] == ["divide_out"]
-    assert chain[0] is chain.steps[0]
-    assert len(chain) == 1
-    stopped = reduce_recursive(3, 5, 10, 10, 100)
-    assert list(stopped) == [] and stopped.steps == ()
-    assert len(stopped) == 0
+def test_reduction_holds_its_step_or_none():
+    result = reduce_box(12, 20, 9, 9, 10_000)
+    assert isinstance(result, Reduction)
+    assert result.step == divide_out_step(12, 20, 9, 9)
+    assert result.final == derived_instance(result.step)
+    stopped = reduce_box(3, 5, 10, 10, 100)
+    assert stopped.step is None
+    assert stopped.final == TwoDAP(3, 5, 10, 10)
 
 
 def test_step_json_round_trip_fields():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sqavoid"
@@ -67,14 +68,30 @@ def _private_definitions(tree: ast.Module) -> set[str]:
     return {name for name in names if name.startswith("_") and not name.startswith("__")}
 
 
-def _references(tree: ast.AST) -> set[str]:
-    """Names read, attributes taken and names imported anywhere in a tree."""
+def _stdlib_modules(tree: ast.AST) -> frozenset[str]:
+    """The names a tree binds to standard-library modules by `import`."""
+    return frozenset(
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.partition(".")[0] in sys.stdlib_module_names
+    )
+
+
+def _references(tree: ast.AST, modules: frozenset[str] = frozenset()) -> set[str]:
+    """Names read, attributes taken and names imported anywhere in a tree.
+
+    An attribute taken on one of `modules` (such as `math.gcd`) is the
+    module's, so it refers to nothing here.
+    """
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            if not (isinstance(node.value, ast.Name) and node.value.id in modules):
+                found.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             found |= {alias.name for alias in node.names}
     return found
@@ -101,21 +118,25 @@ def test_every_public_name_has_a_caller():
     # that only dead code reaches.  Reach starts from the bench, the demos,
     # the package's module-level statements that define nothing (such as
     # cli's `__main__` block) and the oracles above; a re-export in
-    # `__init__.py` calls nothing.
+    # `__init__.py` calls nothing, and neither does an attribute of a
+    # standard-library module, such as `math.gcd`.
     root = PACKAGE.parents[1]
     calls: dict[str, set[str]] = {}  # module-level name -> names its definition refers to
     reached = set(TEST_ORACLES)
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        modules = _stdlib_modules(tree)
+        for node in tree.body:
             names = _defined_names(node)
             for name in names:
-                calls.setdefault(name, set()).update(_references(node))
+                calls.setdefault(name, set()).update(_references(node, modules))
             if not names:
-                reached |= _references(node)
+                reached |= _references(node, modules)
     for path in sorted((root / "bench").rglob("*.py")) + sorted((root / "demos").rglob("*.py")):
-        reached |= _references(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        reached |= _references(tree, _stdlib_modules(tree))
     public = {name for name in calls if not name.startswith("_")}
     assert len(public) > 60 and TEST_ORACLES <= public
     todo = list(reached)
