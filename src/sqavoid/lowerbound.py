@@ -114,7 +114,7 @@ def residue_certificate(inst: LowerBoundInstance) -> ResidueCertificate:
     ok3 = squares_div_p == [p] and 4 * p * p > t
     steps.append(("squares-divisible-by-p", ok3, f"only {p}^2 <= {t}"))
 
-    ok4 = inst.x2bound < p and inst.x1bound < p and p * p % p == 0
+    ok4 = inst.x2bound < p and inst.x1bound < p
     steps.append(
         ("p-squared-escapes-box", ok4, f"x1 would need {p} > {inst.x1bound}")
     )

@@ -18,11 +18,12 @@ q1 past 10^12, and cannot foresee an early witness):
   visits, the admissible x1 are one residue class modulo q2/gcd(q1, q2)
   intersected with one interval, so the least-|x1| member has a closed
   form: O(1) integer operations per root, whatever the radii;
-* `_walk_rows` reads one row (fixed x2) at a time: a row is a progression
-  with step q1, and its least square is the `_least_root` past the row's
-  start in the classes of `sqrt_classes(x2*q2 mod q1)`.  It costs
-  `factorize(q1)` plus 2*X2 + 1 rows, so boxes with few rows that reach
-  far, like the paper's non-residue boxes, cost almost nothing.
+* `_walk_rows` reads one row at a time along the axis with fewer rows (on
+  a tie, the smaller step): a row of fixed x2 is a progression with step
+  q1, and its least square is the `_least_root` past the row's start in
+  the classes of `sqrt_classes(x2*q2 mod q1)`; rows of fixed x1 trade the
+  axes.  It costs `factorize` of the step plus one step per row, so boxes
+  with few rows that reach far, like the paper's non-residue boxes, cost almost nothing.
 
 `brute_force_witness`, the independent oracle, enumerates the whole
 coefficient box row by row along its longer axis, skipping only the
@@ -264,39 +265,40 @@ def _least_root(start: int, m: int, classes: list[int]) -> int:
     return min(start + (s - start) % m for s in classes)
 
 
-def _walk_rows(a: TwoDAP, cap: int, factors: dict[int, int]) -> SquareWitness | None:
+def _walk_rows(a: TwoDAP, cap: int, factors: dict[int, int], across: bool) -> SquareWitness | None:
     """Smallest-square witness in a with n^2 <= cap (cap >= 1), row by row.
 
-    `factors = factorize(q1)`.  Row x2 holds the values x2*q2 + x1*q1 with
-    x1 clipped to [lo, hi] so that they lie in [1, cap]: a progression with
-    step q1.  Its squares are the n^2 = x2*q2 (mod q1) between its ends, so
-    its least square, the only one that can win the tie-break, is at
-    `_least_root(isqrt(first - 1) + 1, ...)` over the classes of
-    `sqrt_classes(x2*q2 mod q1)`, if that n^2 <= last.  Rows with one
-    residue share their classes.  The cost is 2*b2 + 1 rows of at most
-    2^(omega(q1) + 1) classes each, whatever the radius along q1.  Rows are
-    merged under the usual tie-break (n, |x1|, x1 < 0), computed here so
-    that the brute-force oracle, which checks this route, shares no code
-    with it.
+    Row y fixes x2 (step q_x = q1), or x1 when `across` (step q_x = q2), and
+    `factors = factorize(q_x)`.  It holds y*q_y + x*q_x with x clipped to
+    [lo, hi] so that the values lie in [1, cap].  Its squares are the
+    n^2 = y*q_y (mod q_x) between its ends, so its least square, the only
+    one that can win the tie-break, is at `_least_root(isqrt(first - 1) + 1,
+    ...)` over the classes of `sqrt_classes(y*q_y mod q_x)`, if that
+    n^2 <= last.  Rows with one residue share their classes.  The cost is
+    2*b_y + 1 rows of at most 2^(omega(q_x) + 1) classes each, whatever the
+    radius along q_x.  Each row's square, mapped back to (x1, x2), is merged
+    under the usual tie-break (n, |x1|, x1 < 0), computed here so that the
+    brute-force oracle, which checks this route, shares no code with it.
     """
-    q1, q2, b1 = a.q1, a.q2, a.b1
+    q_y, b_y, q_x, b_x = (a.q1, a.b1, a.q2, a.b2) if across else (a.q2, a.b2, a.q1, a.b1)
     classes_of: dict[int, tuple[int, list[int]]] = {}
     best = None
-    for x2 in range(-a.b2, a.b2 + 1):
-        base = x2 * q2
-        lo = max(-b1, -((base - 1) // q1))  # least x1 with base + x1*q1 >= 1
-        hi = min(b1, (cap - base) // q1)
+    for y in range(-b_y, b_y + 1):
+        base = y * q_y
+        lo = max(-b_x, -((base - 1) // q_x))  # least x with base + x*q_x >= 1
+        hi = min(b_x, (cap - base) // q_x)
         if lo > hi:
             continue
-        residue = base % q1
+        residue = base % q_x
         if residue not in classes_of:
             classes_of[residue] = sqrt_classes(residue, factors)
         m, classes = classes_of[residue]
         if not classes:
             continue
-        n = _least_root(isqrt(base + lo * q1 - 1) + 1, m, classes)
-        if n * n <= base + hi * q1:
-            x1 = (n * n - base) // q1
+        n = _least_root(isqrt(base + lo * q_x - 1) + 1, m, classes)
+        if n * n <= base + hi * q_x:
+            x = (n * n - base) // q_x
+            x1, x2 = (y, x) if across else (x, y)
             key = (n, abs(x1), x1 < 0)
             if best is None or key < best[0]:
                 best = (key, SquareWitness(x1, x2, n))
@@ -308,22 +310,24 @@ def find_square_witness(a: TwoDAP, t: int) -> SquareWitness | None:
 
     Both routes give the canonical witness; this takes the one with fewer
     steps, counted before either starts.  With n_hi = isqrt(min(t, value
-    bound)), `walk_roots` costs n_hi roots.  `_walk_rows` costs the trial
-    division of `factorize(q1)`, up to min(isqrt(q1), TRIAL_BOUND) steps,
-    plus rows = 2*b2 + 1 rows of at most 2^(omega(q1) + 1) classes.  So:
+    bound)), `walk_roots` costs n_hi roots.  `_walk_rows` reads the fewer
+    rows, 2*b2 + 1 of step q = q1 or 2*b1 + 1 of step q = q2 (the smaller q
+    on a tie, so a box and its transpose read the same rows), after the
+    trial division of `factorize(q)`, up to min(isqrt(q), TRIAL_BOUND)
+    steps; a row has at most 2^(omega(q) + 1) classes.  So:
 
     * both n_hi and rows past ROOT_WALK_LIMIT: TooLarge, at once;
     * n_hi within the limit and at most the trial steps plus the rows (or
-      rows past the limit): the walk, and q1 is never factored;
-    * otherwise q1 is factored, and the rows are read unless n_hi is
-      within the limit and at most rows * 2^(omega(q1) + 1).
+      rows past the limit): the walk, and q is never factored;
+    * otherwise q is factored, and the rows are read unless n_hi is
+      within the limit and at most rows * 2^(omega(q) + 1).
 
-    If q1 cannot be factored (FactorizationFailed, or DomainError for a
+    If q cannot be factored (FactorizationFailed, or DomainError for a
     cofactor past `is_prime`'s proven range), the walk runs alone, and
     refuses a walk past the limit only after it, as `walk_roots` does.
 
     The counts are estimates: they leave out Brent's method on a composite
-    cofactor of q1 past 10^12 and cannot foresee an early witness.  At
+    cofactor of q past 10^12 and cannot foresee an early witness.  At
     q1 = (10^11 + 1009)(3*10^11 + 77), q2 = q1 + 1, radii (10^6, 1) and
     t = 2*10^14, the rows factor q1 for 0.34 s; the walk finds n = 1 in under 1 ms.
     """
@@ -332,21 +336,22 @@ def find_square_witness(a: TwoDAP, t: int) -> SquareWitness | None:
     cap = min(t, a.value_bound())
     if cap < 1:
         return None
-    n_hi, rows = isqrt(cap), 2 * a.b2 + 1
+    n_hi = isqrt(cap)
+    rows, q, across = min((2 * a.b2 + 1, a.q1, False), (2 * a.b1 + 1, a.q2, True))
     if n_hi > ROOT_WALK_LIMIT and rows > ROOT_WALK_LIMIT:
         raise TooLarge(
             f"the walk needs {n_hi} roots and the row route {rows} rows, limit is {ROOT_WALK_LIMIT}"
         )
     walk_fits = n_hi <= ROOT_WALK_LIMIT
-    if walk_fits and (rows > ROOT_WALK_LIMIT or n_hi <= min(isqrt(a.q1), TRIAL_BOUND) + rows):
+    if walk_fits and (rows > ROOT_WALK_LIMIT or n_hi <= min(isqrt(q), TRIAL_BOUND) + rows):
         return walk_roots(a, t)
     try:
-        factors = factorize(a.q1)
+        factors = factorize(q)
     except (FactorizationFailed, DomainError):
         return walk_roots(a, t)
     if walk_fits and n_hi <= rows << (len(factors) + 1):
         return walk_roots(a, t)
-    return _walk_rows(a, cap, factors)
+    return _walk_rows(a, cap, factors, across)
 
 
 def max_radius(q: int, other_q: int, other_factors: dict[int, int], other_r: int, t: int) -> int:

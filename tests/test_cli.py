@@ -84,6 +84,24 @@ def test_witness_command_matches_verify(capsys):
     assert code == 0 and recs[0]["kind"] == "SquareFree"
 
 
+def test_witness_reads_rows_along_either_axis(capsys):
+    # 3 rows of fixed x1, against 10^12 roots or 2*10^8 + 1 rows of fixed x2.
+    code, recs, _ = run(
+        capsys, "witness", "--q1", str(10**24 + 7), "--q2", "5", "--x1", "1",
+        "--x2", "100000000", "--t", str(10**62),
+    )
+    assert code == 1 and recs[0]["kind"] == "Witness"
+    assert (recs[0]["x1"], recs[0]["x2"], recs[0]["n"]) == ("0", "5", "5")
+    # The paper's non-residue box for p = 10^13 + 37 (n(p) = 2), transposed.
+    p = 10**13 + 37
+    code, recs, _ = run(
+        capsys, "witness", "--q1", str(p + 2), "--q2", str(p), "--x1", "1",
+        "--x2", str(p - 1), "--t", str(2 * p * p),
+    )
+    assert code == 0 and recs[0]["kind"] == "SquareFree"
+    assert recs[0]["n_max"] == str(p)
+
+
 def test_domain_error_exits_two(capsys):
     code, recs, err = run(
         capsys, "witness", "--q1", "0", "--q2", "5", "--x1", "1", "--x2", "1", "--t", "10"
@@ -259,24 +277,9 @@ def test_construct_frozen_example(capsys):
     assert json.loads(rec["witness"]) == {"x1": "-2", "x2": "2", "n": "2"}
 
 
-def test_reduce_frozen_chain(capsys):
-    code, recs, _ = run(
-        capsys, "reduce", "--q1", "12", "--q2", "20", "--x1", "9", "--x2", "9", "--t", "10000"
-    )
-    assert code == 0
-    step, chain = recs
-    assert step["kind"] == "ReductionStep" and step["mode"] == "divide_out"
-    assert step["d"] == "4"
-    assert step["swapped"] == "false" and step["lam1_sq"] == ""
-    assert chain["kind"] == "ReductionChain"
-    assert chain["termination"] == "coprime"
-    assert (chain["final_q1"], chain["final_q2"]) == ("3", "5")
-    assert chain["final_x1bound"] == "9/4"
-    assert chain["final_t"] == "625"
-
-
 REDUCE_FROZEN = {
-    # A divide-out: d = 4 comes straight out of both steps.
+    # A divide-out: d = 4 comes straight out of both steps, leaving the
+    # coprime box (3, 5, 9/4, 9/4) at t = 625.
     ("12 20 9 9 10000", "jsonl"): (
         '{"d": "4", "index": "0", "kind": "ReductionStep", "lam1_sq": "", "lam2_sq": "", '
         '"mode": "divide_out", "p1": "3", "p2": "5", "qt1": "3", "qt2": "5", "schema_version": "1", '

@@ -464,7 +464,7 @@ def test_embedding_check_is_exact_under_python_O(run_python):
 # ------------------------------------------------------------ reduction
 
 
-def test_reduce_recursive_frozen_divide_out_to_coprime():
+def test_reduce_box_frozen_divide_out_to_coprime():
     result = reduce_box(12, 20, 9, 9, 10_000)
     assert result.step.mode == "divide_out"
     assert result.termination == "coprime"
@@ -472,7 +472,7 @@ def test_reduce_recursive_frozen_divide_out_to_coprime():
     assert result.final_t == 625
 
 
-def test_reduce_recursive_frozen_lattice_step_degenerate_axis():
+def test_reduce_box_frozen_lattice_step_degenerate_axis():
     # gcd 17 exceeds the small-gcd cutoff; the first minimum is orthogonal
     # to the step vector, so one axis of the derived instance collapses.
     result = reduce_box(34, 51, 30, 30, 10**6)
@@ -483,14 +483,14 @@ def test_reduce_recursive_frozen_lattice_step_degenerate_axis():
     assert result.final_t == 10**6 // 289
 
 
-def test_reduce_recursive_terminal_reasons():
+def test_reduce_box_terminal_reasons():
     assert reduce_box(4, 8, 2, 2, 10**6).termination == "small-box"
     assert reduce_box(34, 51, 30, 30, 100).termination == "large-gcd"
     assert reduce_box(36, 54, F(1, 2), 30, 10**6).termination == "one-dimensional"
     assert reduce_box(3, 5, 10, 10, 100).termination == "coprime"
 
 
-def test_reduce_recursive_chain_replay():
+def test_reduce_box_step_replay():
     """The step, when one is taken, must survive independent verification,
     and the reduction must end on its derived instance with bound T // d^2.
     """
@@ -545,7 +545,7 @@ def test_one_step_leaves_coprime_steps_hypothesis(d, qt1, qt2, x1b, x2b, t):
         assert result.termination == "coprime" and result.final_t == t // (d * d)
 
 
-def test_reduce_recursive_refuses_what_twodap_refuses():
+def test_reduce_box_refuses_what_twodap_refuses():
     for box in [(12, 20, -9, 9), (12, 20, 9, F(-1, 2)), (-3, 5, 2, 2), (0, 0, 2, 2)]:
         with pytest.raises(DomainError) as refused:
             TwoDAP(*box)
@@ -554,10 +554,9 @@ def test_reduce_recursive_refuses_what_twodap_refuses():
         assert str(reduce_refused.value) == str(refused.value), box
 
 
-
-def test_square_avoidance_transfers_along_chain():
-    """If the original avoids squares up to T, every derived instance
-    avoids squares up to its reduced ambient bound (checked by full
+def test_square_avoidance_transfers_to_derived_box():
+    """If the original avoids squares up to T, its derived instance
+    avoids squares up to the reduced ambient bound (checked by full
     enumeration, the independent route).
     """
     rng = random.Random(1717)

@@ -18,6 +18,7 @@ from sqavoid.lowerbound import (
     size_vs_t,
 )
 from sqavoid.progression import (
+    SquareWitness,
     brute_force_witness,
     certify_square_free,
     find_square_witness,
@@ -101,6 +102,15 @@ def test_certificate_rejects_tampered_instance():
     assert not cert.ok
     failed = [name for name, passed, _ in cert.steps if not passed]
     assert "admissible-coefficients-are-residues" in failed
+
+
+def test_certificate_rejects_a_box_that_holds_p_squared():
+    # Radius 13 along p = 13 reaches x1 = p: 13*13 + 0*15 = 13^2 is a value,
+    # and only the step that rules p^2 out fails.
+    bad = LowerBoundInstance(13, 2, 15, 13, 1, 338, 81)
+    cert = residue_certificate(bad)
+    assert [name for name, passed, _ in cert.steps if not passed] == ["p-squared-escapes-box"]
+    assert brute_force_witness(bad.progression, bad.t) == SquareWitness(13, 0, 13)
 
 
 def test_certificate_and_brute_force_agree():

@@ -372,8 +372,66 @@ def row_route_boxes(draw) -> tuple[TwoDAP, int]:
 def test_row_route_matches_brute_force_and_walk_hypothesis(case):
     a, t = case
     cap = min(t, a.value_bound())
-    rows = _walk_rows(a, cap, factorize(a.q1)) if cap >= 1 else None
-    assert rows == brute_force_witness(a, t) == walk_roots(a, t) == find_square_witness(a, t)
+    # Rows of fixed x2 (step q1), then rows of fixed x1 (step q2).
+    rows = [_walk_rows(a, cap, factorize(q), across) if cap >= 1 else None
+            for q, across in ((a.q1, False), (a.q2, True))]
+    assert rows[0] == rows[1] == brute_force_witness(a, t) == walk_roots(a, t) == find_square_witness(a, t)
+
+
+@st.composite
+def transposable_boxes(draw) -> tuple[TwoDAP, int]:
+    """Boxes to search in both orientations, t below or above the value bound.
+
+    One axis may be long and the other a few rows, so that either reading
+    of the row route can be the fewer; or both radii may share a floor, so
+    that b1 == b2 ties.  Steps may share a factor, and small ones
+    make the box improper.  Radii may be zero or fractional.
+    """
+    g = draw(st.integers(1, 6))
+    top = draw(st.sampled_from([4, 60, 3000]))
+    q1, q2 = (g * draw(st.integers(1, top)) for _ in range(2))
+    den = draw(st.integers(1, 3))
+    short = Fraction(draw(st.integers(0, 6)), den)
+    shape = draw(st.sampled_from(["long x1", "long x2", "tie"]))
+    if shape == "tie":
+        x1, x2 = short, int(short) + Fraction(draw(st.integers(0, den - 1)), den)
+    else:
+        long = Fraction(draw(st.integers(0, 2 * max(q1, q2))), den)
+        x1, x2 = (long, short) if shape == "long x1" else (short, long)
+    a = TwoDAP(q1, q2, x1, x2)
+    vb = a.value_bound()
+    t = draw(st.one_of(st.integers(0, vb), st.integers(vb, 2 * vb + 10)))
+    return a, t
+
+
+def _outcome(a: TwoDAP, t: int) -> SquareWitness | None | type:
+    """`find_square_witness(a, t)`, or TooLarge if it refused."""
+    try:
+        return find_square_witness(a, t)
+    except TooLarge:
+        return TooLarge
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(transposable_boxes(), st.sampled_from([None, 3, 30]))
+def test_transposed_box_gets_one_answer_hypothesis(case, limit):
+    a, t = case
+    at = TwoDAP(a.q2, a.q1, a.x2bound, a.x1bound)
+    with pytest.MonkeyPatch.context() as mp:
+        if limit is not None:
+            mp.setattr(progression, "ROOT_WALK_LIMIT", limit)
+        w, wt = _outcome(a, t), _outcome(at, t)
+    # Each orientation's answer is its own oracle's canonical witness, unless
+    # both routes would pass the limit.
+    assert w in (brute_force_witness(a, t), TooLarge)
+    assert wt in (brute_force_witness(at, t), TooLarge)
+    if w is None or w is TooLarge:
+        assert wt is w
+    elif is_proper(a):
+        # One value, one pair: the witnesses are transposes.
+        assert wt == SquareWitness(w.x2, w.x1, w.n)
+    else:
+        assert wt.n == w.n
 
 
 @st.composite
@@ -416,15 +474,22 @@ def test_route_choice(monkeypatch):
     box = TwoDAP(p, p + 11, p - 1, 10)
     assert find_square_witness(box, 2 * p * p) is None
     assert factored == [p]
+    # Transposed, the same 21 rows are read as rows of fixed x1: p again.
+    assert find_square_witness(TwoDAP(p + 11, p, 10, p - 1), 2 * p * p) is None
+    # 21 rows either way: the tie goes to the smaller step, p, in both orientations.
+    assert find_square_witness(TwoDAP(p + 11, p, 10, 10), 2 * p * p) is None
+    assert find_square_witness(TwoDAP(p, p + 11, 10, 10), 2 * p * p) is None
+    assert factored == [p] * 4
+    factored.clear()
     # The one-dimensional sweep box: one row against 9,999 roots.
     one_d = TwoDAP(10001, 1, 9999, 0)
     assert find_square_witness(one_d, 10**8) is None
-    assert factored == [p, 10001]
+    assert factored == [10001]
     # 300 roots against isqrt(30030) + 3 rows, but against 3 rows of up to
     # 2^7 classes once omega(30030) = 6 is known: factored, then walked.
     monkeypatch.setattr(progression, "_walk_rows", None)
     assert find_square_witness(TwoDAP(30030, 30031, 5, 1), 300**2) == SquareWitness(-1, 1, 1)
-    assert factored == [p, 10001, 30030]
+    assert factored == [10001, 30030]
     # When q1 cannot be factored the walk answers.
     def fail(m):
         raise FactorizationFailed(f"could not split {m}")
