@@ -10,7 +10,7 @@ non-zero perfect squares up to an ambient bound T.
 Witness search has two routes to one canonical answer, and
 `find_square_witness` takes whichever has fewer steps as estimated up
 front (the estimate leaves out Brent's method on a composite cofactor of
-q1 past 10^12, and cannot foresee an early witness):
+a step past 10^12, and cannot foresee an early witness):
 
 * `walk_roots` walks n = 1, 2, ... up to sqrt(min(T, value bound)),
   skipping the n whose square is not x2*q2 modulo q1 for any |x2| <= X2
@@ -18,12 +18,11 @@ q1 past 10^12, and cannot foresee an early witness):
   visits, the admissible x1 are one residue class modulo q2/gcd(q1, q2)
   intersected with one interval, so the least-|x1| member has a closed
   form: O(1) integer operations per root, whatever the radii;
-* `_walk_rows` reads one row at a time along the axis with fewer rows (on
-  a tie, the smaller step): a row of fixed x2 is a progression with step
-  q1, and its least square is the `_least_root` past the row's start in
-  the classes of `sqrt_classes(x2*q2 mod q1)`; rows of fixed x1 trade the
-  axes.  It costs `factorize` of the step plus one step per row, so boxes
-  with few rows that reach far, like the paper's non-residue boxes, cost almost nothing.
+* `_walk_rows` reads the fewer rows, of fixed x2 (step q1) or of fixed x1
+  (step q2): a row's least square is the `_least_root` past its start in
+  the classes of `sqrt_classes` of its residue.  It costs `factorize` of
+  the step plus one step per row, so few rows that reach far, like the
+  paper's non-residue boxes, cost almost nothing.
 
 `brute_force_witness`, the independent oracle, enumerates the whole
 coefficient box row by row along its longer axis, skipping only the
@@ -275,10 +274,9 @@ def _walk_rows(a: TwoDAP, cap: int, factors: dict[int, int], across: bool) -> Sq
     one that can win the tie-break, is at `_least_root(isqrt(first - 1) + 1,
     ...)` over the classes of `sqrt_classes(y*q_y mod q_x)`, if that
     n^2 <= last.  Rows with one residue share their classes.  The cost is
-    2*b_y + 1 rows of at most 2^(omega(q_x) + 1) classes each, whatever the
-    radius along q_x.  Each row's square, mapped back to (x1, x2), is merged
-    under the usual tie-break (n, |x1|, x1 < 0), computed here so that the
-    brute-force oracle, which checks this route, shares no code with it.
+    2*b_y + 1 rows of at most 2^(omega(q_x) + 1) classes each, whatever
+    b_x.  Row squares, mapped back to (x1, x2), merge under (n, |x1|,
+    x1 < 0), computed here so that the oracle shares no code with it.
     """
     q_y, b_y, q_x, b_x = (a.q1, a.b1, a.q2, a.b2) if across else (a.q2, a.b2, a.q1, a.b1)
     classes_of: dict[int, tuple[int, list[int]]] = {}
@@ -310,21 +308,21 @@ def find_square_witness(a: TwoDAP, t: int) -> SquareWitness | None:
 
     Both routes give the canonical witness; this takes the one with fewer
     steps, counted before either starts.  With n_hi = isqrt(min(t, value
-    bound)), `walk_roots` costs n_hi roots.  `_walk_rows` reads the fewer
-    rows, 2*b2 + 1 of step q = q1 or 2*b1 + 1 of step q = q2 (the smaller q
-    on a tie, so a box and its transpose read the same rows), after the
-    trial division of `factorize(q)`, up to min(isqrt(q), TRIAL_BOUND)
-    steps; a row has at most 2^(omega(q) + 1) classes.  So:
+    bound)), `walk_roots` costs n_hi roots.  `_walk_rows` reads 2*b2 + 1
+    rows of step q = q1 or 2*b1 + 1 of step q = q2, fewer rows first (then
+    smaller q), so a box and its transpose take one route.  A reading costs
+    the trial division of `factorize(q)`, up to min(isqrt(q), TRIAL_BOUND)
+    steps, plus rows of at most 2^(omega(q) + 1) classes.  So:
 
-    * both n_hi and rows past ROOT_WALK_LIMIT: TooLarge, at once;
+    * both n_hi and the fewer rows past ROOT_WALK_LIMIT: TooLarge, at once;
     * n_hi within the limit and at most the trial steps plus the rows (or
       rows past the limit): the walk, and q is never factored;
     * otherwise q is factored, and the rows are read unless n_hi is
       within the limit and at most rows * 2^(omega(q) + 1).
 
     If q cannot be factored (FactorizationFailed, or DomainError for a
-    cofactor past `is_prime`'s proven range), the walk runs alone, and
-    refuses a walk past the limit only after it, as `walk_roots` does.
+    cofactor past `is_prime`'s proven range), the next reading is tried,
+    then the walk, which refuses a walk past the limit only after it.
 
     The counts are estimates: they leave out Brent's method on a composite
     cofactor of q past 10^12 and cannot foresee an early witness.  At
@@ -337,21 +335,23 @@ def find_square_witness(a: TwoDAP, t: int) -> SquareWitness | None:
     if cap < 1:
         return None
     n_hi = isqrt(cap)
-    rows, q, across = min((2 * a.b2 + 1, a.q1, False), (2 * a.b1 + 1, a.q2, True))
-    if n_hi > ROOT_WALK_LIMIT and rows > ROOT_WALK_LIMIT:
+    readings = sorted([(2 * a.b2 + 1, a.q1, False), (2 * a.b1 + 1, a.q2, True)])
+    if n_hi > ROOT_WALK_LIMIT and readings[0][0] > ROOT_WALK_LIMIT:
         raise TooLarge(
-            f"the walk needs {n_hi} roots and the row route {rows} rows, limit is {ROOT_WALK_LIMIT}"
+            f"the walk needs {n_hi} roots and the row route {readings[0][0]} rows, limit is {ROOT_WALK_LIMIT}"
         )
     walk_fits = n_hi <= ROOT_WALK_LIMIT
-    if walk_fits and (rows > ROOT_WALK_LIMIT or n_hi <= min(isqrt(q), TRIAL_BOUND) + rows):
-        return walk_roots(a, t)
-    try:
-        factors = factorize(q)
-    except (FactorizationFailed, DomainError):
-        return walk_roots(a, t)
-    if walk_fits and n_hi <= rows << (len(factors) + 1):
-        return walk_roots(a, t)
-    return _walk_rows(a, cap, factors, across)
+    for rows, q, across in readings:
+        if rows > ROOT_WALK_LIMIT or (walk_fits and n_hi <= min(isqrt(q), TRIAL_BOUND) + rows):
+            break
+        try:
+            factors = factorize(q)
+        except (FactorizationFailed, DomainError):
+            continue
+        if walk_fits and n_hi <= rows << (len(factors) + 1):
+            break
+        return _walk_rows(a, cap, factors, across)
+    return walk_roots(a, t)
 
 
 def max_radius(q: int, other_q: int, other_factors: dict[int, int], other_r: int, t: int) -> int:

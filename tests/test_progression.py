@@ -422,9 +422,11 @@ def test_transposed_box_gets_one_answer_hypothesis(case, limit):
             mp.setattr(progression, "ROOT_WALK_LIMIT", limit)
         w, wt = _outcome(a, t), _outcome(at, t)
     # Each orientation's answer is its own oracle's canonical witness, unless
-    # both routes would pass the limit.
-    assert w in (brute_force_witness(a, t), TooLarge)
-    assert wt in (brute_force_witness(at, t), TooLarge)
+    # both the walk and the fewer rows would pass the limit: then TooLarge.
+    bound = progression.ROOT_WALK_LIMIT if limit is None else limit
+    refused = isqrt(min(t, a.value_bound())) > bound and 2 * min(a.b1, a.b2) + 1 > bound
+    assert w == (TooLarge if refused else brute_force_witness(a, t))
+    assert wt == (TooLarge if refused else brute_force_witness(at, t))
     if w is None or w is TooLarge:
         assert wt is w
     elif is_proper(a):
@@ -507,6 +509,14 @@ def test_route_choice(monkeypatch):
     huge = TwoDAP(r * s, r * s + 1, 1, 1)
     assert isqrt(huge.value_bound()) > progression.ROOT_WALK_LIMIT
     assert find_square_witness(huge, huge.value_bound()) == SquareWitness(-1, 1, 1)
+    # The fewer rows have that step, r*s, and the walk passes the limit: the
+    # other reading, 7 rows of step 5, answers, in either orientation.
+    factored.clear()
+    monkeypatch.setattr(progression, "factorize", lambda m: factored.append(m) or factorize(m))
+    for box in (TwoDAP(5, r * s, 1, 3), TwoDAP(r * s, 5, 3, 1)):
+        assert isqrt(box.value_bound()) > progression.ROOT_WALK_LIMIT
+        assert find_square_witness(box, box.value_bound()) == brute_force_witness(box, box.value_bound())
+    assert factored == [r * s, 5] * 2
 
 
 def test_too_large_is_refused_before_either_route(monkeypatch):
