@@ -30,12 +30,13 @@ regions.  `exponent_surface` walks that set once; `exponent_supremum` and
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .arith import DomainError, squarefree_kernel
+from .formats import Record
 
 F = Fraction
 
@@ -59,8 +60,8 @@ def one_d_bound(q: int, t: int) -> int:
     return min(t // q, squarefree_kernel(q) - 1)
 
 
-@dataclass(frozen=True, order=True)  # by (a, b), as `exponent_surface` walks them
-class ExponentPoint:
+@functools.total_ordering  # by (a, b), as `exponent_surface` walks them
+class ExponentPoint(Record):
     """Normalized step sizes (a, b) = (log_T q1, log_T q2), 0 <= a <= b <= 1."""
 
     a: Fraction
@@ -72,13 +73,17 @@ class ExponentPoint:
         if not (0 <= self.a <= self.b <= 1):
             raise DomainError(f"need 0 <= a <= b <= 1, got ({self.a}, {self.b})")
 
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) < (other.a, other.b)
+
     def on_grid(self, resolution: int) -> bool:
         """Whether a*resolution and b*resolution are both integers."""
         return (self.a * resolution).denominator == 1 == (self.b * resolution).denominator
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(Record):
     """Exponent bound at one point, with both case values and their labels."""
 
     point: ExponentPoint

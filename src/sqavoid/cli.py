@@ -20,7 +20,7 @@ Eight subcommands map onto the library modules:
 All integer input and output travels as decimal strings of arbitrary
 length (JSON numbers would silently lose precision past 2^53).  Every
 record field is encoded by `sqavoid.formats`: `record` for a library
-dataclass, `value` for a single field, so JSONL and CSV carry the same
+record, `value` for a single field, so JSONL and CSV carry the same
 strings.  Records go to --output (default stdout) as JSON lines or CSV; a
 short human summary goes to stderr.  Exit codes: 0 success/certified,
 1 witness found, 2 usage, domain or internal error, or an --output that

@@ -32,7 +32,6 @@ gauge ball has volume 4), which is checked on every computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
@@ -42,6 +41,7 @@ from .arith import (
     isqrt,
     mod_inverse,
 )
+from .formats import Record
 from .progression import (
     TwoDAP,
     brute_force_witness,
@@ -56,8 +56,7 @@ _ENUM_GUARD = 2_000_000
 SMALL_GCD = 16
 
 
-@dataclass(frozen=True)
-class Lattice2:
+class Lattice2(Record):
     """Rank-2 integer lattice from a congruence, with HNF basis rows."""
 
     d: int
@@ -239,8 +238,7 @@ def enumerate_gauge_ball(
 # ---------------------------------------------------------- reduction step
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(Record):
     """One reduction event: a gcd divide-out or a full lattice step.
 
     All quantities live in the post-swap frame where x1bound <= x2bound
@@ -375,8 +373,7 @@ def derived_instance(step: ReductionStep) -> TwoDAP:
     return TwoDAP(max(p1, 1), max(p2, 1), b1, b2)
 
 
-@dataclass(frozen=True)
-class ReductionVerdict:
+class ReductionVerdict(Record):
     checks: tuple[tuple[str, bool, str], ...]
 
     @property
@@ -490,8 +487,7 @@ def verify_reduction(step: ReductionStep, a: TwoDAP, t: int) -> ReductionVerdict
 # ------------------------------------------------------------- reduction
 
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(Record):
     """The reduction's one step (None when it stops), its reason and where it ends."""
 
     step: ReductionStep | None

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import BadPrime, _least_qnr_scan, is_prime, isqrt, jacobi, primes_up_to
+from .formats import Record
 from .progression import TwoDAP, cardinality
 
 F = Fraction
@@ -38,8 +38,7 @@ MIN_PRIME = 13
 BURGESS_EXPONENT = 1 / (4 * math.sqrt(math.e))
 
 
-@dataclass(frozen=True)
-class LowerBoundInstance:
+class LowerBoundInstance(Record):
     """A prime-indexed progression certified to avoid squares up to t."""
 
     p: int
@@ -71,8 +70,7 @@ def build_instance(p: int) -> LowerBoundInstance:
     return LowerBoundInstance(p, n, q, p - 1, n - 1, 2 * p * p, cardinality(a))
 
 
-@dataclass(frozen=True)
-class ResidueCertificate:
+class ResidueCertificate(Record):
     steps: tuple[tuple[str, bool, str], ...]
 
     @property
@@ -132,8 +130,7 @@ def size_vs_t(inst: LowerBoundInstance) -> Fraction:
     return F(inst.size, isqrt(inst.t) * inst.nqr)
 
 
-@dataclass(frozen=True)
-class NonResidueRecord:
+class NonResidueRecord(Record):
     """One prime in the scan of least non-residues."""
 
     p: int

@@ -54,7 +54,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, islice, repeat, tee
 from operator import mod, mul
@@ -71,6 +70,7 @@ from .arith import (
     mod_inverse,
     sqrt_classes,
 )
+from .formats import Record
 
 BRUTE_FORCE_GUARD = 100_000_000
 # Roots one witness walk, or rows one row route or radius walk, may visit:
@@ -86,8 +86,7 @@ SQUARE_TABLE_ROOTS = 1 << 16
 SQUARE_MODULUS = 720
 
 
-@dataclass(frozen=True)
-class TwoDAP:
+class TwoDAP(Record):
     """Progression {x1*q1 + x2*q2 : |x1| <= x1bound, |x2| <= x2bound}."""
 
     q1: int
@@ -121,8 +120,7 @@ class TwoDAP:
         return self.b1 * self.q1 + self.b2 * self.q2
 
 
-@dataclass(frozen=True)
-class SquareWitness:
+class SquareWitness(Record):
     """Coefficients with x1*q1 + x2*q2 = n^2 for some n >= 1."""
 
     x1: int
@@ -130,8 +128,7 @@ class SquareWitness:
     n: int
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Outcome of an exhaustive square scan up to n_max."""
 
     kind: str  # "square_free" or "witness"

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from itertools import repeat
 
 from .arith import (
@@ -44,6 +43,7 @@ from .arith import (
     mod_inverse,
     sqrt_classes,
 )
+from .formats import Record
 from .progression import SquareWitness
 
 COVER_HEIGHT_GUARD = 100_000
@@ -140,8 +140,7 @@ def _invariants_hold(q1, q2, n_cap, b, c, c_bar, n, m, approx_d, x1, x2) -> bool
     )
 
 
-@dataclass(frozen=True)
-class SmallSquareTrace:
+class SmallSquareTrace(Record):
     """Full audit trail of one constructive representation."""
 
     q1: int
@@ -298,18 +297,17 @@ def balanced_n(q1: int, q2: int) -> int:
     return r if r**16 == target else r + 1
 
 
-@dataclass
-class SurveyReport:
+class SurveyReport(Record):
     """Aggregate outcome of a coprime-pair construction survey."""
 
-    pairs: int = 0
-    n_in_range: int = 0
-    x1_ratio_ok: int = 0
-    x2_ratio_ok: int = 0
-    max_ratio_x1: float = 0.0
-    max_ratio_x2: float = 0.0
-    argmax_x1: tuple[int, int] | None = None
-    argmax_x2: tuple[int, int] | None = None
+    pairs: int
+    n_in_range: int
+    x1_ratio_ok: int
+    x2_ratio_ok: int
+    max_ratio_x1: float
+    max_ratio_x2: float
+    argmax_x1: tuple[int, int] | None
+    argmax_x2: tuple[int, int] | None
 
     @property
     def all_ok(self) -> bool:
@@ -339,7 +337,9 @@ def small_square_survey(q_max: int, *, q_min: int = 2, on_row=None) -> SurveyRep
     """
     if q_min < 1:
         raise DomainError(f"q_min must be positive, got {q_min}")
-    report = SurveyReport()
+    pairs = n_in_range = x1_ratio_ok = x2_ratio_ok = 0
+    max_ratio_x1 = max_ratio_x2 = 0.0
+    argmax_x1 = argmax_x2 = None
     ceiling4 = RATIO_CEILING**4
     for q1 in range(q_min, q_max + 1):
         q1_9 = q1**9
@@ -357,9 +357,9 @@ def small_square_survey(q_max: int, *, q_min: int = 2, on_row=None) -> SurveyRep
                 cap16 = cap**16
             b, _, _, n, _, _, x1, x2 = _construct(q1, q2, cap, root, taken, more)
             a1, a2 = abs(x1), abs(x2)
-            report.pairs += 1
+            pairs += 1
             if 1 <= n <= cap:
-                report.n_in_range += 1
+                n_in_range += 1
             cap2 = cap * cap
             r1 = a1 / (cap2 / q1 + q1_125 * q2 / cap2)
             r2 = a2 * cap2 / q1_225
@@ -367,13 +367,15 @@ def small_square_survey(q_max: int, *, q_min: int = 2, on_row=None) -> SurveyRep
             # the rational term left and decide the rest by 4th powers.
             lhs = a1 * q1 * cap2 - RATIO_CEILING * cap2 * cap2
             if lhs < 0 or lhs**4 < ceiling4 * target:
-                report.x1_ratio_ok += 1
+                x1_ratio_ok += 1
             if (a2 * cap2) ** 4 < x2_bound:
-                report.x2_ratio_ok += 1
-            if r1 > report.max_ratio_x1:
-                report.max_ratio_x1, report.argmax_x1 = r1, (q1, q2)
-            if r2 > report.max_ratio_x2:
-                report.max_ratio_x2, report.argmax_x2 = r2, (q1, q2)
+                x2_ratio_ok += 1
+            if r1 > max_ratio_x1:
+                max_ratio_x1, argmax_x1 = r1, (q1, q2)
+            if r2 > max_ratio_x2:
+                max_ratio_x2, argmax_x2 = r2, (q1, q2)
             if on_row is not None:
                 on_row((q1, q2, cap, b, n, x1, x2, r1, r2))
-    return report
+    return SurveyReport(
+        pairs, n_in_range, x1_ratio_ok, x2_ratio_ok, max_ratio_x1, max_ratio_x2, argmax_x1, argmax_x2
+    )

@@ -49,11 +49,11 @@ shares no kernel with its search, as the runner table in `sweep` names:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from random import Random
 
 from .arith import PRIME_SIEVE_LIMIT, DomainError, VerificationFailed, _kernel_of, factorize, isqrt
 from .bounds import one_d_bound
+from .formats import Record
 from .lowerbound import build_instance, least_nonresidues, residue_certificate
 from .progression import TwoDAP, cardinality, certify_box, certify_square_free, is_proper, max_radius
 
@@ -62,8 +62,7 @@ FAMILIES = ("one_d", "lower_bound", "random_local")
 MAX_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(Record):
     t: int
     families: tuple[str, ...] = FAMILIES
     budget: int = 200
@@ -85,15 +84,13 @@ class SweepConfig:
         object.__setattr__(self, "families", tuple(sorted(set(self.families))))
 
 
-@dataclass(frozen=True)
-class FamilyBest:
+class FamilyBest(Record):
     family: str
     progression: TwoDAP
     size: int
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     config: SweepConfig
     family_bests: tuple[FamilyBest, ...]
     best: FamilyBest

@@ -16,10 +16,12 @@ ROOT = Path(__file__).resolve().parents[1]
 def run_python():
     """Run a fresh interpreter (`run_python("-O", "-c", code)`) on the checkout's src.
 
+    The tests' own helpers, such as `forge`, are importable there too.
+
     `timeout` (seconds, default 120) bounds the run.
     """
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")) if p)
 
     def run(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
         return subprocess.run(

@@ -277,25 +277,10 @@ def test_construct_frozen_example(capsys):
     assert json.loads(rec["witness"]) == {"x1": "-2", "x2": "2", "n": "2"}
 
 
-def test_reduce_frozen_chain(capsys):
-    code, recs, _ = run(
-        capsys, "reduce", "--q1", "12", "--q2", "20", "--x1", "9", "--x2", "9", "--t", "10000"
-    )
-    assert code == 0
-    step, chain = recs
-    assert step["kind"] == "ReductionStep" and step["mode"] == "divide_out"
-    assert step["d"] == "4"
-    assert step["swapped"] == "false" and step["lam1_sq"] == ""
-    assert chain["kind"] == "ReductionChain"
-    assert chain["termination"] == "coprime"
-    assert (chain["final_q1"], chain["final_q2"]) == ("3", "5")
-    assert chain["final_x1bound"] == "9/4"
-    assert chain["final_t"] == "625"
-
-
 REDUCE_FROZEN = {
-    # A divide-out: d = 4 comes straight out of both steps, leaving the
-    # coprime box (3, 5, 9/4, 9/4) at t = 625.
+    # A divide-out: d = 4 comes straight out of both steps (mode
+    # "divide_out", not swapped, no lambdas), leaving the coprime box
+    # (3, 5, 9/4, 9/4) at t = 625.
     ("12 20 9 9 10000", "jsonl"): (
         '{"d": "4", "index": "0", "kind": "ReductionStep", "lam1_sq": "", "lam2_sq": "", '
         '"mode": "divide_out", "p1": "3", "p2": "5", "qt1": "3", "qt2": "5", "schema_version": "1", '

@@ -365,10 +365,10 @@ _EXACT_EMBEDDING = textwrap.dedent(
     """
     import math
     import sys
-    from dataclasses import replace
     from fractions import Fraction
     from random import Random
 
+    from forge import forge
     from sqavoid.lattice import congruence_lattice, divide_out_step, reduce_step, verify_reduction
     from sqavoid.progression import TwoDAP
 
@@ -399,7 +399,7 @@ _EXACT_EMBEDDING = textwrap.dedent(
     ):
         if not embedding(step, a):
             sys.exit(f"the honest step {step} fails embedding")
-        for forged in (replace(step, p1=step.p1 + 1), replace(step, xt1_floor=step.xt1_floor + 1)):
+        for forged in (forge(step, p1=step.p1 + 1), forge(step, xt1_floor=step.xt1_floor + 1)):
             if embedding(forged, a):
                 sys.exit(f"the forged step {forged} passes embedding")
             if verify_reduction(forged, a, 1000) != verify_reduction(forged, a, 1000):
@@ -411,12 +411,12 @@ _EXACT_EMBEDDING = textwrap.dedent(
     # radii lie within 2 of the widest |y1|, |y2| of the derived box.
     rng = Random(4177)
     forgeries = (
-        lambda s: replace(s, p1=s.p1 + rng.choice((-1, 1))),
-        lambda s: replace(s, p2=s.p2 + rng.choice((-1, 1))),
-        lambda s: replace(s, xt1_floor=s.xt1_floor + rng.randint(1, 2)),
-        lambda s: replace(s, xt2_floor=s.xt2_floor + rng.randint(1, 2)),
-        lambda s: replace(s, u=(s.u[0] + rng.choice((-1, 1)), s.u[1])),
-        lambda s: replace(s, v=(s.v[0], s.v[1] + rng.choice((-1, 1)))),
+        lambda s: forge(s, p1=s.p1 + rng.choice((-1, 1))),
+        lambda s: forge(s, p2=s.p2 + rng.choice((-1, 1))),
+        lambda s: forge(s, xt1_floor=s.xt1_floor + rng.randint(1, 2)),
+        lambda s: forge(s, xt2_floor=s.xt2_floor + rng.randint(1, 2)),
+        lambda s: forge(s, u=(s.u[0] + rng.choice((-1, 1)), s.u[1])),
+        lambda s: forge(s, v=(s.v[0], s.v[1] + rng.choice((-1, 1)))),
     )
     verdicts = []
     while len(verdicts) < 210:
@@ -442,7 +442,7 @@ _EXACT_EMBEDDING = textwrap.dedent(
             u, v = (i * h11, i * h12 + j * h22), (k * h11, k * h12 + m * h22)
             p1, p2 = ((w[0] * step.qt1 + w[1] * step.qt2) // d for w in (u, v))
             b1t, b2t = rng.randint(0, 4), rng.randint(0, 4)
-            step = replace(step, u=u, v=v, p1=p1, p2=p2, xt1_floor=b1t, xt2_floor=b2t)
+            step = forge(step, u=u, v=v, p1=p1, p2=p2, xt1_floor=b1t, xt2_floor=b2t)
             r1, r2 = (max(0, b1t * abs(wu) + b2t * abs(wv) + rng.randint(-2, 1)) for wu, wv in zip(u, v))
             a = TwoDAP(a.q1, a.q2, *((r2, r1) if step.swapped else (r1, r2)))
         verdict = embedding(step, a)

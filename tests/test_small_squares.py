@@ -379,7 +379,10 @@ def test_survey_small_grid():
 
 def reference_survey(q_max: int, q_min: int, ceiling: int = 64):
     """Pair by pair: a fresh balanced_n, the construction and the exact envelope tests."""
-    report, rows = SurveyReport(), []
+    pairs = n_in_range = x1_ratio_ok = x2_ratio_ok = 0
+    max_ratio_x1 = max_ratio_x2 = 0.0
+    argmax_x1 = argmax_x2 = None
+    rows = []
     for q1 in range(q_min, q_max + 1):
         for q2 in range(q1, q_max + 1):
             if math.gcd(q1, q2) != 1:
@@ -387,20 +390,21 @@ def reference_survey(q_max: int, q_min: int, ceiling: int = 64):
             cap = balanced_n(q1, q2)
             tr = construct_small_square(q1, q2, cap)
             x1, x2 = tr.witness.x1, tr.witness.x2
-            report.pairs += 1
-            report.n_in_range += 1 <= tr.n <= cap
+            pairs += 1
+            n_in_range += 1 <= tr.n <= cap
             r1 = abs(x1) / (cap * cap / q1 + q1**1.25 * q2 / (cap * cap))
             r2 = abs(x2) * cap * cap / q1**2.25
             # |x1| < ceiling*(N^2/q1 + q1^(5/4)*q2/N^2), |x2| < ceiling*q1^(9/4)/N^2
             lhs = abs(x1) * q1 * cap**2 - ceiling * cap**4
-            report.x1_ratio_ok += lhs < 0 or lhs**4 < ceiling**4 * q1**9 * q2**4
-            report.x2_ratio_ok += (abs(x2) * cap**2) ** 4 < ceiling**4 * q1**9
-            if r1 > report.max_ratio_x1:
-                report.max_ratio_x1, report.argmax_x1 = r1, (q1, q2)
-            if r2 > report.max_ratio_x2:
-                report.max_ratio_x2, report.argmax_x2 = r2, (q1, q2)
+            x1_ratio_ok += lhs < 0 or lhs**4 < ceiling**4 * q1**9 * q2**4
+            x2_ratio_ok += (abs(x2) * cap**2) ** 4 < ceiling**4 * q1**9
+            if r1 > max_ratio_x1:
+                max_ratio_x1, argmax_x1 = r1, (q1, q2)
+            if r2 > max_ratio_x2:
+                max_ratio_x2, argmax_x2 = r2, (q1, q2)
             rows.append((q1, q2, cap, tr.b, tr.n, x1, x2, r1, r2))
-    return report, rows
+    report = (pairs, n_in_range, x1_ratio_ok, x2_ratio_ok, max_ratio_x1, max_ratio_x2, argmax_x1, argmax_x2)
+    return SurveyReport(*report), rows
 
 
 def test_row_stepped_cap_is_balanced_n():
@@ -474,8 +478,9 @@ def test_survey_above_the_table_bound_factors_each_row_once(monkeypatch):
 
 _FORGED_ROOTS = textwrap.dedent(
     """
-    import dataclasses
     import sys
+
+    from forge import forge
     from sqavoid import small_squares
     from sqavoid.arith import VerificationFailed
 
@@ -483,7 +488,7 @@ _FORGED_ROOTS = textwrap.dedent(
         sys.exit("expected to run under python -O")
     trace = small_squares.construct_small_square(5, 7, 3)
     try:
-        dataclasses.replace(trace, c=1).validate()  # 1^2 != 2*7 (mod 5)
+        forge(trace, c=1).validate()  # 1^2 != 2*7 (mod 5)
     except VerificationFailed:
         pass
     else:

@@ -181,3 +181,16 @@ def test_only_the_sweep_imports_random():
             if any(m == "random" or m.startswith("random.") for m in modules):
                 importers.add(path.name)
     assert importers == {"sweep.py"}
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(run_python):
+    # Every `sqavoid` call pays `import sqavoid.cli` first; `dataclasses`
+    # alone would cost more than the rest of the package, as it brings in
+    # `inspect`, `ast`, `dis` and `tokenize`.  Only modules that the import
+    # itself loads count, not those `site` loaded before it.
+    code = "import sys\nbefore = set(sys.modules)\nimport sqavoid.cli\nprint(*sorted(set(sys.modules) - before))"
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "sqavoid.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}

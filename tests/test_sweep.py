@@ -7,10 +7,10 @@ import json
 import math
 import random
 import textwrap
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from forge import forge
 
 from sqavoid import arith, progression
 from sqavoid.arith import (
@@ -167,7 +167,7 @@ def test_lower_bound_family_builds_and_certifies_only_the_winner(monkeypatch):
 
 def test_lower_bound_family_refuses_a_winner_off_its_closed_form(monkeypatch):
     # build_instance disagreeing with the closed form is a failed check.
-    monkeypatch.setattr(sweep_module, "build_instance", lambda p: replace(build_instance(p), size=1))
+    monkeypatch.setattr(sweep_module, "build_instance", lambda p: forge(build_instance(p), size=1))
     with pytest.raises(VerificationFailed):
         _lower_bound_family(10**6)
 
@@ -481,8 +481,9 @@ _PLANTED = textwrap.dedent(
 
 _FORGED = textwrap.dedent(
     """
-    import dataclasses
     import sys
+
+    from forge import forge
     from sqavoid.arith import VerificationFailed
     from sqavoid.progression import SquareWitness
     from sqavoid.small_squares import construct_small_square
@@ -492,7 +493,7 @@ _FORGED = textwrap.dedent(
     trace = construct_small_square(5, 7, 3)
     w = trace.witness
     # x1*q1 + x2*q2 = n^2 + q1 no longer holds.
-    forged = dataclasses.replace(trace, witness=SquareWitness(w.x1 + 1, w.x2, w.n))
+    forged = forge(trace, witness=SquareWitness(w.x1 + 1, w.x2, w.n))
     try:
         forged.validate()
     except VerificationFailed:
