@@ -277,6 +277,22 @@ def test_construct_frozen_example(capsys):
     assert json.loads(rec["witness"]) == {"x1": "-2", "x2": "2", "n": "2"}
 
 
+def test_reduce_frozen_chain(capsys):
+    code, recs, _ = run(
+        capsys, "reduce", "--q1", "12", "--q2", "20", "--x1", "9", "--x2", "9", "--t", "10000"
+    )
+    assert code == 0
+    step, chain = recs
+    assert step["kind"] == "ReductionStep" and step["mode"] == "divide_out"
+    assert step["d"] == "4"
+    assert step["swapped"] == "false" and step["lam1_sq"] == ""
+    assert chain["kind"] == "ReductionChain"
+    assert chain["termination"] == "coprime"
+    assert (chain["final_q1"], chain["final_q2"]) == ("3", "5")
+    assert chain["final_x1bound"] == "9/4"
+    assert chain["final_t"] == "625"
+
+
 REDUCE_FROZEN = {
     # A divide-out: d = 4 comes straight out of both steps (mode
     # "divide_out", not swapped, no lambdas), leaving the coprime box
