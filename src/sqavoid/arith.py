@@ -143,9 +143,8 @@ def is_prime(n: int) -> bool:
 
 
 def _brent_rho(n: int, c: int) -> int:
-    """One run of Brent's cycle-finding with increment c; returns a factor or n."""
-    if n % 2 == 0:
-        return 2
+    """One run of Brent's cycle-finding with increment c on an odd n (`factorize`
+    strips every prime below TRIAL_BOUND first); returns a factor or n."""
     y, m, g, r, q = 2, 128, 1, 1, 1
     x = ys = y
     while g == 1:

@@ -128,17 +128,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=integer, required=True)
     sp.add_argument(
         "--families",
-        default=",".join(FAMILIES),
+        default=",".join(SweepConfig.families),
         help=f"comma-separated subset of {{{','.join(FAMILIES)}}}",
     )
     sp.add_argument(
         "--budget",
         type=integer,
-        default=200,
+        default=SweepConfig.budget,
         help=f"random_local's coprime step pairs (1..{MAX_BUDGET}), at most one max_radius row walk "
         "each, most rows settled without a modular square root",
     )
-    sp.add_argument("--seed", type=integer, default=0, help="seed for random_local's search")
+    sp.add_argument("--seed", type=integer, default=SweepConfig.seed, help="seed for random_local's search")
 
     return p
 

@@ -145,7 +145,8 @@ def box_minima(
     Returns ((lambda1^2, u), (lambda2^2, v)): the squared gauges are exact
     rationals, u attains the first minimum, and v the second (minimal over
     vectors independent of u).  Attainers are sign-normalized and chosen by
-    the deterministic key (g^2, |x1|, |x2|, sign of x2).
+    the deterministic key (g^2, |x1|, |x2|, sign of x2).  Raises TooLarge
+    before it starts when the search would read 10^7 rows or more.
     """
     u_ratio = F(u_ratio)
     if u_ratio <= 0:
@@ -157,26 +158,16 @@ def box_minima(
         _candidate_key(*b1, un, ud)[0], _candidate_key(*b2, un, ud)[0]
     )  # >= scaled lambda2^2, so every minima attainer lies below it
 
-    cands: list[tuple[tuple, tuple[int, int]]] = []
-    s = 0
-    while True:
-        x1 = s * h11
-        if s and x1 * x1 * un * un > cap:
-            break
-        if s == 0:
-            pts = [(0, h22)]
-        else:
-            t0 = (-s * h12) // h22
-            pts = [
-                _normalize_sign(x1, s * h12 + t * h22)
-                for t in (t0 - 1, t0, t0 + 1, t0 + 2)
-            ]
-        for p in pts:
-            if p != (0, 0):
-                cands.append((_candidate_key(*p, un, ud), p))
-        s += 1
-        if s > 10_000_000:  # pragma: no cover
-            raise TooLarge("minima search exploded; malformed lattice?")
+    # Row s >= 1 (x1 = s*h11) can hold a candidate only if (s*h11*un)^2 <= cap.
+    rows = isqrt(cap // (h11 * un) ** 2)
+    if rows >= 10_000_000:
+        raise TooLarge(f"minima search would read {rows} rows of the lattice")
+    cands = [(_candidate_key(0, h22, un, ud), (0, h22))]
+    for s in range(1, rows + 1):
+        t0 = (-s * h12) // h22
+        for t in (t0 - 1, t0, t0 + 1, t0 + 2):
+            p = _normalize_sign(s * h11, s * h12 + t * h22)
+            cands.append((_candidate_key(*p, un, ud), p))
     cands.sort()
     key1, u = cands[0]
     v = None
@@ -265,6 +256,24 @@ class ReductionStep(Record):
     xt2_floor: int
 
 
+def _step(
+    mode: str, swapped: bool, d: int, qt1: int, qt2: int, u_ratio: Fraction,
+    lam1_sq: Fraction | None, lam2_sq: Fraction | None, u: tuple[int, int], v: tuple[int, int],
+    xt1_sq: Fraction, xt2_sq: Fraction,
+) -> ReductionStep:
+    """The step on basis u, v of L, with p_i = (u_i . qt)/d and
+    floor(Xt_i) = isqrt(floor(Xt_i^2)) derived here for both modes."""
+    p1, r1 = divmod(u[0] * qt1 + u[1] * qt2, d)
+    p2, r2 = divmod(v[0] * qt1 + v[1] * qt2, d)
+    if r1 != 0 or r2 != 0:
+        raise VerificationFailed(f"attainers {u}, {v} miss the congruence mod {d}")
+    return ReductionStep(
+        mode, swapped, d, qt1, qt2, u_ratio, lam1_sq, lam2_sq, u, v, p1, p2, xt1_sq, xt2_sq,
+        isqrt(xt1_sq.numerator // xt1_sq.denominator),
+        isqrt(xt2_sq.numerator // xt2_sq.denominator),
+    )
+
+
 def reduce_step(
     q1: int, q2: int, x1bound: Fraction, x2bound: Fraction
 ) -> ReductionStep:
@@ -286,34 +295,12 @@ def reduce_step(
         q1, q2, x1b, x2b = q2, q1, x2b, x1b
     qt1, qt2 = q1 // d, q2 // d
     u_ratio = x2b / x1b
-    lat = congruence_lattice(d, qt1, qt2)
-    (lam1_sq, u), (lam2_sq, v) = box_minima(lat, u_ratio)
-    p1, r1 = divmod(u[0] * qt1 + u[1] * qt2, d)
-    p2, r2 = divmod(v[0] * qt1 + v[1] * qt2, d)
-    if r1 != 0 or r2 != 0:
-        raise VerificationFailed(f"attainers {u}, {v} miss the congruence mod {d}")
-    # Xt_i^2 = (X1 * X2) / (4 * lambda_i^2), an exact rational, and
-    # floor(Xt_i) = isqrt(floor(Xt_i^2)).
+    (lam1_sq, u), (lam2_sq, v) = box_minima(congruence_lattice(d, qt1, qt2), u_ratio)
+    # Xt_i^2 = (X1 * X2) / (4 * lambda_i^2), an exact rational.
     area = x1b * x2b
-    xt1_sq = area / (4 * lam1_sq)
-    xt2_sq = area / (4 * lam2_sq)
-    return ReductionStep(
-        "lattice",
-        swapped,
-        d,
-        qt1,
-        qt2,
-        u_ratio,
-        lam1_sq,
-        lam2_sq,
-        u,
-        v,
-        p1,
-        p2,
-        xt1_sq,
-        xt2_sq,
-        isqrt(xt1_sq.numerator // xt1_sq.denominator),
-        isqrt(xt2_sq.numerator // xt2_sq.denominator),
+    return _step(
+        "lattice", swapped, d, qt1, qt2, u_ratio, lam1_sq, lam2_sq, u, v,
+        area / (4 * lam1_sq), area / (4 * lam2_sq),
     )
 
 
@@ -327,25 +314,10 @@ def divide_out_step(
         raise DomainError(f"divide-out needs gcd >= 2, got {d}")
     if x1b < d or x2b < d:
         raise DomainError("divide-out needs both radii >= d")
-    qt1, qt2 = q1 // d, q2 // d
-    xt1, xt2 = x1b / d, x2b / d
-    return ReductionStep(
-        "divide_out",
-        False,
-        d,
-        qt1,
-        qt2,
-        x2b / x1b,
-        None,
-        None,
-        (d, 0),
-        (0, d),
-        qt1,
-        qt2,
-        xt1 * xt1,
-        xt2 * xt2,
-        int(xt1),
-        int(xt2),
+    # The basis (d, 0), (0, d) gives p_i = qt_i and floor(Xt_i) = floor(X_i/d).
+    return _step(
+        "divide_out", False, d, q1 // d, q2 // d, x2b / x1b, None, None, (d, 0), (0, d),
+        (x1b / d) ** 2, (x2b / d) ** 2,
     )
 
 

@@ -41,12 +41,13 @@ a square iff a modular square root lands near its centre.  It takes the
 other axis's step already factored (the sweep factors q1 once, for X1
 and for this), reads the rows across its own axis, min(r + 1, R, room)
 steps past the centre row, and only when that walk outlasts R < room
-does it factor its own step and read the 2R + 1 rows along it.  Most rows it settles without solving a root:
-a character test (`is_square_mod`), or a row wide enough to span a whole
-period of roots, or half a period when the roots pair up as +-r, decides
-them.  Its boxes are re-certified by `certify_square_free`, which always
-takes the root walk: that walk shares no code with `max_radius`, so it
-stays an independent check of them.
+does it factor its own step and read the 2R + 1 rows along it.  Most
+rows it settles without solving a root: a character test
+(`is_square_mod`), or a row wide enough to span half a period of roots
+when the roots pair up as +-r, decides them.  Its boxes are re-certified
+by `certify_square_free`, which always takes the root walk: that walk
+shares no code with `max_radius`, so it stays an independent check of
+them.
 """
 
 from __future__ import annotations
@@ -367,13 +368,12 @@ def max_radius(q: int, other_q: int, other_factors: dict[int, int], other_r: int
     * the centre row holds a square iff other_r >= kernel(other_q), as
       other_q*kernel(other_q) is its least (-1 if so);
     * a row whose residue x*q fails `is_square_mod` holds no square;
-    * the n with |n^2 - x*q| <= reach form an interval [lo, hi]; if it
-      holds other_q integers it meets every root class, so the row holds one;
-    * if other_q does not divide x*q, the roots r != 0 (mod other_q) pair
+    * the n with |n^2 - x*q| <= reach form an interval [lo, hi]; if
+      other_q does not divide x*q, the roots r != 0 (mod other_q) pair
       up with other_q - r, so each half-block [j*other_q + 1,
       j*other_q + other_q // 2] and [j*other_q + (other_q + 1) // 2,
       j*other_q + other_q - 1] holds one: a row whose [lo, hi] contains a
-      half-block holds a square;
+      half-block (as any other_q consecutive n do) holds a square;
     * otherwise `sqrt_classes` solves the roots (a few modular square
       roots), and the row holds a square iff `_least_root(lo, ...)` <= hi.
 
@@ -405,13 +405,10 @@ def max_radius(q: int, other_q: int, other_factors: dict[int, int], other_r: int
             if not is_square_mod(center, other_factors):
                 continue
             # The n >= 1 with |n^2 - center| <= reach (n^2 <= t follows) run
-            # from lo to hi, none if center + reach < 1; other_q consecutive
-            # n meet every root class.
+            # from lo to hi, none if center + reach < 1.
             if center + reach < 1:
                 continue
             lo, hi = isqrt(max(center - reach, 1) - 1) + 1, isqrt(center + reach)
-            if hi - lo + 1 >= other_q:
-                return k - 1
             # Roots r and other_q - r pair up, and r != 0 when other_q does not
             # divide center: every half-block of the period holds one.
             if center % other_q and _least_root(lo, other_q, half_starts) + half <= hi + 1:

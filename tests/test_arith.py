@@ -291,3 +291,8 @@ def test_factorize_reconstructs():
     # A semiprime beyond the trial-division bound exercises Brent's method.
     p, q = 1_000_003, 1_000_033
     assert factorize(p * q) == {p: 1, q: 1}
+
+
+def test_factorize_refuses_zero():
+    with pytest.raises(DomainError, match="factorize requires n >= 1, got 0"):
+        factorize(0)

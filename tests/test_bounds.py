@@ -15,6 +15,7 @@ from sqavoid.bounds import (
     ExponentPoint,
     case_exponent,
     exponent_supremum,
+    exponent_surface,
     one_d_bound,
 )
 
@@ -39,6 +40,8 @@ def test_one_d_bound_frozen():
     assert one_d_bound(9973, 10**6) == 100
     with pytest.raises(DomainError):
         one_d_bound(0, 10)
+    with pytest.raises(DomainError, match="ambient bound must be non-negative, got -1"):
+        one_d_bound(5, -1)
 
 
 def test_one_d_bound_matches_scan():
@@ -52,6 +55,11 @@ def test_one_d_bound_below_sqrt():
         q = rng.randint(1, 10**6)
         t = rng.randint(0, 10**9)
         assert one_d_bound(q, t) <= math.isqrt(t)
+
+
+def test_exponent_surface_refuses_an_unknown_component():
+    with pytest.raises(DomainError, match="unknown component 'x'"):
+        exponent_surface(4, component="x")
 
 
 # --------------------------------------------------------- case exponents

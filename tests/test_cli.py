@@ -15,6 +15,7 @@ from sqavoid import bounds, cli, progression
 from sqavoid.cli import main
 from sqavoid.formats import SCHEMA_VERSION
 from sqavoid.lowerbound import build_instance
+from sqavoid.sweep import SweepConfig
 
 F = Fraction
 
@@ -513,6 +514,16 @@ def test_sweep_records(capsys):
     assert {r["family"] for r in fams} == {"one_d", "lower_bound", "random_local"}
     assert int(best["size"]) == max(int(r["size"]) for r in fams)
     assert "." in best["ratio_to_T_20_27"]  # decimal string, not a float
+
+
+def test_sweep_flags_default_to_the_sweep_config():
+    args = cli.build_parser().parse_args(["sweep", "--t", "1000"])
+    assert (args.families, args.budget, args.seed) == (
+        ",".join(SweepConfig.families), SweepConfig.budget, SweepConfig.seed
+    )
+    assert SweepConfig(t=1000, families=tuple(args.families.split(",")), budget=args.budget, seed=args.seed) == (
+        SweepConfig(t=1000)
+    )
 
 
 # ------------------------------------------------------ formats & files

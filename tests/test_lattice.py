@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sqavoid.arith import DomainError
+from sqavoid import lattice
+from sqavoid.arith import DomainError, TooLarge, VerificationFailed
 from sqavoid.formats import record
 from sqavoid.lattice import (
     SMALL_GCD,
@@ -277,6 +278,25 @@ def test_enumerate_gauge_ball_refuses_what_box_minima_refuses():
             box_minima(lat, u_ratio)
 
 
+def test_box_minima_refuses_ten_million_rows_before_reading_one(monkeypatch):
+    # Rows s >= 1 of the search are those with (s*h11*un)^2 <= cap.  The
+    # lattice Z^2 at U = 1/10^7 has cap = 10^14, so exactly 10^7 rows, the
+    # first count refused; U = 1/10^8 over the diagonal lattice mod 10^4
+    # asks for 10^8.
+    read = []
+
+    def counted(x1, x2):
+        read.append((x1, x2))
+        return x1, x2
+
+    monkeypatch.setattr(lattice, "_normalize_sign", counted)
+    for lat, u_ratio, rows in ((congruence_lattice(1, 0, 1), F(1, 10**7), 10**7),
+                               (congruence_lattice(10**4, 1, 1), F(1, 10**8), 10**8)):
+        with pytest.raises(TooLarge, match=f"would read {rows} rows"):
+            box_minima(lat, u_ratio)
+    assert read == []
+
+
 # --------------------------------------------------------- single steps
 
 
@@ -313,6 +333,22 @@ def test_reduce_step_rejects_bad_input():
         reduce_step(3, 5, 4, 4)  # coprime steps
     with pytest.raises(DomainError):
         reduce_step(6, 10, F(1, 2), 4)  # radius below 1
+    with pytest.raises(DomainError, match=r"steps must be positive, got \(0, 6\)"):
+        reduce_step(0, 6, 4, 4)
+
+
+def test_divide_out_step_rejects_bad_input():
+    with pytest.raises(DomainError, match="divide-out needs gcd >= 2, got 1"):
+        divide_out_step(3, 5, 9, 9)
+    with pytest.raises(DomainError, match="divide-out needs both radii >= d"):
+        divide_out_step(12, 20, 9, F(7, 2))  # d = 4
+
+
+def test_step_refuses_attainers_off_the_lattice(monkeypatch):
+    # (1, 0) . (3, 5) = 3 is odd: not on L = {x : 3*x1 + 5*x2 = 0 (mod 2)}.
+    monkeypatch.setattr(lattice, "box_minima", lambda lat, u_ratio: ((F(1), (1, 0)), (F(1), (1, 1))))
+    with pytest.raises(VerificationFailed, match=r"attainers \(1, 0\), \(1, 1\) miss the congruence mod 2"):
+        reduce_step(6, 10, 4, 4)
 
 
 def test_divide_out_frozen():
@@ -336,6 +372,15 @@ def test_verify_reduction_flags_mismatched_instance():
     verdict = verify_reduction(step, TwoDAP(6, 10, 5, 4), 1000)
     assert not verdict.ok
     assert any(name == "frame" and not ok for name, ok, _ in verdict.checks)
+
+
+def test_verify_reduction_skips_the_square_transfer_past_the_brute_force_guard():
+    # d = 17 takes a lattice step; 10,001 * 20,001 pairs exceed the guard of 10^8.
+    a = TwoDAP(34, 51, 5000, 10000)
+    step = reduce_box(a.q1, a.q2, a.x1bound, a.x2bound, 10**10).step
+    verdict = verify_reduction(step, a, 10**10)
+    assert step.mode == "lattice" and verdict.ok, verdict.checks
+    assert verdict.checks[-1] == ("square-transfer", True, "box beyond brute-force guard; skipped")
 
 
 def test_verify_reduction_random_instances():
@@ -488,6 +533,11 @@ def test_reduce_box_terminal_reasons():
     assert reduce_box(34, 51, 30, 30, 100).termination == "large-gcd"
     assert reduce_box(36, 54, F(1, 2), 30, 10**6).termination == "one-dimensional"
     assert reduce_box(3, 5, 10, 10, 100).termination == "coprime"
+
+
+def test_reduce_box_refuses_a_negative_bound():
+    with pytest.raises(DomainError, match="ambient bound must be non-negative, got -1"):
+        reduce_box(12, 20, 9, 9, -1)
 
 
 def test_reduce_box_step_replay():

@@ -995,8 +995,9 @@ def test_max_radius_walk_ending_early_reads_no_row_y(monkeypatch):
     solved.clear()
     assert radius(13, 15, 1, 27) == 0
     assert factored == read == solved == []
-    # Row x = 1 (13 + 15y) spans n = 1 .. 7 >= 7 = other_q and 13 + 15y is a
-    # square mod 7: a whole period of roots decides it, no root solved.
+    # Rows x = +-1 fail the character test; row x = 2 (34 + 15y) spans
+    # n = 1 .. 15, which holds a half-block of the period 15, and 15 does not
+    # divide 34: the half-block test decides it, no root solved.
     assert radius(17, 15, 13, 535) == 1 == oracle_max_radius(17, 15, 13, 535)
     assert read == [15] * 3 and solved == []
 

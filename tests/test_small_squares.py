@@ -128,6 +128,11 @@ def test_convergent_denominators_frozen():
     assert convergent_denominators(355, 113)[-1] == 113
 
 
+def test_convergent_denominators_refuses_a_zero_denominator():
+    with pytest.raises(DomainError, match="need num >= 0 and den >= 1, got 1/0"):
+        convergent_denominators(1, 0)
+
+
 def test_convergents_match_fraction_oracle():
     rng = random.Random(42)
     for _ in range(300):
@@ -316,6 +321,11 @@ def test_brute_force_small_square_refuses_non_positive_steps():
             brute_force_small_square(q1, q2, 3)
 
 
+def test_brute_force_small_square_refuses_non_coprime_steps():
+    with pytest.raises(DomainError, match=r"steps must be coprime, got \(4, 6\)"):
+        brute_force_small_square(4, 6, 5)
+
+
 def test_brute_force_small_square_refuses_what_the_construction_refuses():
     # A size cap below 1 leaves no n to search: a refusal, not NotFound.
     for n_cap in (0, -2):
@@ -347,6 +357,11 @@ def test_balanced_n_frozen():
     assert balanced_n(16, 16) == 10
     assert balanced_n(1, 1) == 1
     assert balanced_n(4, 9) == 4
+
+
+def test_balanced_n_refuses_a_zero_step():
+    with pytest.raises(DomainError, match=r"steps must be positive, got \(0, 5\)"):
+        balanced_n(0, 5)
 
 
 def test_balanced_n_is_exact_ceiling():

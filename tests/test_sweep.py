@@ -447,6 +447,54 @@ _UNCONTAINED = textwrap.dedent(
 )
 
 
+# A forgery planted in the sweep module, then a sweep that must refuse it.
+_FORGED_EMISSION = textwrap.dedent(
+    """
+    import importlib
+    import sys
+    from types import SimpleNamespace
+    from sqavoid import cli
+    from sqavoid.arith import VerificationFailed
+    from sqavoid.progression import TwoDAP, cardinality
+
+    if not sys.flags.optimize:
+        sys.exit("expected to run under python -O")
+    sweep_module = importlib.import_module("sqavoid.sweep")  # the package's `sweep` is the function
+    FamilyBest = sweep_module.FamilyBest
+    {forgery}
+    try:
+        sweep_module.sweep(sweep_module.SweepConfig(t={t}))
+    except VerificationFailed:
+        pass
+    else:
+        sys.exit("sweep reported a result its check should refuse")
+    sys.exit(cli.main(["sweep", "--t", "{t}"]))
+    """
+)
+
+_FORGERIES = {
+    # Every residue certificate fails.
+    "residue-certificate": (
+        "sweep_module.residue_certificate = lambda inst: SimpleNamespace(ok=False)",
+        10**6,
+        "residue certificate failed for p = ",
+    ),
+    # 2*2 + 4*0 = 2*0 + 4*1: two pairs, one value.
+    "improper": (
+        'sweep_module._random_local_family = lambda *args: FamilyBest("random_local", TwoDAP(2, 4, 3, 1), 21)',
+        1000,
+        "random_local box is not proper",
+    ),
+    # The square-free lower-bound box for p = 13, one pair too many.
+    "miscounted": (
+        "box = TwoDAP(13, 15, 12, 1)\n"
+        'sweep_module._random_local_family = lambda *args: FamilyBest("random_local", box, cardinality(box) + 1)',
+        1000,
+        "random_local box size is not 76",
+    ),
+}
+
+
 _PLANTED = textwrap.dedent(
     """
     import importlib
@@ -517,6 +565,16 @@ def test_containment_check_survives_optimized_mode(run_python):
     rec = json.loads(proc.stdout.splitlines()[-1])
     assert (rec["kind"], rec["error"]) == ("Error", "VerificationFailed")
     assert "leaves" in rec["message"]
+
+
+@pytest.mark.parametrize("forgery", _FORGERIES)
+def test_emission_refuses_a_forged_result_under_python_O(run_python, forgery):
+    code, t, message = _FORGERIES[forgery]
+    proc = run_python("-O", "-c", _FORGED_EMISSION.format(forgery=code, t=t))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    rec = json.loads(proc.stdout.splitlines()[-1])
+    assert (rec["kind"], rec["error"]) == ("Error", "VerificationFailed")
+    assert message in rec["message"]
 
 
 def test_every_family_route_rejects_a_planted_square_under_python_O(run_python):
