@@ -330,15 +330,10 @@ def _emit(records: list[dict], fmt: str, stream) -> None:
             stream.write(json.dumps(rec, sort_keys=True))
             stream.write("\n")
         return
-    columns: list[str] = []
-    for rec in stamped:
-        for key in rec:
-            if key not in columns:
-                columns.append(key)
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(columns)
-    for rec in stamped:
-        writer.writerow([str(rec.get(c, "")) for c in columns])
+    columns = list(dict.fromkeys(key for rec in stamped for key in rec))
+    writer = csv.DictWriter(stream, columns, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(stamped)
 
 
 def main(argv: list[str] | None = None) -> int:

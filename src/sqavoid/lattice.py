@@ -145,8 +145,9 @@ def box_minima(
     Returns ((lambda1^2, u), (lambda2^2, v)): the squared gauges are exact
     rationals, u attains the first minimum, and v the second (minimal over
     vectors independent of u).  Attainers are sign-normalized and chosen by
-    the deterministic key (g^2, |x1|, |x2|, sign of x2).  Raises TooLarge
-    before it starts when the search would read 10^7 rows or more.
+    the deterministic key (g^2, |x1|, |x2|, sign of x2), in two streaming
+    passes of constant memory.  Raises TooLarge before it starts when the
+    search would read 10^7 rows or more.
     """
     u_ratio = F(u_ratio)
     if u_ratio <= 0:
@@ -162,20 +163,18 @@ def box_minima(
     rows = isqrt(cap // (h11 * un) ** 2)
     if rows >= 10_000_000:
         raise TooLarge(f"minima search would read {rows} rows of the lattice")
-    cands = [(_candidate_key(0, h22, un, ud), (0, h22))]
-    for s in range(1, rows + 1):
-        t0 = (-s * h12) // h22
-        for t in (t0 - 1, t0, t0 + 1, t0 + 2):
-            p = _normalize_sign(s * h11, s * h12 + t * h22)
-            cands.append((_candidate_key(*p, un, ud), p))
-    cands.sort()
-    key1, u = cands[0]
-    v = None
-    key2 = None
-    for key, p in cands[1:]:
-        if u[0] * p[1] - u[1] * p[0] != 0:
-            key2, v = key, p
-            break
+
+    def candidates():  # a sign-normalized vector has a unique key
+        yield _candidate_key(0, h22, un, ud), (0, h22)
+        for s in range(1, rows + 1):
+            t0 = (-s * h12) // h22
+            for t in (t0 - 1, t0, t0 + 1, t0 + 2):
+                p = _normalize_sign(s * h11, s * h12 + t * h22)
+                yield _candidate_key(*p, un, ud), p
+
+    key1, u = min(candidates())
+    indep = ((key, p) for key, p in candidates() if u[0] * p[1] - u[1] * p[0] != 0)
+    key2, v = min(indep, default=(None, None))
     if v is None:
         raise VerificationFailed(f"no candidate independent of {u}: lattice must contain 2 minima")
     scale = un * ud
@@ -194,7 +193,8 @@ def enumerate_gauge_ball(
 ) -> list[tuple[int, int]]:
     """All non-zero lattice points with g(x)^2 <= gsq_bound, sign-normalized,
     sorted by the minima key.  Independent certification route for
-    `box_minima`; guarded against oversized balls.
+    `box_minima`; refuses (TooLarge) a ball of more than 2*10^6 rows before
+    it reads one, and a row or a point list past that size.
     """
     u_ratio = F(u_ratio)
     if u_ratio <= 0:
@@ -202,28 +202,27 @@ def enumerate_gauge_ball(
     un, ud = u_ratio.numerator, u_ratio.denominator
     bound_scaled = F(gsq_bound) * un * ud
     (h11, h12), (_, h22) = lat.rows
+    # Row s holds points only if (s*h11*un)^2 <= bound_scaled, with |x2| <=
+    # sqrt(bound_scaled)/ud over the class x2 = s*h12 (mod h22); a negative
+    # bound leaves row 0 alone.  floor(sqrt(x)) = isqrt(floor(x)), x >= 0.
+    n, m = max(bound_scaled.numerator, 0), bound_scaled.denominator
+    rows = isqrt(n // (m * (h11 * un) ** 2))
+    if rows > _ENUM_GUARD:
+        raise TooLarge(f"gauge ball enumeration would read {rows} rows")
+    x2cap = isqrt(n // (m * ud * ud))
     out = []
-    s = 0
-    while True:
-        x1 = s * h11
-        if x1 * x1 * un * un > bound_scaled:
-            break
-        # |x2| <= sqrt(bound_scaled)/ud, over the class x2 = s*h12 (mod h22);
-        # floor(sqrt(x)) = isqrt(floor(x)) for a rational x >= 0.
-        x2cap = isqrt(bound_scaled.numerator // (bound_scaled.denominator * ud * ud))
+    for s in range(rows + 1):
         t_lo = -(x2cap + s * h12) // h22
         t_hi = (x2cap - s * h12) // h22
         if t_hi - t_lo > _ENUM_GUARD or len(out) > _ENUM_GUARD:
             raise TooLarge("gauge ball enumeration exceeds guard")
         for t in range(t_lo, t_hi + 1):
-            p = _normalize_sign(x1, s * h12 + t * h22)
+            p = _normalize_sign(s * h11, s * h12 + t * h22)
             if p == (0, 0):
                 continue
             if max(p[0] ** 2 * un * un, p[1] ** 2 * ud * ud) <= bound_scaled:
                 out.append(p)
-        s += 1
-    out = sorted(set(out), key=lambda p: _candidate_key(*p, un, ud))
-    return out
+    return sorted(set(out), key=lambda p: _candidate_key(*p, un, ud))
 
 
 # ---------------------------------------------------------- reduction step

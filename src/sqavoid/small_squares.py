@@ -44,7 +44,7 @@ from .arith import (
     sqrt_classes,
 )
 from .formats import Record
-from .progression import SquareWitness
+from .progression import BRUTE_FORCE_GUARD, SquareWitness
 
 COVER_HEIGHT_GUARD = 100_000
 # The survey counts a pair's coefficients as small when they stay below
@@ -257,7 +257,8 @@ def brute_force_small_square(q1: int, q2: int, n_cap: int) -> SquareWitness:
     and |x1|, |x2| <= q2**2; ties broken by (n, |x1|, sign, |x2|, sign).
     Independent of the constructive route; intended as a test oracle for
     small inputs.  Refuses the arguments `construct_small_square` refuses
-    (DomainError); raises NotFound if the box contains no representation.
+    (DomainError) and more than BRUTE_FORCE_GUARD pairs (TooLarge) before
+    it starts; raises NotFound if the box contains no representation.
     """
     if q1 < 1 or q2 < 1:
         raise DomainError(f"steps must be positive, got ({q1}, {q2})")
@@ -265,6 +266,9 @@ def brute_force_small_square(q1: int, q2: int, n_cap: int) -> SquareWitness:
         raise DomainError(f"steps must be coprime, got ({q1}, {q2})")
     if n_cap < 1:
         raise DomainError(f"size cap must be positive, got {n_cap}")
+    # Each n reads the x1 = x0 (mod q2) with |x1| <= q2^2: at most 2*q2 + 1.
+    if n_cap * (2 * q2 + 1) > BRUTE_FORCE_GUARD:
+        raise TooLarge(f"search would read {n_cap * (2 * q2 + 1)} pairs")
     box = q2 * q2
     inv = mod_inverse(q1 % q2, q2) if q2 > 1 else 0
     best: tuple[tuple, SquareWitness] | None = None

@@ -293,6 +293,17 @@ def test_factorize_reconstructs():
     assert factorize(p * q) == {p: 1, q: 1}
 
 
+def test_brent_rho_backtracks_when_the_batched_gcd_overshoots():
+    # On the first three the batched product q is 0 mod n, so gcd(q, n) = n
+    # and the run steps back one term at a time from ys.  The backtrack finds
+    # a proper factor, or returns n itself (25 at c = 1), and then the next
+    # increment, as `factorize` tries it, splits 25 directly.
+    assert arith._brent_rho(49, 1) == 7
+    assert arith._brent_rho(27, 3) == 9
+    assert arith._brent_rho(25, 1) == 25
+    assert arith._brent_rho(25, 2) == 5
+
+
 def test_factorize_refuses_zero():
     with pytest.raises(DomainError, match="factorize requires n >= 1, got 0"):
         factorize(0)

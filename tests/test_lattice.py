@@ -6,6 +6,7 @@ import json
 import math
 import random
 import textwrap
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -295,6 +296,45 @@ def test_box_minima_refuses_ten_million_rows_before_reading_one(monkeypatch):
         with pytest.raises(TooLarge, match=f"would read {rows} rows"):
             box_minima(lat, u_ratio)
     assert read == []
+
+
+def test_box_minima_holds_constant_memory():
+    # 10^4 rows and 4*10^4 candidates: a list of them would take about 10 MiB.
+    tracemalloc.start()
+    try:
+        (lam1_sq, u), (lam2_sq, v) = box_minima(congruence_lattice(1, 0, 1), F(1, 10**4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ((lam1_sq, u), (lam2_sq, v)) == ((F(1, 10**4), (1, 0)), (F(10**4), (0, 1)))
+    assert peak < 2**20
+
+
+def test_enumerate_gauge_ball_refuses_too_many_rows_before_reading_one(monkeypatch):
+    # At U = 1/10^20 the ball g^2 <= 1 spans rows |x1| <= 10^10 of a lattice
+    # with h11 = 1: refused at once, though it holds only 10^6 points.
+    read = []
+
+    def counted(x1, x2):
+        read.append((x1, x2))
+        return x1, x2
+
+    monkeypatch.setattr(lattice, "_normalize_sign", counted)
+    with pytest.raises(TooLarge, match="would read 10000000000 rows"):
+        enumerate_gauge_ball(congruence_lattice(10**4, 1, 1), F(1, 10**20), F(1))
+    assert read == []
+
+
+def test_enumerate_gauge_ball_row_guard_is_inclusive(monkeypatch):
+    # 10^4 rows x1 = s, of which every hundredth holds one point (s, 0).
+    # A guard of 10^4 rows answers; one below it refuses.
+    lat = congruence_lattice(100, 1, 1)
+    monkeypatch.setattr(lattice, "_ENUM_GUARD", 10**4)
+    ball = enumerate_gauge_ball(lat, F(1, 10**8), F(1))
+    assert ball == [(100 * s, 0) for s in range(1, 101)]
+    monkeypatch.setattr(lattice, "_ENUM_GUARD", 10**4 - 1)
+    with pytest.raises(TooLarge, match="would read 10000 rows"):
+        enumerate_gauge_ball(lat, F(1, 10**8), F(1))
 
 
 # --------------------------------------------------------- single steps

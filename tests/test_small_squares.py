@@ -334,6 +334,15 @@ def test_brute_force_small_square_refuses_what_the_construction_refuses():
                 route(3, 5, n_cap)
 
 
+def test_brute_force_small_square_refuses_past_the_guard_before_its_loop(monkeypatch):
+    # n_cap*(2*q2 + 1) pairs: about 2*10^12 here, against a guard of 10^8.
+    # The search calls mod_inverse after the guard, so a missing guard fails
+    # with a TypeError here instead of walking the pairs.
+    monkeypatch.setattr(small_squares, "mod_inverse", None)
+    with pytest.raises(TooLarge, match="^search would read 2000009000000 pairs$"):
+        brute_force_small_square(10**6 + 3, 10**6 + 4, 10**6)
+
+
 def test_construction_dominated_by_minimal():
     # The constructive witness can never beat the exhaustive minimizer.
     rng = random.Random(3)

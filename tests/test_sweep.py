@@ -287,6 +287,19 @@ def test_sweep_config_validation():
     assert SweepConfig(t=1000, families=("one_d", "one_d")).families == ("one_d",)
 
 
+def test_sweep_refuses_when_no_family_finds_a_candidate(capsys):
+    # Below the first prime the lower_bound family has no instance, so a
+    # sweep of that family alone has nothing to report.
+    with pytest.raises(DomainError, match="^no family produced a candidate$"):
+        sweep(SweepConfig(t=100, families=("lower_bound",)))
+    assert main(["sweep", "--t", "100", "--families", "lower_bound"]) == 2
+    captured = capsys.readouterr()
+    (rec,) = map(json.loads, captured.out.splitlines())
+    assert (rec["kind"], rec["error"], rec["message"]) == (
+        "Error", "DomainError", "no family produced a candidate"
+    )
+
+
 def test_sweep_config_refuses_no_family(capsys):
     # Refused when built, before any family runs: an empty list is not a sweep.
     with pytest.raises(DomainError, match="families must name at least one of"):
