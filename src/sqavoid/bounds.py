@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .arith import DomainError, squarefree_kernel
 from .formats import Record
@@ -60,7 +60,7 @@ def one_d_bound(q: int, t: int) -> int:
     return min(t // q, squarefree_kernel(q) - 1)
 
 
-@functools.total_ordering  # by (a, b), as `exponent_surface` walks them
+@functools.total_ordering  # by (a, b), as `exponent_supremum` returns them
 class ExponentPoint(Record):
     """Normalized step sizes (a, b) = (log_T q1, log_T q2), 0 <= a <= b <= 1."""
 
@@ -173,22 +173,16 @@ def _boundary_vertices() -> set[ExponentPoint]:
 
 
 def _surface_points(r: int) -> Iterator[ExponentPoint]:
-    """The grid {(i/r, j/r) : i <= j} and the boundary vertices off it, by
-    (a, b); (1, 1), the last grid point, comes after every vertex."""
-    pending = sorted(v for v in _boundary_vertices() if not v.on_grid(r))
-    for i in range(r + 1):
-        for j in range(i, r + 1):
-            p = ExponentPoint(F(i, r), F(j, r))
-            while pending and pending[0] < p:
-                yield pending.pop(0)
-            yield p
+    """The grid {(i/r, j/r) : i <= j} by (a, b), then the boundary vertices off it."""
+    grid = (ExponentPoint(F(i, r), F(j, r)) for i in range(r + 1) for j in range(i, r + 1))
+    return chain(grid, (v for v in _boundary_vertices() if not v.on_grid(r)))
 
 
 def exponent_surface(
     resolution: int, *, b_max: Fraction | None = None, component: str = "overall"
 ) -> Iterator[tuple[ExponentPoint, Fraction, str]]:
-    """(point, value, label) of `CaseReport.component` at each point of the
-    grid {(i/r, j/r)} and each boundary vertex with b <= b_max, by (a, b).
+    """(point, value, label) of `CaseReport.component` at each point with
+    b <= b_max: the grid {(i/r, j/r)} by (a, b), then the boundary vertices.
     `resolution` runs 1..MAX_GRID.  The arguments are checked on the call;
     the points are then made and evaluated lazily, each once."""
     if resolution < 1:
@@ -235,4 +229,5 @@ def exponent_supremum(
     inequalities it meets, so a neighbouring piece with a strict edge there
     counts only if it reaches its peak at a vertex it contains.
     """
-    return surface_supremum(exponent_surface(resolution, b_max=b_max, component=component))
+    sup, points = surface_supremum(exponent_surface(resolution, b_max=b_max, component=component))
+    return sup, sorted(points)

@@ -147,7 +147,7 @@ def box_minima(
     vectors independent of u).  Attainers are sign-normalized and chosen by
     the deterministic key (g^2, |x1|, |x2|, sign of x2), in two streaming
     passes of constant memory.  Raises TooLarge before it starts when the
-    search would read 10^7 rows or more.
+    search would read more rows than `enumerate_gauge_ball` replays.
     """
     u_ratio = F(u_ratio)
     if u_ratio <= 0:
@@ -160,8 +160,9 @@ def box_minima(
     )  # >= scaled lambda2^2, so every minima attainer lies below it
 
     # Row s >= 1 (x1 = s*h11) can hold a candidate only if (s*h11*un)^2 <= cap.
+    # The replay's ball g^2 <= lambda2^2 spans no more rows, as cap >= lambda2^2.
     rows = isqrt(cap // (h11 * un) ** 2)
-    if rows >= 10_000_000:
+    if rows > _ENUM_GUARD:
         raise TooLarge(f"minima search would read {rows} rows of the lattice")
 
     def candidates():  # a sign-normalized vector has a unique key
@@ -216,13 +217,12 @@ def enumerate_gauge_ball(
         t_hi = (x2cap - s * h12) // h22
         if t_hi - t_lo > _ENUM_GUARD or len(out) > _ENUM_GUARD:
             raise TooLarge("gauge ball enumeration exceeds guard")
-        for t in range(t_lo, t_hi + 1):
+        # Row 0 from t = 1: no zero vector, and no -x beside x.
+        for t in range(1 if s == 0 else t_lo, t_hi + 1):
             p = _normalize_sign(s * h11, s * h12 + t * h22)
-            if p == (0, 0):
-                continue
             if max(p[0] ** 2 * un * un, p[1] ** 2 * ud * ud) <= bound_scaled:
                 out.append(p)
-    return sorted(set(out), key=lambda p: _candidate_key(*p, un, ud))
+    return sorted(out, key=lambda p: _candidate_key(*p, un, ud))
 
 
 # ---------------------------------------------------------- reduction step
@@ -388,12 +388,12 @@ def verify_reduction(step: ReductionStep, a: TwoDAP, t: int) -> ReductionVerdict
         lat = congruence_lattice(step.d, step.qt1, step.qt2)
         ball = enumerate_gauge_ball(lat, step.u_ratio, step.lam2_sq)
         un, ud = step.u_ratio.numerator, step.u_ratio.denominator
-        ok_min = bool(ball) and ball[0] == step.u
-        gsq = {p: F(max(p[0] ** 2 * un * un, p[1] ** 2 * ud * ud), un * ud) for p in ball}
-        ok_min &= all(g >= step.lam1_sq for g in gsq.values())
-        indep = [p for p in ball if step.u[0] * p[1] - step.u[1] * p[0] != 0]
-        ok_min &= bool(indep) and indep[0] == step.v
-        ok_min &= all(gsq[p] >= step.lam2_sq for p in indep)
+        # The ball is sorted by gauge first, so its first point and its first
+        # point independent of u, at the claimed gauges, are the two minima.
+        indep = (p for p in ball if step.u[0] * p[1] - step.u[1] * p[0] != 0)
+        ok_min = ball[:1] == [step.u] and next(indep, None) == step.v
+        ok_min &= _candidate_key(*step.u, un, ud)[0] == step.lam1_sq * un * ud
+        ok_min &= _candidate_key(*step.v, un, ud)[0] == step.lam2_sq * un * ud
         record("minima-certified", ok_min, f"ball={len(ball)}")
         prod = step.lam1_sq * step.lam2_sq
         record(

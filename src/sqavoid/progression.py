@@ -547,8 +547,8 @@ def brute_force_witness(
 
     Searches n^2 <= min(t, value bound) and applies the same tie-break as
     `find_square_witness` ((n, |x1|, sign of x1)).  Refuses t < 0 as the
-    routes do, a negative guard (DomainError), and boxes with more than
-    `guard` coefficient pairs (TooLarge), so guard = 0 refuses every box.
+    routes do, a guard outside 0..BRUTE_FORCE_GUARD (DomainError), and a box
+    of more than `guard` coefficient pairs (TooLarge): guard = 0 refuses all.
     Exact at any integer size.  Scans by rows (`_row_scan`), reading only
     the values whose residue modulo SQUARE_MODULUS = 720 a square can take; its
     memory is O(rows) beyond the kept table of at most SQUARE_TABLE_ROOTS
@@ -556,8 +556,8 @@ def brute_force_witness(
     """
     if t < 0:
         raise DomainError(f"ambient bound must be non-negative, got {t}")
-    if guard < 0:
-        raise DomainError(f"guard must be non-negative, got {guard}")
+    if not 0 <= guard <= BRUTE_FORCE_GUARD:
+        raise DomainError(f"guard must be in 0..{BRUTE_FORCE_GUARD}, got {guard}")
     pairs = cardinality(a)
     if pairs > guard:
         raise TooLarge(f"box has {pairs} pairs, guard is {guard}")

@@ -637,6 +637,15 @@ def test_negative_guard_exits_two(capsys):
     assert (code, recs[0]["kind"], recs[0]["brute_force"]) == (1, "Witness", "skipped-guard")
 
 
+def test_guard_past_the_oracle_limit_exits_two(capsys):
+    box = ["--q1", "3", "--q2", "5", "--x1", "2", "--x2", "2", "--t", "25"]
+    code, recs, _ = run(capsys, "verify", *box, "--guard", "1000000000000")
+    assert (code, len(recs)) == (2, 1)
+    assert (recs[0]["kind"], recs[0]["error"]) == ("Error", "DomainError")
+    code, recs, _ = run(capsys, "verify", *box, "--guard", str(progression.BRUTE_FORCE_GUARD))
+    assert (code, recs[0]["kind"], recs[0]["brute_force"]) == (1, "Witness", "agree")
+
+
 def test_lower_bound_box_past_10_9_is_certified(run_python):
     # p = 1,000,000,009: 21 rows, where the root walk alone would need about
     # 10^9 roots, past ROOT_WALK_LIMIT.

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import textwrap
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -279,11 +280,9 @@ def test_enumerate_gauge_ball_refuses_what_box_minima_refuses():
             box_minima(lat, u_ratio)
 
 
-def test_box_minima_refuses_ten_million_rows_before_reading_one(monkeypatch):
-    # Rows s >= 1 of the search are those with (s*h11*un)^2 <= cap.  The
-    # lattice Z^2 at U = 1/10^7 has cap = 10^14, so exactly 10^7 rows, the
-    # first count refused; U = 1/10^8 over the diagonal lattice mod 10^4
-    # asks for 10^8.
+@pytest.fixture
+def sign_reads(monkeypatch):
+    """The vectors the lattice code passes to `_normalize_sign`, as it reads them."""
     read = []
 
     def counted(x1, x2):
@@ -291,11 +290,32 @@ def test_box_minima_refuses_ten_million_rows_before_reading_one(monkeypatch):
         return x1, x2
 
     monkeypatch.setattr(lattice, "_normalize_sign", counted)
+    return read
+
+
+def test_box_minima_refuses_ten_million_rows_before_reading_one(sign_reads):
+    # Rows s >= 1 of the search are those with (s*h11*un)^2 <= cap.  The
+    # lattice Z^2 at U = 1/10^7 has cap = 10^14, so exactly 10^7 rows, past
+    # the 2*10^6 that the replay reads; U = 1/10^8 over the diagonal lattice
+    # mod 10^4 asks for 10^8.
     for lat, u_ratio, rows in ((congruence_lattice(1, 0, 1), F(1, 10**7), 10**7),
                                (congruence_lattice(10**4, 1, 1), F(1, 10**8), 10**8)):
         with pytest.raises(TooLarge, match=f"would read {rows} rows"):
             box_minima(lat, u_ratio)
-    assert read == []
+    assert sign_reads == []
+
+
+def test_box_minima_reads_no_more_rows_than_its_replay(monkeypatch, sign_reads):
+    # Z^2 at U = 1/10^4 has cap = 10^8, so exactly 10^4 rows: the search answers
+    # at a row limit of 10^4 and refuses one below it before it reads a row.
+    lat = congruence_lattice(1, 0, 1)
+    monkeypatch.setattr(lattice, "_ENUM_GUARD", 10**4)
+    assert box_minima(lat, F(1, 10**4)) == ((F(1, 10**4), (1, 0)), (F(10**4), (0, 1)))
+    sign_reads.clear()
+    monkeypatch.setattr(lattice, "_ENUM_GUARD", 10**4 - 1)
+    with pytest.raises(TooLarge, match="minima search would read 10000 rows"):
+        box_minima(lat, F(1, 10**4))
+    assert sign_reads == []
 
 
 def test_box_minima_holds_constant_memory():
@@ -310,19 +330,12 @@ def test_box_minima_holds_constant_memory():
     assert peak < 2**20
 
 
-def test_enumerate_gauge_ball_refuses_too_many_rows_before_reading_one(monkeypatch):
+def test_enumerate_gauge_ball_refuses_too_many_rows_before_reading_one(sign_reads):
     # At U = 1/10^20 the ball g^2 <= 1 spans rows |x1| <= 10^10 of a lattice
     # with h11 = 1: refused at once, though it holds only 10^6 points.
-    read = []
-
-    def counted(x1, x2):
-        read.append((x1, x2))
-        return x1, x2
-
-    monkeypatch.setattr(lattice, "_normalize_sign", counted)
     with pytest.raises(TooLarge, match="would read 10000000000 rows"):
         enumerate_gauge_ball(congruence_lattice(10**4, 1, 1), F(1, 10**20), F(1))
-    assert read == []
+    assert sign_reads == []
 
 
 def test_enumerate_gauge_ball_row_guard_is_inclusive(monkeypatch):
@@ -421,6 +434,37 @@ def test_verify_reduction_skips_the_square_transfer_past_the_brute_force_guard()
     verdict = verify_reduction(step, a, 10**10)
     assert step.mode == "lattice" and verdict.ok, verdict.checks
     assert verdict.checks[-1] == ("square-transfer", True, "box beyond brute-force guard; skipped")
+
+
+_FORGED_MINIMUM = textwrap.dedent(
+    """
+    import sys
+    from fractions import Fraction
+
+    from forge import forge
+    from sqavoid.lattice import reduce_box, verify_reduction
+    from sqavoid.progression import TwoDAP
+
+    if sys.flags.optimize != int(sys.argv[1]):
+        sys.exit(f"expected optimize flag {sys.argv[1]}, got {sys.flags.optimize}")
+
+    # lambda1^2 is 50.  Claimed as 25, with the radii that 25 gives, every
+    # gauge in the ball still lies above the claims.
+    a = TwoDAP(100, 150, 500, 40)
+    step = reduce_box(a.q1, a.q2, a.x1bound, a.x2bound, 10**8).step
+    forged = forge(step, lam1_sq=Fraction(25), xt1_sq=Fraction(200), xt1_floor=14)
+    for s, want in ((step, []), (forged, ["minima-certified"])):
+        failed = [name for name, ok, _ in verify_reduction(s, a, 10**8).checks if not ok]
+        if failed != want:
+            sys.exit(f"failed checks {failed} on {s}")
+    """
+)
+
+
+def test_a_forged_first_minimum_fails_its_certificate(run_python):
+    for flags in (["-O"], []):
+        proc = run_python(*flags, "-c", _FORGED_MINIMUM, str(len(flags)))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_verify_reduction_random_instances():
@@ -578,6 +622,15 @@ def test_reduce_box_terminal_reasons():
 def test_reduce_box_refuses_a_negative_bound():
     with pytest.raises(DomainError, match="ambient bound must be non-negative, got -1"):
         reduce_box(12, 20, 9, 9, -1)
+
+
+def test_reduce_box_refuses_a_step_its_replay_would_refuse(sign_reads):
+    # d = 5000003 on the square box: the minima search would read 2,500,002
+    # rows, past what `enumerate_gauge_ball` replays.  Refused before a row.
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="minima search would read 2500002 rows"):
+        reduce_box(5000003, 5000003, 1, 1, 10**14)
+    assert time.perf_counter() - start < 1 and sign_reads == []
 
 
 def test_reduce_box_step_replay():

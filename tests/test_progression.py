@@ -651,6 +651,18 @@ def test_brute_force_refuses_a_negative_guard():
     assert brute_force_witness(a, 25, guard=cardinality(a)) == SquareWitness(2, -1, 1)
 
 
+def test_brute_force_refuses_a_guard_past_its_own_limit():
+    # The guard can lower the oracle's limit, never lift it, so a box of
+    # 242,000,121 pairs is refused whatever guard the caller names.
+    limit = progression.BRUTE_FORCE_GUARD
+    for a in (TwoDAP(3, 5, 2, 2), TwoDAP(7, 1000003, 10**6, 60)):
+        for guard in (limit + 1, 10**12):
+            with pytest.raises(DomainError, match=f"guard must be in 0..{limit}, got {guard}"):
+                brute_force_witness(a, 10**14, guard=guard)
+    with pytest.raises(TooLarge, match="box has 242000121 pairs"):
+        brute_force_witness(TwoDAP(7, 1000003, 10**6, 60), 10**14, guard=limit)
+
+
 def _code_reached(*fns) -> dict[types.CodeType, types.FunctionType]:
     """The code of the functions and of every sqavoid function they name, at
     any depth, and the comprehensions inside them, each with its function."""
