@@ -22,11 +22,12 @@ giving a smaller progression with ambient bound T/d^2.  `reduce_box`
 returns a `Reduction` whose `.step` is that step (or a divide-out, for a
 small d), or None when the box admits no step.
 
-All gauge comparisons are decided on the squared, denominator-cleared
-side: with U = un/ud, the integer quantity max(x1^2*un^2, x2^2*ud^2)
-equals un*ud*g(x)^2, so verdicts never touch irrational numbers.  The
-second Minkowski theorem pins d/2 <= lambda1*lambda2 <= d exactly (the
-gauge ball has volume 4), which is checked on every computation.
+All gauge comparisons are decided on integers: with U = un/ud, the norm
+N(x) = max(|x1|*un, |x2|*ud) has N(x)^2 = un*ud*g(x)^2.  `box_minima`
+applies to N the generalised Gauss reduction of Kaib and Schnorr (J.
+Algorithms 21, 1996).  The second Minkowski theorem pins
+d/2 <= lambda1*lambda2 <= d exactly (the gauge ball has volume 4), which
+is checked on every computation.
 """
 
 from __future__ import annotations
@@ -109,32 +110,22 @@ def _normalize_sign(x1: int, x2: int) -> tuple[int, int]:
     return x1, x2
 
 
+def _norm(x: tuple[int, int], un: int, ud: int) -> int:
+    """N(x) = max(|x1|*un, |x2|*ud), an integer with N(x)^2 = un*ud*g(x)^2."""
+    return max(abs(x[0]) * un, abs(x[1]) * ud)
+
+
 def _candidate_key(x1: int, x2: int, un: int, ud: int) -> tuple:
-    gsq = max(x1 * x1 * un * un, x2 * x2 * ud * ud)
-    return (gsq, abs(x1), abs(x2), x2 < 0)
+    return (_norm((x1, x2), un, ud) ** 2, abs(x1), abs(x2), x2 < 0)
 
 
-def _gauss_reduce(
-    rows: tuple[tuple[int, int], tuple[int, int]], un: int, ud: int
-) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Lagrange reduction under the quadratic form un^2*x1^2 + ud^2*x2^2."""
-
-    def q(v):
-        return un * un * v[0] * v[0] + ud * ud * v[1] * v[1]
-
-    def ip(v, w):
-        return un * un * v[0] * w[0] + ud * ud * v[1] * w[1]
-
-    b1, b2 = rows
-    if q(b1) > q(b2):
-        b1, b2 = b2, b1
-    while True:
-        mu = round(F(ip(b1, b2), q(b1)))
-        b2 = (b2[0] - mu * b1[0], b2[1] - mu * b1[1])
-        if q(b2) < q(b1):
-            b1, b2 = b2, b1
-        else:
-            return b1, b2
+def _is_reduced_basis(lat: Lattice2, u: tuple[int, int], v: tuple[int, int], un: int, ud: int) -> bool:
+    """u, v is a basis of lat with N(u) <= N(v) <= N(v +- u), so N(u) and N(v) are the minima."""
+    sums = ((v[0] + s * u[0], v[1] + s * u[1]) for s in (1, -1))
+    return (
+        lat.contains(*u) and lat.contains(*v) and abs(u[0] * v[1] - u[1] * v[0]) == lat.d
+        and _norm(u, un, ud) <= _norm(v, un, ud) <= min(_norm(w, un, ud) for w in sums)
+    )
 
 
 def box_minima(
@@ -142,47 +133,79 @@ def box_minima(
 ) -> tuple[tuple[Fraction, tuple[int, int]], tuple[Fraction, tuple[int, int]]]:
     """Successive minima of the U-scaled box gauge over lat, with attainers.
 
-    Returns ((lambda1^2, u), (lambda2^2, v)): the squared gauges are exact
-    rationals, u attains the first minimum, and v the second (minimal over
-    vectors independent of u).  Attainers are sign-normalized and chosen by
-    the deterministic key (g^2, |x1|, |x2|, sign of x2), in two streaming
-    passes of constant memory.  Raises TooLarge before it starts when the
-    search would read more rows than `enumerate_gauge_ball` replays.
+    Returns ((lambda1^2, u), (lambda2^2, v)): exact squared gauges, u attaining
+    the first minimum and v the second (least over vectors independent of u),
+    sign-normalized and chosen by the key (g^2, |x1|, |x2|, sign of x2).
+
+    The generalised Gauss reduction in N (Kaib and Schnorr, "The Generalized
+    Gauss Reduction Algorithm", J. Algorithms 21, 1996) replaces b by the
+    b - mu*a of least N, mu the floor or ceiling of a kink of the convex
+    N(b - t*a) (t = b_i/a_i or (b1*un -+ b2*ud)/(a1*un -+ a2*ud)), and swaps
+    while N(b) < N(a).  Then N(a) <= N(b) <= N(b + k*a) for all integers k,
+    so phi(t) = N(b + t*a), convex and N(a)-Lipschitz, is >= N(b) - N(a)/2:
+
+        N(m*a + n*b) = |n|*phi(m/n) >= |n|*(N(b) - N(a)/2) >= |n|*N(b)/2,
+
+    and lambda1 = N(a), lambda2 = N(b).  An attainer x = m*a + n*b of lambda1
+    has |n| <= 2 by this bound (and lambda1 = lambda2 if n != 0), and |m| <= 2:
+    if |n| = 1, |m|*lambda1 <= N(x) + N(b) = 2*lambda1; if |n| = 2, m is odd,
+    phi(m/2) = lambda1/2 and phi(0) = lambda1, so by convexity no integer lies
+    strictly between 0 and m/2.  u is primitive, so u and v0 = b or a form a
+    basis; the bound for it leaves the attainers k*u + n*v0 of lambda2 with n
+    in {1, 2} after sign normalization.  For each n, the k with N <= lambda2
+    form an interval, all at N = lambda2, where |k*u_i + n*v0_i| is least at
+    the clamped floor or ceiling of -n*v0_i/u_i (for u_1 != 0 that decides
+    |x1|, else |x1| is constant): v is the least key at those points.
+
+    Raises VerificationFailed, also under python -O, unless (u, v) is a
+    reduced basis of lat (`_is_reduced_basis`) in Minkowski's window.
     """
     u_ratio = F(u_ratio)
     if u_ratio <= 0:
         raise DomainError(f"aspect ratio must be positive, got {u_ratio}")
     un, ud = u_ratio.numerator, u_ratio.denominator
-    (h11, h12), (_, h22) = lat.rows
-    b1, b2 = _gauss_reduce(lat.rows, un, ud)
-    cap = max(
-        _candidate_key(*b1, un, ud)[0], _candidate_key(*b2, un, ud)[0]
-    )  # >= scaled lambda2^2, so every minima attainer lies below it
 
-    # Row s >= 1 (x1 = s*h11) can hold a candidate only if (s*h11*un)^2 <= cap.
-    # The replay's ball g^2 <= lambda2^2 spans no more rows, as cap >= lambda2^2.
-    rows = isqrt(cap // (h11 * un) ** 2)
-    if rows > _ENUM_GUARD:
-        raise TooLarge(f"minima search would read {rows} rows of the lattice")
+    def norm(x):
+        return _norm(x, un, ud)
 
-    def candidates():  # a sign-normalized vector has a unique key
-        yield _candidate_key(0, h22, un, ud), (0, h22)
-        for s in range(1, rows + 1):
-            t0 = (-s * h12) // h22
-            for t in (t0 - 1, t0, t0 + 1, t0 + 2):
-                p = _normalize_sign(s * h11, s * h12 + t * h22)
-                yield _candidate_key(*p, un, ud), p
+    def comb(m, x, n, y):
+        return (m * x[0] + n * y[0], m * x[1] + n * y[1])
 
-    key1, u = min(candidates())
-    indep = ((key, p) for key, p in candidates() if u[0] * p[1] - u[1] * p[0] != 0)
-    key2, v = min(indep, default=(None, None))
-    if v is None:
-        raise VerificationFailed(f"no candidate independent of {u}: lattice must contain 2 minima")
-    scale = un * ud
-    lam1_sq, lam2_sq = F(key1[0], scale), F(key2[0], scale)
+    def least(vectors):
+        return min((_candidate_key(*p, un, ud), p) for p in (_normalize_sign(*x) for x in vectors))
+
+    a, b = sorted(lat.rows, key=norm)
+    while True:  # N(a) falls at each swap
+        (a1, a2), (b1, b2) = a, b
+        kinks = ((b1, a1), (b2, a2), (b1 * un - b2 * ud, a1 * un - a2 * ud),
+                 (b1 * un + b2 * ud, a1 * un + a2 * ud))
+        b = min((comb(1, b, -mu, a) for p, q in kinks if q for mu in (p // q, -(-p // q))), key=norm)
+        if norm(b) >= norm(a):
+            break
+        a, b = b, a
+
+    key1, u = least(comb(m, a, n, b) for m in range(-2, 3) for n in range(-2, 3) if m or n)
+    v0 = b if abs(u[0] * b[1] - u[1] * b[0]) == lat.d else a
+
+    def attainers(n):
+        lo, hi, turns = [], [], []
+        for ui, ci, w in ((u[0], n * v0[0], un), (u[1], n * v0[1], ud)):
+            ui, ci, r = abs(ui), ci if ui > 0 else -ci, norm(b) // w  # |k*ui + ci| <= r
+            if ui:
+                lo.append(-((r + ci) // ui))
+                hi.append((r - ci) // ui)
+                turns += [-ci // ui, -(ci // ui)]
+            elif abs(ci) > r:
+                return []
+        k0, k1 = max(lo), min(hi)
+        return [comb(k, u, n, v0) for k in {min(max(t, k0), k1) for t in turns} if k0 <= k1]
+
+    key2, v = least(attainers(1) + attainers(2))
+    lam1_sq, lam2_sq = F(key1[0], un * ud), F(key2[0], un * ud)
+    if not _is_reduced_basis(lat, u, v, un, ud):
+        raise VerificationFailed(f"minima attainers {u}, {v} are not a reduced basis of the lattice")
     # Second Minkowski theorem for the volume-4 gauge ball, both sides.
-    prod_sq = lam1_sq * lam2_sq
-    if not lat.d * lat.d <= 4 * prod_sq <= 4 * lat.d * lat.d:
+    if not lat.d * lat.d <= 4 * lam1_sq * lam2_sq <= 4 * lat.d * lat.d:
         raise VerificationFailed(
             f"minima {lam1_sq}, {lam2_sq} break Minkowski's window for d = {lat.d}"
         )
@@ -220,7 +243,7 @@ def enumerate_gauge_ball(
         # Row 0 from t = 1: no zero vector, and no -x beside x.
         for t in range(1 if s == 0 else t_lo, t_hi + 1):
             p = _normalize_sign(s * h11, s * h12 + t * h22)
-            if max(p[0] ** 2 * un * un, p[1] ** 2 * ud * ud) <= bound_scaled:
+            if _norm(p, un, ud) ** 2 <= bound_scaled:
                 out.append(p)
     return sorted(out, key=lambda p: _candidate_key(*p, un, ud))
 
@@ -355,8 +378,9 @@ class ReductionVerdict(Record):
 def verify_reduction(step: ReductionStep, a: TwoDAP, t: int) -> ReductionVerdict:
     """Independent replay of every claim a ReductionStep makes about a.
 
-    Checks structural consistency, re-certifies the minima by exhaustive
-    gauge-ball enumeration, confirms the Minkowski window, verifies the
+    Checks structural consistency, re-certifies the minima as a reduced
+    basis (and by exhaustive gauge-ball enumeration where the ball fits its
+    guard), confirms the Minkowski window, verifies the
     embedding of the whole derived box exactly (from its corners and its
     two axis ends), and confirms that properness and square-avoidance
     (within brute-force guards) transfer to the derived instance.
@@ -386,15 +410,22 @@ def verify_reduction(step: ReductionStep, a: TwoDAP, t: int) -> ReductionVerdict
 
     if step.mode == "lattice":
         lat = congruence_lattice(step.d, step.qt1, step.qt2)
-        ball = enumerate_gauge_ball(lat, step.u_ratio, step.lam2_sq)
         un, ud = step.u_ratio.numerator, step.u_ratio.denominator
-        # The ball is sorted by gauge first, so its first point and its first
-        # point independent of u, at the claimed gauges, are the two minima.
-        indep = (p for p in ball if step.u[0] * p[1] - step.u[1] * p[0] != 0)
-        ok_min = ball[:1] == [step.u] and next(indep, None) == step.v
-        ok_min &= _candidate_key(*step.u, un, ud)[0] == step.lam1_sq * un * ud
-        ok_min &= _candidate_key(*step.v, un, ud)[0] == step.lam2_sq * un * ud
-        record("minima-certified", ok_min, f"ball={len(ball)}")
+        # A reduced basis attains the minima at any size; the ball, sorted by
+        # gauge first, also pins the attainers: its first point, and its
+        # first point independent of that.
+        ok_min = _is_reduced_basis(lat, step.u, step.v, un, ud)
+        ok_min &= [_norm(w, un, ud) ** 2 for w in (step.u, step.v)] == [
+            step.lam1_sq * un * ud, step.lam2_sq * un * ud]
+        try:
+            ball = enumerate_gauge_ball(lat, step.u_ratio, step.lam2_sq)
+        except TooLarge:
+            detail = "ball beyond guard; replay skipped"
+        else:
+            indep = (p for p in ball if step.u[0] * p[1] - step.u[1] * p[0] != 0)
+            ok_min &= ball[:1] == [step.u] and next(indep, None) == step.v
+            detail = f"ball={len(ball)}"
+        record("minima-certified", ok_min, detail)
         prod = step.lam1_sq * step.lam2_sq
         record(
             "minkowski-window",

@@ -333,6 +333,26 @@ REDUCE_FROZEN = {
         "25,225/16,5,3,,,,,,,\n"
         "1,ReductionChain,,,,,,,,,,,,,,,,,,1,coprime,1,1,0,3,3460\n"
     ),
+    # A lattice step whose second minimum's gauge ball spans 2,500,002 rows:
+    # lam1^2 = 1 at u = (1, -1), lam2^2 = 2500002^2 at v = (2500001, 2500002).
+    ("5000003 5000003 1 1 100000000000000", "jsonl"): (
+        '{"d": "5000003", "index": "0", "kind": "ReductionStep", "lam1_sq": "1", '
+        '"lam2_sq": "6250010000004", "mode": "lattice", "p1": "0", "p2": "1", "qt1": "1", "qt2": "1", '
+        '"schema_version": "1", "swapped": "false", "u": "[\\"1\\", \\"-1\\"]", "u_ratio": "1", '
+        '"v": "[\\"2500001\\", \\"2500002\\"]", "xt1_floor": "0", "xt1_sq": "1/4", "xt2_floor": "0", '
+        '"xt2_sq": "1/25000040000016"}\n'
+        '{"final_q1": "1", "final_q2": "1", "final_t": "3", "final_x1bound": "0", '
+        '"final_x2bound": "0", "kind": "ReductionChain", "schema_version": "1", "steps": "1", '
+        '"termination": "coprime"}\n'
+    ),
+    ("5000003 5000003 1 1 100000000000000", "csv"): (
+        "schema_version,kind,index,mode,swapped,d,qt1,qt2,u_ratio,lam1_sq,lam2_sq,u,v,p1,p2,"
+        "xt1_sq,xt2_sq,xt1_floor,xt2_floor,steps,termination,final_q1,final_q2,final_x1bound,"
+        "final_x2bound,final_t\n"
+        '1,ReductionStep,0,lattice,false,5000003,1,1,1,1,6250010000004,"[""1"", ""-1""]",'
+        '"[""2500001"", ""2500002""]",0,1,1/4,1/25000040000016,0,0,,,,,,,\n'
+        "1,ReductionChain,,,,,,,,,,,,,,,,,,1,coprime,1,1,0,0,3\n"
+    ),
     # No step: coprime steps leave nothing to reduce.
     ("3 5 9 9 10000", "jsonl"): (
         '{"final_q1": "3", "final_q2": "5", "final_t": "10000", "final_x1bound": "9", '
@@ -346,7 +366,7 @@ REDUCE_FROZEN = {
 }
 
 
-@pytest.mark.parametrize("box, fmt", sorted(REDUCE_FROZEN), ids="-".join)
+@pytest.mark.parametrize("box, fmt", sorted(REDUCE_FROZEN), ids=str)
 def test_reduce_frozen_bytes(capsys, box, fmt):
     # The whole stdout, so the CSV column order (first-seen keys) is pinned too.
     q1, q2, x1, x2, t = box.split()

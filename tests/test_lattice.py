@@ -293,33 +293,71 @@ def sign_reads(monkeypatch):
     return read
 
 
-def test_box_minima_refuses_ten_million_rows_before_reading_one(sign_reads):
-    # Rows s >= 1 of the search are those with (s*h11*un)^2 <= cap.  The
-    # lattice Z^2 at U = 1/10^7 has cap = 10^14, so exactly 10^7 rows, past
-    # the 2*10^6 that the replay reads; U = 1/10^8 over the diagonal lattice
-    # mod 10^4 asks for 10^8.
-    for lat, u_ratio, rows in ((congruence_lattice(1, 0, 1), F(1, 10**7), 10**7),
-                               (congruence_lattice(10**4, 1, 1), F(1, 10**8), 10**8)):
-        with pytest.raises(TooLarge, match=f"would read {rows} rows"):
-            box_minima(lat, u_ratio)
-    assert sign_reads == []
+def test_box_minima_answers_ten_million_rows_at_once(monkeypatch):
+    # Z^2 at U = 1/10^7 and the diagonal lattice mod 10^4 at U = 1/10^8 span
+    # 10^7 and 10^8 rows of the gauge ball that holds their second minimum.
+    # The reduction reads a few dozen vectors for each.
+    sign_reads, normalize = [], lattice._normalize_sign
+    monkeypatch.setattr(lattice, "_normalize_sign", lambda *x: sign_reads.append(x) or normalize(*x))
+    assert box_minima(congruence_lattice(1, 0, 1), F(1, 10**7)) == (
+        (F(1, 10**7), (1, 0)), (F(10**7), (0, 1))
+    )
+    assert box_minima(congruence_lattice(10**4, 1, 1), F(1, 10**8)) == (
+        (F(1), (10**4, 0)), (F(10**8), (1, -1))
+    )
+    assert len(sign_reads) < 100
 
 
 def test_box_minima_reads_no_more_rows_than_its_replay(monkeypatch, sign_reads):
-    # Z^2 at U = 1/10^4 has cap = 10^8, so exactly 10^4 rows: the search answers
-    # at a row limit of 10^4 and refuses one below it before it reads a row.
+    # Z^2 at U = 1/10^4: the ball g^2 <= lambda2^2 = 10^4 spans 10^4 rows.
+    # With the replay's row limit one below that, the replay refuses the
+    # ball before it reads a row, and the search answers from a few dozen
+    # vectors.
     lat = congruence_lattice(1, 0, 1)
-    monkeypatch.setattr(lattice, "_ENUM_GUARD", 10**4)
-    assert box_minima(lat, F(1, 10**4)) == ((F(1, 10**4), (1, 0)), (F(10**4), (0, 1)))
-    sign_reads.clear()
     monkeypatch.setattr(lattice, "_ENUM_GUARD", 10**4 - 1)
-    with pytest.raises(TooLarge, match="minima search would read 10000 rows"):
-        box_minima(lat, F(1, 10**4))
+    with pytest.raises(TooLarge, match="would read 10000 rows"):
+        enumerate_gauge_ball(lat, F(1, 10**4), F(10**4))
     assert sign_reads == []
+    (lam1_sq, _), (lam2_sq, _) = box_minima(lat, F(1, 10**4))
+    assert (lam1_sq, lam2_sq) == (F(1, 10**4), F(10**4)) and 0 < len(sign_reads) < 100
+
+
+def _equal_minima_lattices():
+    """(d, qt1, qt2, U, True) with lambda1 = lambda2: a lattice closed under the
+    quarter turn (x1, x2) -> (-x2, x1) at U = 1, where x2 = r*x1 (mod d)
+    and r^2 = -1 (mod d), or d*Z x Z (or its transpose) at U = 1/d (or d),
+    whose minima are attained by (0, 1), (d, 0) and (d, +-1) alike."""
+    turn = st.sampled_from([(d, r) for d in range(2, 120) for r in range(d) if (r * r + 1) % d == 0])
+    return st.one_of(
+        turn.map(lambda dr: (dr[0], -dr[1] % dr[0], 1, F(1), True)),
+        st.integers(2, 300).flatmap(
+            lambda d: st.sampled_from([(d, 1, 0, F(1, d), True), (d, 0, 1, F(d), True)])
+        ),
+    )
+
+
+@st.composite
+def _skewed_lattices(draw):
+    """(d, qt1, qt2, U, False): small d, U's numerator or denominator up to 300 over up to 5."""
+    d = draw(st.integers(1, 12))
+    qt1, qt2 = draw(st.integers(0, 2 * d)), draw(st.integers(0, 2 * d))
+    assume(math.gcd(qt1, qt2, d) == 1)
+    far, near = draw(st.integers(1, 300)), draw(st.integers(1, 5))
+    return d, qt1, qt2, F(far, near) if draw(st.booleans()) else F(near, far), False
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=st.one_of(_skewed_lattices(), _equal_minima_lattices()))
+def test_box_minima_against_oracle_hypothesis(case):
+    d, qt1, qt2, u_ratio, equal_minima = case
+    got = box_minima(congruence_lattice(d, qt1, qt2), u_ratio)
+    assert got == oracle_minima(d, qt1, qt2, u_ratio)
+    assert got[0][0] == got[1][0] or not equal_minima
 
 
 def test_box_minima_holds_constant_memory():
-    # 10^4 rows and 4*10^4 candidates: a list of them would take about 10 MiB.
+    # The ball of lambda2 holds 30,001 sign-normalized points on 10^4 + 1 rows:
+    # a list of them would take several MiB.
     tracemalloc.start()
     try:
         (lam1_sq, u), (lam2_sq, v) = box_minima(congruence_lattice(1, 0, 1), F(1, 10**4))
@@ -464,6 +502,51 @@ _FORGED_MINIMUM = textwrap.dedent(
 def test_a_forged_first_minimum_fails_its_certificate(run_python):
     for flags in (["-O"], []):
         proc = run_python(*flags, "-c", _FORGED_MINIMUM, str(len(flags)))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+_FORGED_PAST_GUARD = textwrap.dedent(
+    """
+    import sys
+    from fractions import Fraction
+
+    from forge import forge
+    from sqavoid.lattice import reduce_box, verify_reduction
+    from sqavoid.progression import TwoDAP
+
+    if sys.flags.optimize != int(sys.argv[1]):
+        sys.exit(f"expected optimize flag {sys.argv[1]}, got {sys.flags.optimize}")
+
+    # The ball of lambda2 spans 2,500,002 rows, so no replay runs: the
+    # reduced-basis test alone must catch each forgery.  The radii and p2
+    # are forged to match, so no other check fails.
+    a = TwoDAP(5000003, 5000003, 1, 1)
+    step = reduce_box(a.q1, a.q2, a.x1bound, a.x2bound, 10**14).step
+    lam2_sq = Fraction(2500003**2)  # longer than lambda2, inside Minkowski's window
+    (u1, u2), (v1, v2) = step.u, step.v
+
+    def forge_v(w):  # w on the lattice, its gauge claimed as lambda2
+        g_sq = Fraction(max(w) ** 2)
+        return forge(step, v=w, p2=(w[0] + w[1]) // step.d, lam2_sq=g_sq, xt2_sq=1 / (4 * g_sq))
+
+    forgeries = (
+        forge(step, lam2_sq=lam2_sq, xt2_sq=1 / (4 * lam2_sq)),
+        forge_v((2 * v1 + u1, 2 * v2 + u2)),  # (u, w) has determinant 2d
+        forge_v((v1 - u1, v2 - u2)),  # a basis, but N(w + u) < N(w)
+        forge_v((v1 + 2 * u1, v2 + 2 * u2)),  # a basis, but N(w - u) < N(w)
+    )
+    for s, want in ((step, []), *((f, ["minima-certified"]) for f in forgeries)):
+        checks = verify_reduction(s, a, 10**14).checks
+        failed = [name for name, ok, _ in checks if not ok]
+        if failed != want or ("minima-certified", not want, "ball beyond guard; replay skipped") not in checks:
+            sys.exit(f"checks {checks} on {s}")
+    """
+)
+
+
+def test_a_forged_minimum_past_the_ball_guard_fails_its_certificate(run_python):
+    for flags in (["-O"], []):
+        proc = run_python(*flags, "-c", _FORGED_PAST_GUARD, str(len(flags)))
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
@@ -624,13 +707,22 @@ def test_reduce_box_refuses_a_negative_bound():
         reduce_box(12, 20, 9, 9, -1)
 
 
-def test_reduce_box_refuses_a_step_its_replay_would_refuse(sign_reads):
-    # d = 5000003 on the square box: the minima search would read 2,500,002
-    # rows, past what `enumerate_gauge_ball` replays.  Refused before a row.
-    start = time.perf_counter()
-    with pytest.raises(TooLarge, match="minima search would read 2500002 rows"):
-        reduce_box(5000003, 5000003, 1, 1, 10**14)
-    assert time.perf_counter() - start < 1 and sign_reads == []
+def test_reduce_box_takes_a_step_past_its_replays_guard():
+    # d = 5000003 on the square box: the ball of the second minimum spans
+    # 2,500,002 rows, past what `enumerate_gauge_ball` replays.  The step is
+    # taken at once, and its certificate checks the reduced basis alone.
+    a = TwoDAP(5000003, 5000003, 1, 1)
+    took = []
+    for _ in range(3):
+        start = time.perf_counter()
+        step = reduce_box(a.q1, a.q2, a.x1bound, a.x2bound, 10**14).step
+        took.append(time.perf_counter() - start)
+    assert min(took) < 0.01
+    assert (step.u, step.v) == ((1, -1), (2500001, 2500002))
+    assert (step.lam1_sq, step.lam2_sq) == (F(1), F(2500002**2))
+    verdict = verify_reduction(step, a, 10**14)
+    assert verdict.ok, verdict.checks
+    assert ("minima-certified", True, "ball beyond guard; replay skipped") in verdict.checks
 
 
 def test_reduce_box_step_replay():
