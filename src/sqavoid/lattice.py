@@ -27,7 +27,7 @@ N(x) = max(|x1|*un, |x2|*ud) has N(x)^2 = un*ud*g(x)^2.  `box_minima`
 applies to N the generalised Gauss reduction of Kaib and Schnorr (J.
 Algorithms 21, 1996).  The second Minkowski theorem pins
 d/2 <= lambda1*lambda2 <= d exactly (the gauge ball has volume 4), which
-is checked on every computation.
+is checked on every step.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def box_minima(
     |x1|, else |x1| is constant): v is the least key at those points.
 
     Raises VerificationFailed, also under python -O, unless (u, v) is a
-    reduced basis of lat (`_is_reduced_basis`) in Minkowski's window.
+    reduced basis of lat (`_is_reduced_basis`).
     """
     u_ratio = F(u_ratio)
     if u_ratio <= 0:
@@ -201,15 +201,9 @@ def box_minima(
         return [comb(k, u, n, v0) for k in {min(max(t, k0), k1) for t in turns} if k0 <= k1]
 
     key2, v = least(attainers(1) + attainers(2))
-    lam1_sq, lam2_sq = F(key1[0], un * ud), F(key2[0], un * ud)
     if not _is_reduced_basis(lat, u, v, un, ud):
         raise VerificationFailed(f"minima attainers {u}, {v} are not a reduced basis of the lattice")
-    # Second Minkowski theorem for the volume-4 gauge ball, both sides.
-    if not lat.d * lat.d <= 4 * lam1_sq * lam2_sq <= 4 * lat.d * lat.d:
-        raise VerificationFailed(
-            f"minima {lam1_sq}, {lam2_sq} break Minkowski's window for d = {lat.d}"
-        )
-    return (lam1_sq, u), (lam2_sq, v)
+    return (F(key1[0], un * ud), u), (F(key2[0], un * ud), v)
 
 
 def enumerate_gauge_ball(
@@ -278,22 +272,41 @@ class ReductionStep(Record):
     xt2_floor: int
 
 
+def _frame(a: TwoDAP, swapped: bool) -> tuple[int, int, Fraction, Fraction]:
+    """The box's steps and radii (q1, q2, X1, X2), exchanged if swapped."""
+    q1, q2, x1b, x2b = a.q1, a.q2, F(a.x1bound), F(a.x2bound)
+    return (q2, q1, x2b, x1b) if swapped else (q1, q2, x1b, x2b)
+
+
 def _step(
-    mode: str, swapped: bool, d: int, qt1: int, qt2: int, u_ratio: Fraction,
-    lam1_sq: Fraction | None, lam2_sq: Fraction | None, u: tuple[int, int], v: tuple[int, int],
-    xt1_sq: Fraction, xt2_sq: Fraction,
+    mode: str, box: TwoDAP, swapped: bool, lam1_sq: Fraction | None, lam2_sq: Fraction | None,
+    u: tuple[int, int], v: tuple[int, int],
 ) -> ReductionStep:
-    """The step on basis u, v of L, with p_i = (u_i . qt)/d and
-    floor(Xt_i) = isqrt(floor(Xt_i^2)) derived here for both modes."""
-    p1, r1 = divmod(u[0] * qt1 + u[1] * qt2, d)
-    p2, r2 = divmod(v[0] * qt1 + v[1] * qt2, d)
-    if r1 != 0 or r2 != 0:
-        raise VerificationFailed(f"attainers {u}, {v} miss the congruence mod {d}")
-    return ReductionStep(
-        mode, swapped, d, qt1, qt2, u_ratio, lam1_sq, lam2_sq, u, v, p1, p2, xt1_sq, xt2_sq,
-        isqrt(xt1_sq.numerator // xt1_sq.denominator),
-        isqrt(xt2_sq.numerator // xt2_sq.denominator),
+    """The step on basis u, v of L for box, in its frame (swapped or not).
+
+    Derives d, qt, U, p_i = (u_i . qt)/d, Xt_i^2 and floor(Xt_i) =
+    isqrt(floor(Xt_i^2)) for both modes.  This is the one place a
+    ReductionStep is built, and it runs `_exact_checks` (every check of
+    `verify_reduction` but its two replays) on each step: a failed check
+    raises VerificationFailed, also under python -O, naming every check
+    that failed.
+    """
+    q1, q2, x1b, x2b = _frame(box, swapped)
+    d = math.gcd(q1, q2)
+    qt1, qt2 = q1 // d, q2 // d
+    if mode == "divide_out":
+        xt_sq = ((x1b / d) ** 2, (x2b / d) ** 2)
+    else:  # Xt_i^2 = (X1 * X2) / (4 * lambda_i^2), an exact rational.
+        xt_sq = (x1b * x2b / (4 * lam1_sq), x1b * x2b / (4 * lam2_sq))
+    step = ReductionStep(
+        mode, swapped, d, qt1, qt2, x2b / x1b, lam1_sq, lam2_sq, u, v,
+        *((w[0] * qt1 + w[1] * qt2) // d for w in (u, v)), *xt_sq,
+        *(isqrt(x.numerator // x.denominator) for x in xt_sq),
     )
+    failed = [name for name, ok, _ in _exact_checks(step, box) if not ok]
+    if failed:
+        raise VerificationFailed(f"{mode} step on attainers {u}, {v} mod {d} fails {', '.join(failed)}")
+    return step
 
 
 def reduce_step(
@@ -312,18 +325,10 @@ def reduce_step(
         raise DomainError(f"lattice step needs gcd >= 2, got {d}")
     if x1b < 1 or x2b < 1:
         raise DomainError("lattice step needs both radii >= 1")
-    swapped = x1b > x2b
-    if swapped:
-        q1, q2, x1b, x2b = q2, q1, x2b, x1b
-    qt1, qt2 = q1 // d, q2 // d
-    u_ratio = x2b / x1b
-    (lam1_sq, u), (lam2_sq, v) = box_minima(congruence_lattice(d, qt1, qt2), u_ratio)
-    # Xt_i^2 = (X1 * X2) / (4 * lambda_i^2), an exact rational.
-    area = x1b * x2b
-    return _step(
-        "lattice", swapped, d, qt1, qt2, u_ratio, lam1_sq, lam2_sq, u, v,
-        area / (4 * lam1_sq), area / (4 * lam2_sq),
-    )
+    box, swapped = TwoDAP(q1, q2, x1b, x2b), x1b > x2b
+    q1, q2, x1b, x2b = _frame(box, swapped)
+    (lam1_sq, u), (lam2_sq, v) = box_minima(congruence_lattice(d, q1 // d, q2 // d), x2b / x1b)
+    return _step("lattice", box, swapped, lam1_sq, lam2_sq, u, v)
 
 
 def divide_out_step(
@@ -337,10 +342,7 @@ def divide_out_step(
     if x1b < d or x2b < d:
         raise DomainError("divide-out needs both radii >= d")
     # The basis (d, 0), (0, d) gives p_i = qt_i and floor(Xt_i) = floor(X_i/d).
-    return _step(
-        "divide_out", False, d, q1 // d, q2 // d, x2b / x1b, None, None, (d, 0), (0, d),
-        (x1b / d) ** 2, (x2b / d) ** 2,
-    )
+    return _step("divide_out", TwoDAP(q1, q2, x1b, x2b), False, None, None, (d, 0), (0, d))
 
 
 def _exact_sqrt_fraction(x: Fraction) -> Fraction:
@@ -375,81 +377,62 @@ class ReductionVerdict(Record):
         return all(passed for _, passed, _ in self.checks)
 
 
-def verify_reduction(step: ReductionStep, a: TwoDAP, t: int) -> ReductionVerdict:
-    """Independent replay of every claim a ReductionStep makes about a.
-
-    Checks structural consistency, re-certifies the minima as a reduced
-    basis (and by exhaustive gauge-ball enumeration where the ball fits its
-    guard), confirms the Minkowski window, verifies the
-    embedding of the whole derived box exactly (from its corners and its
-    two axis ends), and confirms that properness and square-avoidance
-    (within brute-force guards) transfer to the derived instance.
-    Deterministic: no check samples.
+def _exact_checks(
+    step: ReductionStep, a: TwoDAP, replay: tuple[bool, str] = (True, "")
+) -> list[tuple[str, bool, str]]:
+    """The checks of `verify_reduction` that read only the step and the box
+    a, each exact and O(1) at any size: every check but the two replays.
+    The ball replay's verdict and detail, `replay`, are folded into
+    minima-certified.  `_step` runs these checks on every step it builds.
     """
     checks: list[tuple[str, bool, str]] = []
 
     def record(name: str, ok: bool, detail: str = "") -> None:
         checks.append((name, ok, detail))
 
-    d = math.gcd(a.q1, a.q2)
-    q1, q2, x1b, x2b = a.q1, a.q2, F(a.x1bound), F(a.x2bound)
-    if step.swapped:
-        q1, q2, x1b, x2b = q2, q1, x2b, x1b
+    q1, q2, x1b, x2b = _frame(a, step.swapped)
+    d = math.gcd(q1, q2)
+    (u1, u2), (v1, v2) = step.u, step.v
     record(
         "frame",
         x1b > 0 and d == step.d and (q1 // d, q2 // d) == (step.qt1, step.qt2)
         and step.u_ratio == x2b / x1b and d >= 2,
         f"d={d}",
     )
-    okc = (step.u[0] * step.qt1 + step.u[1] * step.qt2) % step.d == 0
-    okc &= (step.v[0] * step.qt1 + step.v[1] * step.qt2) % step.d == 0
-    okc &= step.u[0] * step.v[1] - step.u[1] * step.v[0] != 0
-    okc &= step.p1 * step.d == step.u[0] * step.qt1 + step.u[1] * step.qt2
-    okc &= step.p2 * step.d == step.v[0] * step.qt1 + step.v[1] * step.qt2
+    # Integers p_i with p_i*d = (u_i . qt) put u and v on L.
+    okc = u1 * v2 - u2 * v1 != 0
+    okc &= step.p1 * step.d == u1 * step.qt1 + u2 * step.qt2
+    okc &= step.p2 * step.d == v1 * step.qt1 + v2 * step.qt2
     record("attainers-in-lattice", okc)
 
     if step.mode == "lattice":
         lat = congruence_lattice(step.d, step.qt1, step.qt2)
         un, ud = step.u_ratio.numerator, step.u_ratio.denominator
-        # A reduced basis attains the minima at any size; the ball, sorted by
-        # gauge first, also pins the attainers: its first point, and its
-        # first point independent of that.
-        ok_min = _is_reduced_basis(lat, step.u, step.v, un, ud)
+        # A reduced basis attains the minima at any size, and confines the
+        # attainers of lambda2 independent of u (`box_minima`): m*u + v for m
+        # in an interval, along which |x1| and |x2| are convex, and if
+        # lambda1 = lambda2, m*u + n*v with |m| <= 2 for n = 1, |m| = 1 for
+        # n = 2.  So v has the least key of them if no neighbour below has a
+        # smaller one, and u has the least of all if its key is at most v's.
+        ok_min = replay[0] and _is_reduced_basis(lat, step.u, step.v, un, ud)
         ok_min &= [_norm(w, un, ud) ** 2 for w in (step.u, step.v)] == [
             step.lam1_sq * un * ud, step.lam2_sq * un * ud]
-        try:
-            ball = enumerate_gauge_ball(lat, step.u_ratio, step.lam2_sq)
-        except TooLarge:
-            detail = "ball beyond guard; replay skipped"
-        else:
-            indep = (p for p in ball if step.u[0] * p[1] - step.u[1] * p[0] != 0)
-            ok_min &= ball[:1] == [step.u] and next(indep, None) == step.v
-            detail = f"ball={len(ball)}"
-        record("minima-certified", ok_min, detail)
+        ok_min &= _normalize_sign(u1, u2) == step.u and _normalize_sign(v1, v2) == step.v
+        keys = [_candidate_key(*_normalize_sign(m * u1 + n * v1, m * u2 + n * v2), un, ud)
+                for m, n in ((1, 0), (0, 1), (1, 1), (-1, 1), (2, 1), (-2, 1), (1, 2), (-1, 2))]
+        ok_min &= keys[0] <= keys[1] <= min(keys[2:])
+        record("minima-certified", ok_min, replay[1])
         prod = step.lam1_sq * step.lam2_sq
-        record(
-            "minkowski-window",
-            4 * prod >= step.d**2 and prod <= step.d**2,
-            f"lam1^2*lam2^2={prod}",
-        )
-        record(
-            "radii-formula",
-            step.xt1_sq * 4 * step.lam1_sq == x1b * x2b
-            and step.xt2_sq * 4 * step.lam2_sq == x1b * x2b,
-        )
+        record("minkowski-window", 4 * prod >= step.d**2 and prod <= step.d**2, f"lam1^2*lam2^2={prod}")
+        record("radii-formula", step.xt1_sq * 4 * step.lam1_sq == x1b * x2b == step.xt2_sq * 4 * step.lam2_sq)
     else:
         record(
             "divide-out-shape",
-            step.u == (step.d, 0) and step.v == (0, step.d)
-            and (step.p1, step.p2) == (step.qt1, step.qt2)
-            and step.xt1_sq == (x1b / step.d) ** 2
-            and step.xt2_sq == (x2b / step.d) ** 2,
+            (step.u, step.v, step.p1, step.p2) == ((step.d, 0), (0, step.d), step.qt1, step.qt2)
+            and (step.xt1_sq, step.xt2_sq) == ((x1b / step.d) ** 2, (x2b / step.d) ** 2),
         )
-    ok_fl = (
-        step.xt1_floor**2 <= step.xt1_sq < (step.xt1_floor + 1) ** 2
-        and step.xt2_floor**2 <= step.xt2_sq < (step.xt2_floor + 1) ** 2
-    )
-    record("floors", ok_fl)
+    floors = ((step.xt1_floor, step.xt1_sq), (step.xt2_floor, step.xt2_sq))
+    record("floors", all(f**2 <= x < (f + 1) ** 2 for f, x in floors))
 
     # Embedding of every (a1, a2) in the derived box, y = a1*u + a2*v, exactly.
     # |y1| and |y2| are convex in (a1, a2), so they peak at a corner, where
@@ -457,31 +440,54 @@ def verify_reduction(step: ReductionStep, a: TwoDAP, t: int) -> ReductionVerdict
     # y1*q1 + y2*q2 = d^2*(a1*p1 + a2*p2) is linear and homogeneous in
     # (a1, a2), so it holds on the box iff it holds at (b1t, 0) and (0, b2t).
     b1t, b2t = step.xt1_floor, step.xt2_floor
-    (u1, u2), (v1, v2) = step.u, step.v
     ok_emb = b1t * abs(u1) + b2t * abs(v1) <= x1b and b1t * abs(u2) + b2t * abs(v2) <= x2b
     ok_emb &= b1t == 0 or u1 * q1 + u2 * q2 == step.d**2 * step.p1
     ok_emb &= b2t == 0 or v1 * q1 + v2 * q2 == step.d**2 * step.p2
     record("embedding", ok_emb)
 
-    derived = derived_instance(step)
     if is_proper(a):
-        record("properness-transfer", is_proper(derived))
+        record("properness-transfer", is_proper(derived_instance(step)))
     else:
         record("properness-transfer", True, "input improper; vacuous")
+    return checks
+
+
+def verify_reduction(step: ReductionStep, a: TwoDAP, t: int) -> ReductionVerdict:
+    """Independent replay of every claim a ReductionStep makes about a.
+
+    Replays the minima by exhaustive gauge-ball enumeration where the ball
+    fits its guard.  Then runs `_exact_checks`, with that replay folded into
+    minima-certified: structural consistency, the minima as a reduced basis
+    whose attainers carry the least keys, the Minkowski window, the
+    embedding of the whole derived box exactly (from its corners and its
+    two axis ends), and the transfer of properness.  Last, it replays the
+    transfer of square-avoidance by brute force, within its guard.  `_step`
+    has run the exact checks on every step the library builds; the two
+    replays run only here.  Deterministic: no check samples.
+    """
+    replay = (True, "")
+    if step.mode == "lattice":
+        # The ball, sorted by gauge first, also pins the attainers: its first
+        # point, and its first point independent of that.
+        try:
+            lat = congruence_lattice(step.d, step.qt1, step.qt2)
+            ball = enumerate_gauge_ball(lat, step.u_ratio, step.lam2_sq)
+        except TooLarge:
+            replay = (True, "ball beyond guard; replay skipped")
+        else:
+            indep = (p for p in ball if step.u[0] * p[1] - step.u[1] * p[0] != 0)
+            replay = (ball[:1] == [step.u] and next(indep, None) == step.v, f"ball={len(ball)}")
+    checks = _exact_checks(step, a, replay)
 
     try:
         w = brute_force_witness(a, t)
         if w is not None:
-            record("square-transfer", True, "input has a square; vacuous")
+            checks.append(("square-transfer", True, "input has a square; vacuous"))
         else:
-            wd = brute_force_witness(derived, t // (step.d**2))
-            record(
-                "square-transfer",
-                wd is None,
-                "" if wd is None else f"derived witness {wd}",
-            )
+            wd = brute_force_witness(derived_instance(step), t // (step.d**2))
+            checks.append(("square-transfer", wd is None, "" if wd is None else f"derived witness {wd}"))
     except TooLarge:
-        record("square-transfer", True, "box beyond brute-force guard; skipped")
+        checks.append(("square-transfer", True, "box beyond brute-force guard; skipped"))
 
     return ReductionVerdict(tuple(checks))
 

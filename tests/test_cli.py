@@ -203,6 +203,35 @@ def test_verify_exit_codes_under_python_O(run_python):
         assert (r["x1"], r["x2"], r["n"]) == (str(p), "0", str(p))
 
 
+_FORGED_REDUCE = """
+import sys
+from sqavoid import cli, lattice
+if sys.flags.optimize != int(sys.argv[1]):
+    sys.exit(f"expected optimize flag {sys.argv[1]}, got {sys.flags.optimize}")
+honest = lattice.box_minima
+
+def forged(lat, u_ratio):
+    # v + u = (2500002, 2500001) attains lambda2 too, with a larger key than v.
+    (lam1_sq, u), (lam2_sq, v) = honest(lat, u_ratio)
+    return (lam1_sq, u), (lam2_sq, (v[0] + u[0], v[1] + u[1]))
+
+lattice.box_minima = forged
+box = ["--q1", "5000003", "--q2", "5000003", "--x1", "1", "--x2", "1", "--t", str(10**14)]
+sys.exit(cli.main(["reduce", *box]))
+"""
+
+
+def test_reduce_exits_two_on_a_step_that_fails_its_certificate(run_python):
+    # The ball of lambda2 spans 2,500,002 rows, past the replay's guard: the
+    # step's exact checks, run as it is built, must refuse the forged v.
+    for flags in (["-O"], []):
+        proc = run_python(*flags, "-c", _FORGED_REDUCE, str(len(flags)))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        (rec,) = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert (rec["kind"], rec["error"]) == ("Error", "VerificationFailed"), rec
+        assert rec["message"].endswith("fails minima-certified"), rec
+
+
 def test_unexpected_exception_exits_two_not_one(capsys, monkeypatch):
     # Exit 1 means "witness found": an internal failure must never produce it.
     def overflow(args):

@@ -438,7 +438,18 @@ def test_divide_out_step_rejects_bad_input():
 def test_step_refuses_attainers_off_the_lattice(monkeypatch):
     # (1, 0) . (3, 5) = 3 is odd: not on L = {x : 3*x1 + 5*x2 = 0 (mod 2)}.
     monkeypatch.setattr(lattice, "box_minima", lambda lat, u_ratio: ((F(1), (1, 0)), (F(1), (1, 1))))
-    with pytest.raises(VerificationFailed, match=r"attainers \(1, 0\), \(1, 1\) miss the congruence mod 2"):
+    message = r"attainers \(1, 0\), \(1, 1\) mod 2 fails attainers-in-lattice"
+    with pytest.raises(VerificationFailed, match=message):
+        reduce_step(6, 10, 4, 4)
+
+
+def test_step_refuses_attainers_out_of_key_order(monkeypatch):
+    # On L = {x : x1 + x2 even} at U = 1, (1, 1) and (1, -1) both attain
+    # lambda1 = lambda2 = 1, and (1, 1) has the lesser key: in the other
+    # order they pass every check of the step but the keys of minima-certified.
+    monkeypatch.setattr(lattice, "box_minima", lambda lat, u_ratio: ((F(1), (1, -1)), (F(1), (1, 1))))
+    message = r"attainers \(1, -1\), \(1, 1\) mod 2 fails minima-certified$"
+    with pytest.raises(VerificationFailed, match=message):
         reduce_step(6, 10, 4, 4)
 
 
@@ -518,8 +529,8 @@ _FORGED_PAST_GUARD = textwrap.dedent(
         sys.exit(f"expected optimize flag {sys.argv[1]}, got {sys.flags.optimize}")
 
     # The ball of lambda2 spans 2,500,002 rows, so no replay runs: the
-    # reduced-basis test alone must catch each forgery.  The radii and p2
-    # are forged to match, so no other check fails.
+    # reduced-basis and least-key tests alone must catch each forgery.  The
+    # radii and p1 or p2 are forged to match, so no other check fails.
     a = TwoDAP(5000003, 5000003, 1, 1)
     step = reduce_box(a.q1, a.q2, a.x1bound, a.x2bound, 10**14).step
     lam2_sq = Fraction(2500003**2)  # longer than lambda2, inside Minkowski's window
@@ -534,6 +545,9 @@ _FORGED_PAST_GUARD = textwrap.dedent(
         forge_v((2 * v1 + u1, 2 * v2 + u2)),  # (u, w) has determinant 2d
         forge_v((v1 - u1, v2 - u2)),  # a basis, but N(w + u) < N(w)
         forge_v((v1 + 2 * u1, v2 + 2 * u2)),  # a basis, but N(w - u) < N(w)
+        forge(step, u=(-u1, -u2), p1=-step.p1),  # attains lambda1, not sign-normalized
+        forge(step, v=(-v1, -v2), p2=-step.p2),  # attains lambda2, not sign-normalized
+        forge_v((v1 + u1, v2 + u2)),  # attains lambda2, with a larger key than v
     )
     for s, want in ((step, []), *((f, ["minima-certified"]) for f in forgeries)):
         checks = verify_reduction(s, a, 10**14).checks

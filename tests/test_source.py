@@ -22,6 +22,25 @@ def test_no_bare_assert_in_the_package():
     assert not found, f"bare assert statements: {found}"
 
 
+def _calls_to(tree: ast.AST, name: str) -> list[ast.Call]:
+    """The calls in a tree to `name` or to an attribute of that name."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_a_reduction_step_is_built_only_where_it_is_checked():
+    # `lattice._step` runs the exact checks of a step's certificate on every
+    # step it builds; a ReductionStep built anywhere else could skip them.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.rglob("*.py")}
+    built = [(name, call.lineno) for name, tree in trees.items() for call in _calls_to(tree, "ReductionStep")]
+    step = next(node for node in trees["lattice.py"].body if getattr(node, "name", None) == "_step")
+    assert len(built) == 1 and built == [("lattice.py", call.lineno) for call in _calls_to(step, "ReductionStep")]
+
+
 def _exported(tree: ast.Module) -> set[str]:
     """The names a module lists in `__all__`, if it has one."""
     return {
