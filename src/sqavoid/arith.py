@@ -329,9 +329,8 @@ def _roots_mod_two_power(a: int, k: int) -> list[int]:
     a %= 1 << k
     if k == 1:
         return [1]
-    if k == 2:
-        return [1, 3]
-    # Lift a root from modulus 8 upward one bit at a time.
+    # Lift a root from modulus 8 upward one bit at a time; for k = 2 the
+    # four candidates below are 1 and 3, each twice.
     r = 1
     for j in range(3, k):
         if (r * r - a) % (1 << (j + 1)) != 0:

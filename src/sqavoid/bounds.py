@@ -30,7 +30,6 @@ regions.  `exponent_surface` walks that set once; `exponent_supremum` and
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import chain, combinations
@@ -60,7 +59,6 @@ def one_d_bound(q: int, t: int) -> int:
     return min(t // q, squarefree_kernel(q) - 1)
 
 
-@functools.total_ordering  # by (a, b), as `exponent_supremum` returns them
 class ExponentPoint(Record):
     """Normalized step sizes (a, b) = (log_T q1, log_T q2), 0 <= a <= b <= 1."""
 
@@ -72,11 +70,6 @@ class ExponentPoint(Record):
         object.__setattr__(self, "b", F(self.b))
         if not (0 <= self.a <= self.b <= 1):
             raise DomainError(f"need 0 <= a <= b <= 1, got ({self.a}, {self.b})")
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b) < (other.a, other.b)
 
     def on_grid(self, resolution: int) -> bool:
         """Whether a*resolution and b*resolution are both integers."""
@@ -114,6 +107,20 @@ _CONSTITUENTS = {
 }
 
 
+# Boundary lines of the linearity regions, as A*a + B*b = C.  The three
+# switches of `case_exponent` read their thresholds C from here by name.
+_BOUNDARY_LINES: dict[str, tuple[Fraction, Fraction, Fraction]] = {
+    "case-1 cutoff switch": (F(0), F(1), F(4, 7)),
+    "case-2 cutoff switch": (F(0), F(1), F(2, 3)),
+    "tuned-product crossover at b = 2/3": (F(1), F(0), F(16, 27)),
+    "window-compatibility boundary": (F(1), F(2), F(52, 27)),
+    "tuned product = double interval-cap": (F(9), F(4), F(8)),
+    "simplex edge a = b": (F(1), F(-1), F(0)),
+    "simplex edge a = 0": (F(1), F(0), F(0)),
+    "simplex edge b = 1": (F(0), F(1), F(1)),
+}
+
+
 def case_exponent(point: ExponentPoint) -> CaseReport:
     """Piecewise-linear exponent bound at (a, b); all arithmetic exact.
 
@@ -123,19 +130,19 @@ def case_exponent(point: ExponentPoint) -> CaseReport:
     """
     a, b = point.a, point.b
     # Case 1: X1 below the cutoff.
-    if b <= F(4, 7):
+    if b <= _BOUNDARY_LINES["case-1 cutoff switch"][2]:
         case1, lab1 = F(5, 7), "1A"
     else:
         case1, lab1 = 1 - b / 2, "1B"
     # Case 2: X2 below the cutoff.
-    if b >= F(2, 3):
+    if b >= _BOUNDARY_LINES["case-2 cutoff switch"][2]:
         t1 = 1 + a / 8 - b / 2
         t2 = 2 - a - b
         if t1 <= t2:
             case2, lab2 = t1, "2A1"
         else:
             case2, lab2 = t2, "2A2"
-    elif a + 2 * b <= F(52, 27):
+    elif a + 2 * b <= _BOUNDARY_LINES["window-compatibility boundary"][2]:
         case2, lab2 = F(20, 27), "2B1"
     else:
         case2, lab2 = 1 - a + b / 2, "2B2"
@@ -148,22 +155,9 @@ def case_exponent(point: ExponentPoint) -> CaseReport:
     )
 
 
-# Boundary lines of the linearity regions, as A*a + B*b = C.
-_BOUNDARY_LINES: tuple[tuple[Fraction, Fraction, Fraction], ...] = (
-    (F(0), F(1), F(4, 7)),   # cutoff switch of case 1
-    (F(0), F(1), F(2, 3)),   # cutoff switch of case 2
-    (F(1), F(0), F(16, 27)), # tuned-product crossover at b = 2/3
-    (F(1), F(2), F(52, 27)), # window-compatibility boundary
-    (F(9), F(4), F(8)),      # tuned product = double interval-cap
-    (F(1), F(-1), F(0)),     # simplex edge a = b
-    (F(1), F(0), F(0)),      # simplex edge a = 0
-    (F(0), F(1), F(1)),      # simplex edge b = 1
-)
-
-
 def _boundary_vertices() -> set[ExponentPoint]:
     pts = set()
-    for (a1, b1, c1), (a2, b2, c2) in combinations(_BOUNDARY_LINES, 2):
+    for (a1, b1, c1), (a2, b2, c2) in combinations(_BOUNDARY_LINES.values(), 2):
         det = a1 * b2 - a2 * b1
         if det != 0:
             a, b = (c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det
@@ -230,4 +224,4 @@ def exponent_supremum(
     counts only if it reaches its peak at a vertex it contains.
     """
     sup, points = surface_supremum(exponent_surface(resolution, b_max=b_max, component=component))
-    return sup, sorted(points)
+    return sup, sorted(points, key=lambda p: (p.a, p.b))

@@ -51,6 +51,8 @@ from .progression import (
 
 F = Fraction
 
+# `enumerate_gauge_ball`, the replay of the minima, reads at most this many
+# rows, and refuses a ball of more before it reads one.
 _ENUM_GUARD = 2_000_000
 # `reduce_box` divides a gcd up to this size straight out of both
 # steps (x_i = d*a_i) and takes a full lattice step for a larger gcd.
@@ -115,6 +117,14 @@ def _norm(x: tuple[int, int], un: int, ud: int) -> int:
     return max(abs(x[0]) * un, abs(x[1]) * ud)
 
 
+def _ratio_parts(u_ratio: Fraction) -> tuple[int, int]:
+    """(un, ud) with U = un/ud in lowest terms; refuses U <= 0 (DomainError)."""
+    u_ratio = F(u_ratio)
+    if u_ratio <= 0:
+        raise DomainError(f"aspect ratio must be positive, got {u_ratio}")
+    return u_ratio.numerator, u_ratio.denominator
+
+
 def _candidate_key(x1: int, x2: int, un: int, ud: int) -> tuple:
     return (_norm((x1, x2), un, ud) ** 2, abs(x1), abs(x2), x2 < 0)
 
@@ -160,10 +170,7 @@ def box_minima(
     Raises VerificationFailed, also under python -O, unless (u, v) is a
     reduced basis of lat (`_is_reduced_basis`).
     """
-    u_ratio = F(u_ratio)
-    if u_ratio <= 0:
-        raise DomainError(f"aspect ratio must be positive, got {u_ratio}")
-    un, ud = u_ratio.numerator, u_ratio.denominator
+    un, ud = _ratio_parts(u_ratio)
 
     def norm(x):
         return _norm(x, un, ud)
@@ -211,13 +218,10 @@ def enumerate_gauge_ball(
 ) -> list[tuple[int, int]]:
     """All non-zero lattice points with g(x)^2 <= gsq_bound, sign-normalized,
     sorted by the minima key.  Independent certification route for
-    `box_minima`; refuses (TooLarge) a ball of more than 2*10^6 rows before
-    it reads one, and a row or a point list past that size.
+    `box_minima`; refuses (TooLarge) a ball of more than _ENUM_GUARD rows
+    before it reads one, and a row or a point list past that size.
     """
-    u_ratio = F(u_ratio)
-    if u_ratio <= 0:
-        raise DomainError(f"aspect ratio must be positive, got {u_ratio}")
-    un, ud = u_ratio.numerator, u_ratio.denominator
+    un, ud = _ratio_parts(u_ratio)
     bound_scaled = F(gsq_bound) * un * ud
     (h11, h12), (_, h22) = lat.rows
     # Row s holds points only if (s*h11*un)^2 <= bound_scaled, with |x2| <=
@@ -386,53 +390,59 @@ def _exact_checks(
     minima-certified.  `_step` runs these checks on every step it builds.
     """
     checks: list[tuple[str, bool, str]] = []
-
-    def record(name: str, ok: bool, detail: str = "") -> None:
-        checks.append((name, ok, detail))
-
     q1, q2, x1b, x2b = _frame(a, step.swapped)
     d = math.gcd(q1, q2)
     (u1, u2), (v1, v2) = step.u, step.v
-    record(
+    checks.append((
         "frame",
         x1b > 0 and d == step.d and (q1 // d, q2 // d) == (step.qt1, step.qt2)
         and step.u_ratio == x2b / x1b and d >= 2,
         f"d={d}",
-    )
+    ))
     # Integers p_i with p_i*d = (u_i . qt) put u and v on L.
     okc = u1 * v2 - u2 * v1 != 0
     okc &= step.p1 * step.d == u1 * step.qt1 + u2 * step.qt2
     okc &= step.p2 * step.d == v1 * step.qt1 + v2 * step.qt2
-    record("attainers-in-lattice", okc)
+    checks.append(("attainers-in-lattice", okc, ""))
 
     if step.mode == "lattice":
         lat = congruence_lattice(step.d, step.qt1, step.qt2)
         un, ud = step.u_ratio.numerator, step.u_ratio.denominator
         # A reduced basis attains the minima at any size, and confines the
-        # attainers of lambda2 independent of u (`box_minima`): m*u + v for m
-        # in an interval, along which |x1| and |x2| are convex, and if
-        # lambda1 = lambda2, m*u + n*v with |m| <= 2 for n = 1, |m| = 1 for
-        # n = 2.  So v has the least key of them if no neighbour below has a
-        # smaller one, and u has the least of all if its key is at most v's.
+        # attainers of lambda2 independent of u (`box_minima`) to m*u + v for
+        # m in an interval and, if lambda1 = lambda2 = lambda, 2*v +- u.
+        # Along m*u + v, N, |x1| and |x2| are convex in m, so key(v) <=
+        # key(v +- u) bounds every m; for |m| >= 2, ties in N and |x1| would
+        # force u1 = 0, and a further tie in |x2| u2 = 0.  If N(2*v + u) =
+        # lambda, the midpoints v + u and v of 2*v + u with u and with -u have
+        # gauge lambda too, so 2*v + u shares an edge of the gauge square with
+        # u and another with -u: it is (u1, -u2), so v = (0, -u2) and
+        # key(v) < key(u), or (-u1, u2), so v + u = (0, u2) and key(v + u) <
+        # key(v).  Likewise 2*v - u with -u.  So v has the least key of them
+        # if key(v) <= key(v +- u), and u the least of all if key(u) <= key(v).
         ok_min = replay[0] and _is_reduced_basis(lat, step.u, step.v, un, ud)
         ok_min &= [_norm(w, un, ud) ** 2 for w in (step.u, step.v)] == [
             step.lam1_sq * un * ud, step.lam2_sq * un * ud]
         ok_min &= _normalize_sign(u1, u2) == step.u and _normalize_sign(v1, v2) == step.v
         keys = [_candidate_key(*_normalize_sign(m * u1 + n * v1, m * u2 + n * v2), un, ud)
-                for m, n in ((1, 0), (0, 1), (1, 1), (-1, 1), (2, 1), (-2, 1), (1, 2), (-1, 2))]
+                for m, n in ((1, 0), (0, 1), (1, 1), (-1, 1))]
         ok_min &= keys[0] <= keys[1] <= min(keys[2:])
-        record("minima-certified", ok_min, replay[1])
         prod = step.lam1_sq * step.lam2_sq
-        record("minkowski-window", 4 * prod >= step.d**2 and prod <= step.d**2, f"lam1^2*lam2^2={prod}")
-        record("radii-formula", step.xt1_sq * 4 * step.lam1_sq == x1b * x2b == step.xt2_sq * 4 * step.lam2_sq)
+        radii = step.xt1_sq * 4 * step.lam1_sq == x1b * x2b == step.xt2_sq * 4 * step.lam2_sq
+        checks += [
+            ("minima-certified", ok_min, replay[1]),
+            ("minkowski-window", 4 * prod >= step.d**2 and prod <= step.d**2, f"lam1^2*lam2^2={prod}"),
+            ("radii-formula", radii, ""),
+        ]
     else:
-        record(
+        checks.append((
             "divide-out-shape",
             (step.u, step.v, step.p1, step.p2) == ((step.d, 0), (0, step.d), step.qt1, step.qt2)
             and (step.xt1_sq, step.xt2_sq) == ((x1b / step.d) ** 2, (x2b / step.d) ** 2),
-        )
+            "",
+        ))
     floors = ((step.xt1_floor, step.xt1_sq), (step.xt2_floor, step.xt2_sq))
-    record("floors", all(f**2 <= x < (f + 1) ** 2 for f, x in floors))
+    checks.append(("floors", all(f**2 <= x < (f + 1) ** 2 for f, x in floors), ""))
 
     # Embedding of every (a1, a2) in the derived box, y = a1*u + a2*v, exactly.
     # |y1| and |y2| are convex in (a1, a2), so they peak at a corner, where
@@ -443,12 +453,12 @@ def _exact_checks(
     ok_emb = b1t * abs(u1) + b2t * abs(v1) <= x1b and b1t * abs(u2) + b2t * abs(v2) <= x2b
     ok_emb &= b1t == 0 or u1 * q1 + u2 * q2 == step.d**2 * step.p1
     ok_emb &= b2t == 0 or v1 * q1 + v2 * q2 == step.d**2 * step.p2
-    record("embedding", ok_emb)
+    checks.append(("embedding", ok_emb, ""))
 
     if is_proper(a):
-        record("properness-transfer", is_proper(derived_instance(step)))
+        checks.append(("properness-transfer", is_proper(derived_instance(step)), ""))
     else:
-        record("properness-transfer", True, "input improper; vacuous")
+        checks.append(("properness-transfer", True, "input improper; vacuous"))
     return checks
 
 

@@ -60,8 +60,9 @@ def square_cover_height(k: int) -> int:
     """Smallest h such that every x coprime to k is y*z^2 (mod k), |y| <= h.
 
     Only units y and z can contribute to covering a unit x, so the scan
-    marks +/- y * (unit squares) for y = 1, 2, ... until all units are
-    covered.  By convention the degenerate moduli 1 and 2 give height 1.
+    strikes +/- y * (unit squares) off the units for units y = 1, 2, ...
+    until none is left.  By convention the degenerate moduli 1 and 2 give
+    height 1.
     Refuses k < 1 (DomainError) and k past COVER_HEIGHT_GUARD (TooLarge).
     """
     if k < 1:
@@ -70,24 +71,12 @@ def square_cover_height(k: int) -> int:
         raise TooLarge(f"cover height guard is {COVER_HEIGHT_GUARD}, got modulus {k}")
     if k <= 2:
         return 1
-    is_unit = bytearray(k)
-    units = 0
-    for x in range(1, k):
-        if math.gcd(x, k) == 1:
-            is_unit[x] = 1
-            units += 1
-    unit_squares = sorted({z * z % k for z in range(1, k) if is_unit[z]})
-    covered = bytearray(k)
-    remaining = units
-    for h in range(1, k):
-        if math.gcd(h, k) != 1:
-            continue
-        for s in unit_squares:
-            for v in (h * s % k, -h * s % k):
-                if not covered[v]:
-                    covered[v] = 1
-                    remaining -= 1
-        if remaining == 0:
+    units = [x for x in range(1, k) if math.gcd(x, k) == 1]
+    unit_squares = {z * z % k for z in units}
+    uncovered = set(units)
+    for h in units:
+        uncovered -= {y * s % k for s in unit_squares for y in (h, -h)}
+        if not uncovered:
             return h
     raise NotFound(f"cover scan exhausted for modulus {k}")  # pragma: no cover
 
@@ -231,6 +220,16 @@ def _construct(
     return b, c, c_bar, n, m, approx_d, x1, x2
 
 
+def _check_construction_args(q1: int, q2: int, n_cap: int) -> None:
+    """Both routes' refusals (DomainError): a step below 1, steps not coprime, n_cap < 1."""
+    if q1 < 1 or q2 < 1:
+        raise DomainError(f"steps must be positive, got ({q1}, {q2})")
+    if math.gcd(q1, q2) != 1:
+        raise DomainError(f"steps must be coprime, got ({q1}, {q2})")
+    if n_cap < 1:
+        raise DomainError(f"size cap must be positive, got {n_cap}")
+
+
 def construct_small_square(q1: int, q2: int, n_cap: int) -> SmallSquareTrace:
     """Constructive representation with 1 <= n <= n_cap; see module docstring.
 
@@ -238,12 +237,7 @@ def construct_small_square(q1: int, q2: int, n_cap: int) -> SmallSquareTrace:
     the plain-int kernel `_construct` (which checks every trace invariant
     before returning) and wraps its result in a trace.
     """
-    if q1 < 1 or q2 < 1:
-        raise DomainError(f"steps must be positive, got ({q1}, {q2})")
-    if math.gcd(q1, q2) != 1:
-        raise DomainError(f"steps must be coprime, got ({q1}, {q2})")
-    if n_cap < 1:
-        raise DomainError(f"size cap must be positive, got {n_cap}")
+    _check_construction_args(q1, q2, n_cap)
     b, c, c_bar, n, m, approx_d, x1, x2 = _construct(
         q1, q2, n_cap, _sqrt_solver(q1), [], _multipliers(q1)
     )
@@ -260,12 +254,7 @@ def brute_force_small_square(q1: int, q2: int, n_cap: int) -> SquareWitness:
     (DomainError) and more than BRUTE_FORCE_GUARD pairs (TooLarge) before
     it starts; raises NotFound if the box contains no representation.
     """
-    if q1 < 1 or q2 < 1:
-        raise DomainError(f"steps must be positive, got ({q1}, {q2})")
-    if math.gcd(q1, q2) != 1:
-        raise DomainError(f"steps must be coprime, got ({q1}, {q2})")
-    if n_cap < 1:
-        raise DomainError(f"size cap must be positive, got {n_cap}")
+    _check_construction_args(q1, q2, n_cap)
     # Each n reads the x1 = x0 (mod q2) with |x1| <= q2^2: at most 2*q2 + 1.
     if n_cap * (2 * q2 + 1) > BRUTE_FORCE_GUARD:
         raise TooLarge(f"search would read {n_cap * (2 * q2 + 1)} pairs")

@@ -140,6 +140,17 @@ def test_supremum_refuses_an_empty_region():
     assert exponent_supremum(4, b_max=F(0))[1] == [ExponentPoint(F(0), F(0))]
 
 
+def test_supremum_points_come_sorted_by_a_then_b():
+    # The walk yields the off-grid vertices after the grid; the points come
+    # back re-sorted by (a, b), each once.
+    for res in (1, 3, 7, 27):
+        for b_max in (None, F(0), F(1, 3), F(4, 7), F(2, 3), F(1)):
+            for component in ("overall", "case1", "case2"):
+                _, points = exponent_supremum(res, b_max=b_max, component=component)
+                keys = [(p.a, p.b) for p in points]
+                assert keys == sorted(keys) and len(set(keys)) == len(keys), (res, b_max, component)
+
+
 def test_supremum_matches_dense_scan():
     # Independent certification on a fine grid: no value above 20/27 and the
     # maximum is attained.

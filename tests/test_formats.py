@@ -114,16 +114,6 @@ def test_record_construction_refuses_bad_calls_like_a_function():
             SquareWitness(*args, **kwargs)
 
 
-def test_exponent_points_order_by_a_then_b():
-    F = Fraction
-    pts = [sqavoid.ExponentPoint(a, b) for a, b in [(F(1, 2), 1), (0, F(1, 3)), (F(1, 2), F(3, 5)), (0, 0)]]
-    assert sorted(pts) == sorted(pts, key=lambda p: (p.a, p.b))
-    lo, hi = sqavoid.ExponentPoint(F(1, 2), F(3, 5)), sqavoid.ExponentPoint(F(1, 2), 1)
-    assert lo < hi and lo <= hi and hi > lo and hi >= lo and lo <= lo and not lo < lo
-    with pytest.raises(TypeError):
-        lo < (F(1, 2), 1)  # noqa: B015
-
-
 def test_sweep_config_defaults():
     config = sqavoid.SweepConfig(1000)
     assert (config.families, config.budget, config.seed) == (tuple(sorted(sqavoid.FAMILIES)), 200, 0)

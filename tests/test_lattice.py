@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -451,6 +452,46 @@ def test_step_refuses_attainers_out_of_key_order(monkeypatch):
     message = r"attainers \(1, -1\), \(1, 1\) mod 2 fails minima-certified$"
     with pytest.raises(VerificationFailed, match=message):
         reduce_step(6, 10, 4, 4)
+
+
+def test_least_key_certificate_needs_no_farther_neighbour():
+    # minima-certified compares key(v) with v +- u only; its comment proves
+    # that v +- 2u and 2v +- u then cannot have a smaller key.  Over every
+    # congruence lattice with 2 <= d < 40 at seven aspect ratios, every basis
+    # of sign-normalized attainers of (lambda1, lambda2) that passes the kept
+    # key tests passes the dropped ones, and it is box_minima's own basis.
+    def key(p):
+        x1, x2 = p if p[0] > 0 or (p[0] == 0 and p[1] > 0) else (-p[0], -p[1])
+        return (max(abs(x1) * un, abs(x2) * ud) ** 2, abs(x1), abs(x2), x2 < 0)
+
+    ratios = (F(1), F(2), F(1, 2), F(3, 2), F(2, 3), F(3), F(1, 3))
+    bases = 0
+    for d in range(2, 40):
+        lattices = {}
+        for qt1, qt2 in itertools.product(range(d), repeat=2):
+            if math.gcd(qt1, qt2, d) == 1:
+                lat = congruence_lattice(d, qt1, qt2)
+                lattices.setdefault(lat.rows, lat)
+        for lat, u_ratio in itertools.product(lattices.values(), ratios):
+            un, ud = u_ratio.numerator, u_ratio.denominator
+            (lam1_sq, u0), (lam2_sq, v0) = box_minima(lat, u_ratio)
+            ball = enumerate_gauge_ball(lat, u_ratio, lam2_sq)
+            first = [p for p in ball if key(p)[0] == lam1_sq * un * ud]
+            second = [p for p in ball if key(p)[0] == lam2_sq * un * ud]
+            passing = []
+            for u, v in itertools.product(first, second):
+                if abs(u[0] * v[1] - u[1] * v[0]) != d:
+                    continue
+                bases += 1
+                near, far = (
+                    [key((m * u[0] + n * v[0], m * u[1] + n * v[1])) for m, n in pairs]
+                    for pairs in (((1, 1), (-1, 1)), ((2, 1), (-2, 1), (1, 2), (-1, 2)))
+                )
+                if key(u) <= key(v) <= min(near):
+                    assert key(v) <= min(far), (lat, u_ratio, u, v)
+                    passing.append((u, v))
+            assert passing == [(u0, v0)], (lat, u_ratio, passing)
+    assert bases > 40_000
 
 
 def test_divide_out_frozen():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import textwrap
@@ -97,7 +98,8 @@ def test_cover_height_frozen():
 
 
 def test_cover_height_matches_oracle():
-    for k in range(1, 42):
+    # The oracle's cost grows about as k^4: k < 180 takes about a second.
+    for k in range(1, 180):
         assert square_cover_height(k) == oracle_cover_height(k), k
 
 
@@ -327,11 +329,22 @@ def test_brute_force_small_square_refuses_non_coprime_steps():
 
 
 def test_brute_force_small_square_refuses_what_the_construction_refuses():
-    # A size cap below 1 leaves no n to search: a refusal, not NotFound.
-    for n_cap in (0, -2):
+    # The same DomainError, message included, on a grid of steps and caps; a
+    # size cap below 1 leaves no n to search: a refusal, not NotFound.  The
+    # search is bounded by its guard, so each valid input runs quickly.
+    for q1, q2, n_cap in itertools.product(range(-2, 5), range(-2, 5), (-2, 0, 1, 3)):
+        outcomes = []
         for route in (construct_small_square, brute_force_small_square):
-            with pytest.raises(DomainError, match=f"^size cap must be positive, got {n_cap}$"):
-                route(3, 5, n_cap)
+            try:
+                route(q1, q2, n_cap)
+                outcomes.append(None)
+            except DomainError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], (q1, q2, n_cap, outcomes)
+        valid = q1 >= 1 and q2 >= 1 and math.gcd(q1, q2) == 1 and n_cap >= 1
+        assert (outcomes[0] is None) == valid, (q1, q2, n_cap)
+    with pytest.raises(DomainError, match="^size cap must be positive, got -2$"):
+        brute_force_small_square(3, 5, -2)
 
 
 def test_brute_force_small_square_refuses_past_the_guard_before_its_loop(monkeypatch):
