@@ -4,8 +4,10 @@ Eight subcommands map onto the library modules:
 
 * ``witness``   - minimal square witness for a progression, or a
                   square-free certificate (exit 1 when a witness exists).
-* ``verify``    - the same question answered twice (certified search plus
-                  guarded brute force) with the agreement recorded.
+* ``verify``    - the same question answered twice with the agreement
+                  recorded: guarded brute force first, so a --guard it
+                  refuses stops the command before any search, then the
+                  verdict of ``witness``.
 * ``construct`` - the small-square constructive witness with its full
                   arithmetic trace.
 * ``reduce``    - the gcd reduction of `reduce_box`: a record for its
@@ -150,42 +152,40 @@ _parser = functools.cache(build_parser)
 # ------------------------------------------------------------- handlers
 
 
+def _verdict(a: TwoDAP, t: int):
+    """`certify_box`'s verdict on a at t: the certificate, the `witness`
+    command's record and exit code, and the head of its summary."""
+    cert = certify_box(a, t)
+    w = cert.witness
+    base = record(a) | {"t": value(t)}
+    if w is None:
+        rec = {"kind": "SquareFree"} | base | {"n_max": value(cert.n_max)}
+        return cert, rec, EXIT_OK, f"square-free up to {t}"
+    return cert, {"kind": "Witness"} | base | record(w), EXIT_WITNESS, f"witness ({w.x1}, {w.x2}, {w.n})"
+
+
 def _cmd_witness(args):
-    a = TwoDAP(args.q1, args.q2, args.x1, args.x2)
-    cert = certify_box(a, args.t)
-    base = record(a) | {"t": value(args.t)}
-    if cert.kind == "witness":
-        w = cert.witness
-        rec = {"kind": "Witness"} | base | record(w)
-        return [rec], EXIT_WITNESS, f"witness ({w.x1}, {w.x2}, {w.n})"
-    rec = {"kind": "SquareFree"} | base | {"n_max": value(cert.n_max)}
-    return [rec], EXIT_OK, f"square-free up to {args.t} (roots to {cert.n_max})"
+    cert, rec, code, head = _verdict(TwoDAP(args.q1, args.q2, args.x1, args.x2), args.t)
+    return [rec], code, head if cert.kind == "witness" else f"{head} (roots to {cert.n_max})"
 
 
 def _cmd_verify(args):
     a = TwoDAP(args.q1, args.q2, args.x1, args.x2)
-    cert = certify_box(a, args.t)
-    w = cert.witness
-    base = record(a) | {"t": value(args.t)}
+    # The oracle runs first, so a --guard it refuses stops the command before any search.
     try:
-        bw = brute_force_witness(a, args.t, guard=args.guard)
-        brute = "agree" if bw == w else "MISMATCH"
+        bw, checked = brute_force_witness(a, args.t, guard=args.guard), True
     except TooLarge:
-        bw, brute = None, "skipped-guard"
-    if brute == "MISMATCH":
-        rec = {"kind": "Error", "error": "RouteMismatch"} | base | {
+        bw, checked = None, False
+    cert, rec, code, head = _verdict(a, args.t)
+    w = cert.witness
+    if checked and bw != w:
+        rec = {"kind": "Error", "error": "RouteMismatch"} | record(a) | {"t": value(args.t)} | {
             "certified_route": json.dumps(None if w is None else record(w)),
             "brute_route": json.dumps(None if bw is None else record(bw)),
         }
         return [rec], EXIT_ERROR, "internal disagreement between routes"
-    if cert.kind == "witness":
-        rec = {"kind": "Witness"} | base | record(w) | {"brute_force": brute}
-        return [rec], EXIT_WITNESS, f"witness ({w.x1}, {w.x2}, {w.n}); brute force: {brute}"
-    rec = {"kind": "SquareFree"} | base | {
-        "n_max": value(cert.n_max),
-        "brute_force": brute,
-    }
-    return [rec], EXIT_OK, f"square-free up to {args.t}; brute force: {brute}"
+    brute = "agree" if checked else "skipped-guard"
+    return [rec | {"brute_force": brute}], code, f"{head}; brute force: {brute}"
 
 
 def _cmd_construct(args):
@@ -285,22 +285,17 @@ def _cmd_sweep(args):
         seed=args.seed,
     )
     result = sweep(config)
-    records = [
-        {"kind": "FamilyBest", "family": fb.family, "size": value(fb.size)} | record(fb.progression)
-        for fb in result.family_bests
-    ]
+
+    def box(kind, fb):
+        return {"kind": kind, "family": fb.family, "size": value(fb.size)} | record(fb.progression)
+
     best = result.best
-    records.append(
-        {
-            "kind": "SweepBest",
-            "family": best.family,
-            "size": value(best.size),
-            "t": value(config.t),
-            "ratio_to_T_20_27": value(result.ratio_to_t_20_27),
-            "ratio_to_sqrtT_logT": value(result.ratio_to_sqrt_t_log_t),
-        }
-        | record(best.progression)
-    )
+    records = [box("FamilyBest", fb) for fb in result.family_bests]
+    records.append(box("SweepBest", best) | {
+        "t": value(config.t),
+        "ratio_to_T_20_27": value(result.ratio_to_t_20_27),
+        "ratio_to_sqrtT_logT": value(result.ratio_to_sqrt_t_log_t),
+    })
     return (
         records,
         EXIT_OK,

@@ -189,6 +189,14 @@ def _root_blocks(q1: int, q2: int, b2: int, top: int) -> Iterator[Iterable[int]]
     yield range(last + 1, top + 1)
 
 
+def _root_bound(a: TwoDAP, t: int) -> int:
+    """isqrt(min(t, value bound)), the largest root a witness in a at t can
+    have; refuses t < 0 (DomainError)."""
+    if t < 0:
+        raise DomainError(f"ambient bound must be non-negative, got {t}")
+    return isqrt(min(t, a.value_bound()))
+
+
 def walk_roots(a: TwoDAP, t: int) -> SquareWitness | None:
     """Smallest-square witness in a, with n^2 <= min(t, value bound), by roots.
 
@@ -208,12 +216,9 @@ def walk_roots(a: TwoDAP, t: int) -> SquareWitness | None:
     pass ROOT_WALK_LIMIT roots still walks that many, returning a witness
     found among them, and otherwise raises TooLarge.
     """
-    if t < 0:
-        raise DomainError(f"ambient bound must be non-negative, got {t}")
-    cap = min(t, a.value_bound())
-    if cap < 1:
+    n_hi = _root_bound(a, t)
+    if n_hi < 1:
         return None
-    n_hi = isqrt(cap)
     top = min(n_hi, ROOT_WALK_LIMIT)
     q1, q2, b1, b2 = a.q1, a.q2, a.b1, a.b2
     d = math.gcd(q1, q2)
@@ -232,21 +237,14 @@ def walk_roots(a: TwoDAP, t: int) -> SquareWitness | None:
             lo = -((slack - k) // q1d)
             if lo < -b1:
                 lo = -b1
-            if lo > hi:
+            # hi >= 0, as k >= 1.  The least class member x1 >= max(lo, 0)
+            # against the one below it, x1 - q2d; ties go to the positive.
+            x1 = lo if lo > 0 else 0
+            x1 += (k * inv - x1) % q2d
+            if x1 - q2d >= lo and (x1 > hi or q2d - x1 < x1):
+                x1 -= q2d
+            elif x1 > hi:
                 continue
-            if lo >= 0:
-                # Least class member >= lo.
-                x1 = lo + (k * inv - lo) % q2d
-                if x1 > hi:
-                    continue
-            else:
-                # lo < 0 <= hi: the least non-negative member x1 against the
-                # greatest negative one, x1 - q2d; ties go to the positive.
-                x1 = k * inv % q2d
-                if x1 > hi or (q2d - x1 < x1 and x1 - q2d >= lo):
-                    x1 -= q2d
-                    if x1 < lo:
-                        continue
             return SquareWitness(x1, (k - x1 * q1d) // q2d, n)
     if n_hi > ROOT_WALK_LIMIT:
         raise TooLarge(f"the walk needs roots up to {n_hi}, limit is {ROOT_WALK_LIMIT}")
@@ -327,12 +325,7 @@ def find_square_witness(a: TwoDAP, t: int) -> SquareWitness | None:
     q1 = (10^11 + 1009)(3*10^11 + 77), q2 = q1 + 1, radii (10^6, 1) and
     t = 2*10^14, the rows factor q1 for 0.34 s; the walk finds n = 1 in under 1 ms.
     """
-    if t < 0:
-        raise DomainError(f"ambient bound must be non-negative, got {t}")
-    cap = min(t, a.value_bound())
-    if cap < 1:
-        return None
-    n_hi = isqrt(cap)
+    n_hi = _root_bound(a, t)
     readings = sorted([(2 * a.b2 + 1, a.q1, False), (2 * a.b1 + 1, a.q2, True)])
     if n_hi > ROOT_WALK_LIMIT and readings[0][0] > ROOT_WALK_LIMIT:
         raise TooLarge(
@@ -348,7 +341,8 @@ def find_square_witness(a: TwoDAP, t: int) -> SquareWitness | None:
             continue
         if walk_fits and n_hi <= rows << (len(factors) + 1):
             break
-        return _walk_rows(a, cap, factors, across)
+        # n_hi >= 1 here, as n_hi = 0 takes the walk; no square lies in (n_hi^2, min(t, bound)].
+        return _walk_rows(a, n_hi * n_hi, factors, across)
     return walk_roots(a, t)
 
 
@@ -432,10 +426,9 @@ def max_radius(q: int, other_q: int, other_factors: dict[int, int], other_r: int
 
 
 def _certificate(a: TwoDAP, t: int, search) -> Certificate:
-    """A witness from `search(a, t)`, which refuses t < 0, or square-freeness
-    up to min(t, bound)."""
+    """A witness from `search(a, t)`, or square-freeness up to min(t, bound)."""
+    n_max = _root_bound(a, t)
     w = search(a, t)
-    n_max = isqrt(min(t, a.value_bound()))
     if w is None:
         return Certificate("square_free", None, n_max)
     return Certificate("witness", w, n_max)

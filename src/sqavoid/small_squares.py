@@ -311,9 +311,10 @@ def small_square_survey(q_max: int, *, q_min: int = 2, on_row=None) -> SurveyRep
     """Run the construction over every coprime pair q_min <= q1 <= q2 <= q_max.
 
     Each pair uses the balanced size cap N = balanced_n(q1, q2).  The report
-    counts pairs whose n stays within N and whose coefficients stay below
-    RATIO_CEILING times the theoretical envelopes (decided exactly); the
-    float ratio fields are display-only.  `on_row` receives
+    counts pairs whose coefficients stay below RATIO_CEILING times the
+    theoretical envelopes (decided exactly); its n_in_range is the pair
+    count, as `_construct` checks 1 <= n <= N for every pair.  The float
+    ratio fields are display-only.  `on_row` receives
     (q1, q2, N, b, n, x1, x2, ratio_x1, ratio_x2) per pair when given.
 
     The survey works one q1 row at a time.  N starts at balanced_n(q1, q1)
@@ -330,7 +331,7 @@ def small_square_survey(q_max: int, *, q_min: int = 2, on_row=None) -> SurveyRep
     """
     if q_min < 1:
         raise DomainError(f"q_min must be positive, got {q_min}")
-    pairs = n_in_range = x1_ratio_ok = x2_ratio_ok = 0
+    pairs = x1_ratio_ok = x2_ratio_ok = 0
     max_ratio_x1 = max_ratio_x2 = 0.0
     argmax_x1 = argmax_x2 = None
     ceiling4 = RATIO_CEILING**4
@@ -351,8 +352,6 @@ def small_square_survey(q_max: int, *, q_min: int = 2, on_row=None) -> SurveyRep
             b, _, _, n, _, _, x1, x2 = _construct(q1, q2, cap, root, taken, more)
             a1, a2 = abs(x1), abs(x2)
             pairs += 1
-            if 1 <= n <= cap:
-                n_in_range += 1
             cap2 = cap * cap
             r1 = a1 / (cap2 / q1 + q1_125 * q2 / cap2)
             r2 = a2 * cap2 / q1_225
@@ -370,5 +369,5 @@ def small_square_survey(q_max: int, *, q_min: int = 2, on_row=None) -> SurveyRep
             if on_row is not None:
                 on_row((q1, q2, cap, b, n, x1, x2, r1, r2))
     return SurveyReport(
-        pairs, n_in_range, x1_ratio_ok, x2_ratio_ok, max_ratio_x1, max_ratio_x2, argmax_x1, argmax_x2
+        pairs, pairs, x1_ratio_ok, x2_ratio_ok, max_ratio_x1, max_ratio_x2, argmax_x1, argmax_x2
     )

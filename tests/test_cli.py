@@ -695,6 +695,21 @@ def test_guard_past_the_oracle_limit_exits_two(capsys):
     assert (code, recs[0]["kind"], recs[0]["brute_force"]) == (1, "Witness", "agree")
 
 
+@pytest.mark.parametrize("guard", [-1, progression.BRUTE_FORCE_GUARD + 1])
+def test_bad_guard_is_refused_before_any_search(capsys, monkeypatch, guard):
+    searches = []
+    monkeypatch.setattr(cli, "certify_box", lambda *box: searches.append(box))
+    code, recs, _ = run(
+        capsys, "verify", "--q1", "13", "--q2", "15", "--x1", "12", "--x2", "1", "--t", "338",
+        "--guard", str(guard),
+    )
+    assert (code, searches) == (2, [])
+    message = f"guard must be in 0..{progression.BRUTE_FORCE_GUARD}, got {guard}"
+    assert recs == [
+        {"schema_version": SCHEMA_VERSION, "kind": "Error", "error": "DomainError", "message": message}
+    ]
+
+
 def test_lower_bound_box_past_10_9_is_certified(run_python):
     # p = 1,000,000,009: 21 rows, where the root walk alone would need about
     # 10^9 roots, past ROOT_WALK_LIMIT.
