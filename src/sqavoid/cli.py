@@ -25,8 +25,9 @@ record field is encoded by `sqavoid.formats`: `record` for a library
 record, `value` for a single field, so JSONL and CSV carry the same
 strings.  Records go to --output (default stdout) as JSON lines or CSV; a
 short human summary goes to stderr.  Exit codes: 0 success/certified,
-1 witness found, 2 usage, domain or internal error, or an --output that
-cannot be opened (tried before the command runs).  Field names and
+1 witness found, 2 usage, domain or internal error, an --output that
+cannot be opened (tried before the command runs), or records that cannot
+be written, such as to a closed pipe or a full disk.  Field names and
 columns are documented in docs/schema.md and stamped with schema_version.
 
 `main` parses with one parser per process, built on its first call (not at
@@ -41,6 +42,7 @@ import contextlib
 import csv
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -341,13 +343,25 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
-    with out or contextlib.nullcontext(sys.stdout) as stream:
-        try:
-            records, code, summary = _HANDLERS[args.command](args)
-        except Exception as e:  # exit 1 means a witness, so any failure maps to exit 2
-            records = [{"kind": "Error", "error": type(e).__name__, "message": str(e)}]
-            code, summary = EXIT_ERROR, f"error: {e}"
-        _emit(records, args.format, stream)
+    try:
+        with out or contextlib.nullcontext(sys.stdout) as stream:
+            try:
+                records, code, summary = _HANDLERS[args.command](args)
+            except Exception as e:  # exit 1 means a witness, so any failure maps to exit 2
+                records = [{"kind": "Error", "error": type(e).__name__, "message": str(e)}]
+                code, summary = EXIT_ERROR, f"error: {e}"
+            _emit(records, args.format, stream)
+            stream.flush()
+    except OSError as e:  # the records could not be written: a closed pipe, a full disk
+        if out is None:
+            # Point stdout at devnull, so the flush at exit does not fail again.
+            # A stdout with no descriptor (a StringIO, say) has nothing to point.
+            with contextlib.suppress(OSError):
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_ERROR
     print(summary, file=sys.stderr)
     return code
 

@@ -18,18 +18,27 @@ smallest h such that every unit modulo q1 is y*z^2 with |y| <= h.  The
 resulting coefficients obey |x2| <= |b|*(q1/N)^2 and a matching bound for
 x1, which is what makes the representation "small".
 
-The kernel `_construct` runs these steps on plain ints and checks every
-trace invariant (`_invariants_hold`, which `SmallSquareTrace.validate`
-also calls) before it returns.  `construct_small_square` wraps it in a
-trace; `small_square_survey` calls it directly and builds no object per
-pair.  What depends on q1 alone, the root solver and the list of
-multipliers b coprime to q1, a survey row builds once; each pair then
-runs only the scan for b, the convergent walk and the invariant check.
+The kernel runs these steps on plain ints in two parts.  The class step
+`_solve_class` does steps 1-3 up to the list of convergent denominators
+<= N, which read q2 only modulo q1, and checks the four invariants that
+do too: b is a unit, c in [0, q1) is a root of b*q2, and c*c_bar = 1
+(mod q1).  The pair step `_solve_pair` picks n from that list and does
+steps 3-4, then checks the other five: 1 <= n <= N, approx_d = n*c_bar +
+m*q1, |approx_d|*N <= q1, x2 = b*approx_d^2 and x1*q1 + x2*q2 = n^2.
+`SmallSquareTrace.validate` runs the same two checks.
+`construct_small_square` runs both steps and wraps them in a trace;
+`small_square_survey` builds no object per pair.  What depends on q1
+alone, the root solver and the list of multipliers b coprime to q1, a
+survey row builds once, and it runs the class step once per class
+q2 mod q1: 36% of the pairs of the bench band and 50% of those of
+2..2000 repeat a class of their row.  Each pair still runs the pair step
+and all five of its checks.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Callable, Iterator
 from itertools import repeat
 
@@ -114,14 +123,20 @@ def convergent_denominators(num: int, den: int) -> list[int]:
     return out
 
 
-def _invariants_hold(q1, q2, n_cap, b, c, c_bar, n, m, approx_d, x1, x2) -> bool:
-    """Every structural invariant of a trace, on plain ints; n is the witness's."""
+def _class_invariants_hold(q1, q2, b, c, c_bar) -> bool:
+    """The invariants that read q2 only modulo q1: b a unit, c its root, c_bar c's inverse."""
     return (
         math.gcd(b, q1) == 1
         and (b * q2 - c * c) % q1 == 0
         and 0 <= c < max(q1, 1)
         and (c * c_bar - 1) % q1 == 0
-        and 1 <= n <= n_cap
+    )
+
+
+def _pair_invariants_hold(q1, q2, n_cap, b, c_bar, n, m, approx_d, x1, x2) -> bool:
+    """The invariants of one pair: n within the cap, the Dirichlet step and the square."""
+    return (
+        1 <= n <= n_cap
         and approx_d == n * c_bar + m * q1
         and abs(approx_d) * n_cap <= q1
         and x2 == b * approx_d * approx_d
@@ -151,9 +166,13 @@ class SmallSquareTrace(Record):
         confirm, so it is not checked here.
         """
         w = self.witness
-        ok = w.n == self.n and _invariants_hold(
-            self.q1, self.q2, self.n_cap, self.b, self.c, self.c_bar,
-            self.n, self.m, self.approx_d, w.x1, w.x2,
+        ok = (
+            w.n == self.n
+            and _class_invariants_hold(self.q1, self.q2, self.b, self.c, self.c_bar)
+            and _pair_invariants_hold(
+                self.q1, self.q2, self.n_cap, self.b, self.c_bar,
+                self.n, self.m, self.approx_d, w.x1, w.x2,
+            )
         )
         if not ok:
             raise VerificationFailed(f"small-square trace breaks an invariant: {self}")
@@ -186,21 +205,24 @@ def _scan_b(q1: int, q2: int, root, taken: list, more: Iterator) -> tuple[int, i
     raise NotFound(f"no admissible b for ({q1}, {q2})")  # pragma: no cover
 
 
-def _construct(
+def _solve_class(
     q1: int, q2: int, n_cap: int, root, taken: list, more: Iterator
-) -> tuple[int, ...]:
-    """The construction on plain ints: (b, c, c_bar, n, m, approx_d, x1, x2).
+) -> tuple[int, int, int, list[int]]:
+    """The class step, on plain ints: (b, c, c_bar, dens) for q2's class mod q1.
 
     Takes checked arguments, `root` = `_sqrt_solver(q1)` and the q1 row's
-    multipliers `taken`, `more` (see `_scan_b`).  n is the largest
-    convergent denominator of c_bar/q1 that is <= n_cap, found by walking
+    multipliers `taken`, `more` (see `_scan_b`).  dens lists the
+    convergent denominators of c_bar/q1 that are <= n_cap, found by walking
     the denominator recurrence of `convergent_denominators` until it passes
-    n_cap.  Every trace invariant is checked before returning; a failure
-    raises VerificationFailed.
+    n_cap; the first is 1.  None of this reads q2 but modulo q1, so any
+    pair of the class with a cap up to n_cap can use it.  The class
+    invariants are checked before returning; a failure raises
+    VerificationFailed.
     """
     b, c = _scan_b(q1, q2, root, taken, more)
     c_bar = mod_inverse(c, q1) if q1 > 1 else 0
-    n, h_prev, h = 1, 1, 0
+    dens = []
+    h_prev, h = 1, 0
     num, den = c_bar, q1
     while den:
         a = num // den
@@ -208,16 +230,32 @@ def _construct(
         h_prev, h = h, a * h + h_prev
         if h > n_cap:
             break
-        n = h
+        dens.append(h)
+    if not _class_invariants_hold(q1, q2, b, c, c_bar):
+        raise VerificationFailed(f"construction for ({q1}, {q2}) breaks an invariant")
+    return b, c, c_bar, dens
+
+
+def _solve_pair(
+    q1: int, q2: int, n_cap: int, b: int, c_bar: int, dens: list[int]
+) -> tuple[int, int, int, int, int]:
+    """The pair step, on plain ints: (n, m, approx_d, x1, x2) from a class step's b, c_bar, dens.
+
+    n is the largest of dens that is <= n_cap.  The class data are not
+    trusted: whatever dens holds, every pair invariant, n <= n_cap and
+    x1*q1 + x2*q2 = n^2 among them, is checked before returning; a failure
+    raises VerificationFailed.
+    """
+    n = dens[bisect_right(dens, n_cap) - 1]
     t = n * c_bar
     q, r = divmod(t, q1)
     m = -q - (1 if 2 * r > q1 else 0)
     approx_d = t + m * q1
     x2 = b * approx_d * approx_d
     x1 = (n * n - q2 * x2) // q1
-    if not _invariants_hold(q1, q2, n_cap, b, c, c_bar, n, m, approx_d, x1, x2):
+    if not _pair_invariants_hold(q1, q2, n_cap, b, c_bar, n, m, approx_d, x1, x2):
         raise VerificationFailed(f"construction for ({q1}, {q2}) breaks an invariant")
-    return b, c, c_bar, n, m, approx_d, x1, x2
+    return n, m, approx_d, x1, x2
 
 
 def _check_construction_args(q1: int, q2: int, n_cap: int) -> None:
@@ -234,13 +272,12 @@ def construct_small_square(q1: int, q2: int, n_cap: int) -> SmallSquareTrace:
     """Constructive representation with 1 <= n <= n_cap; see module docstring.
 
     Requires gcd(q1, q2) = 1 and n_cap >= 1.  Checks the arguments, runs
-    the plain-int kernel `_construct` (which checks every trace invariant
-    before returning) and wraps its result in a trace.
+    the plain-int class and pair steps (which check every trace invariant
+    before returning) and wraps their result in a trace.
     """
     _check_construction_args(q1, q2, n_cap)
-    b, c, c_bar, n, m, approx_d, x1, x2 = _construct(
-        q1, q2, n_cap, _sqrt_solver(q1), [], _multipliers(q1)
-    )
+    b, c, c_bar, dens = _solve_class(q1, q2, n_cap, _sqrt_solver(q1), [], _multipliers(q1))
+    n, m, approx_d, x1, x2 = _solve_pair(q1, q2, n_cap, b, c_bar, dens)
     return SmallSquareTrace(q1, q2, n_cap, b, c, c_bar, n, m, approx_d, SquareWitness(x1, x2, n))
 
 
@@ -307,60 +344,89 @@ class SurveyReport(Record):
         return self.pairs == self.n_in_range == self.x1_ratio_ok == self.x2_ratio_ok
 
 
+def _x2_top(q1: int, ceiling: int) -> int:
+    """Largest m >= 0 with m**4 < ceiling**4 * q1**9, or -1 if there is none.
+
+    The survey's x2 envelope |x2| < ceiling * q1^(9/4) / N^2 holds exactly
+    when |x2| * N^2 <= _x2_top(q1, ceiling), so one root per row decides it.
+    """
+    bound = ceiling**4 * q1**9
+    return iroot(bound - 1, 4) if bound > 0 else -1
+
+
 def small_square_survey(q_max: int, *, q_min: int = 2, on_row=None) -> SurveyReport:
     """Run the construction over every coprime pair q_min <= q1 <= q2 <= q_max.
 
     Each pair uses the balanced size cap N = balanced_n(q1, q2).  The report
     counts pairs whose coefficients stay below RATIO_CEILING times the
     theoretical envelopes (decided exactly); its n_in_range is the pair
-    count, as `_construct` checks 1 <= n <= N for every pair.  The float
+    count, as the pair step checks 1 <= n <= N for every pair.  The float
     ratio fields are display-only.  `on_row` receives
     (q1, q2, N, b, n, x1, x2, ratio_x1, ratio_x2) per pair when given.
 
     The survey works one q1 row at a time.  N starts at balanced_n(q1, q1)
-    and is stepped up along the row, N += 1 while N**16 < q1**9 * q2**4.
+    and is stepped up along the row, N += 1 while N**16 < q1**9 * q2**4,
+    which is q2 >= the least q2 that passes N, found once per step of N.
     That is exact: the target grows with q2, so the previous N less one
     still falls short of it, and the stepped N is again the least.  The
-    row's powers of q1, its square-root solver (a table, or above
-    _SQRT_TABLE_BOUND one factorization of q1) and its list of multipliers
-    (b, b % q1) for b coprime to q1 are made once per row; the list grows
-    only when a pair's scan passes its end.  Each pair is one call of the
-    kernel `_construct`, which runs only the scan for b, the convergent
-    walk and the invariant check, and raises VerificationFailed if an
-    invariant fails.  Refuses q_min < 1 with DomainError.
+    row's powers of q1, its x2 envelope threshold (`_x2_top`), its
+    square-root solver (a table, or above _SQRT_TABLE_BOUND one
+    factorization of q1) and its list of multipliers (b, b % q1) for b
+    coprime to q1 are made once per row; the list grows only when a scan
+    passes its end.
+
+    b, c, c_bar and the convergents of c_bar/q1 read q2 only modulo q1, so
+    the row keeps one `_solve_class` result per class q2 mod q1, walked up
+    to the row's last cap balanced_n(q1, q_max) and dropped at the row's
+    end.  The class step checks its four invariants (b a unit, c a root of
+    b*q2, c in [0, q1), c*c_bar = 1) once per class; `_solve_pair` checks the
+    other five (n within the cap, the Dirichlet step, x2 = b*approx_d^2 and
+    x1*q1 + x2*q2 = n^2) for every pair, so a wrong class entry cannot
+    yield a wrong row.  36% of the pairs of the bench band, and 50% of
+    those of 2..2000, reuse a class.  A failed invariant raises
+    VerificationFailed.  Refuses q_min < 1 with DomainError.
     """
     if q_min < 1:
         raise DomainError(f"q_min must be positive, got {q_min}")
     pairs = x1_ratio_ok = x2_ratio_ok = 0
     max_ratio_x1 = max_ratio_x2 = 0.0
     argmax_x1 = argmax_x2 = None
-    ceiling4 = RATIO_CEILING**4
+    ceiling = RATIO_CEILING
+    ceiling4 = ceiling**4
     for q1 in range(q_min, q_max + 1):
         q1_9 = q1**9
-        x2_bound = ceiling4 * q1_9  # |x2| * N^2 / q1^(9/4) < ceiling, by 4th powers
+        x2_top = _x2_top(q1, ceiling)
         q1_125, q1_225 = q1**1.25, q1**2.25
-        cap = balanced_n(q1, q1)
-        cap16 = cap**16
+        cap, past = balanced_n(q1, q1) - 1, q1  # the first pair steps cap to balanced_n(q1, q1)
+        row_cap = balanced_n(q1, q_max)
         root, taken, more = _sqrt_solver(q1), [], _multipliers(q1)
+        classes: dict[int, tuple[int, int, int, list[int]]] = {}
         for q2 in range(q1, q_max + 1):
             if math.gcd(q1, q2) != 1:
                 continue
-            target = q1_9 * q2**4
-            while cap16 < target:
+            while q2 >= past:
                 cap += 1
-                cap16 = cap**16
-            b, _, _, n, _, _, x1, x2 = _construct(q1, q2, cap, root, taken, more)
+                # The least q2 with q1**9 * q2**4 > cap**16: isqrt twice is
+                # the floor of a 4th root.
+                past = math.isqrt(math.isqrt(cap**16 // q1_9)) + 1
+                cap2 = cap * cap
+                x1_fast = ceiling * cap2
+            entry = classes.get(q2 % q1)
+            if entry is None:
+                entry = classes[q2 % q1] = _solve_class(q1, q2, row_cap, root, taken, more)
+            b, _, c_bar, dens = entry
+            n, _, _, x1, x2 = _solve_pair(q1, q2, cap, b, c_bar, dens)
             a1, a2 = abs(x1), abs(x2)
             pairs += 1
-            cap2 = cap * cap
             r1 = a1 / (cap2 / q1 + q1_125 * q2 / cap2)
-            r2 = a2 * cap2 / q1_225
-            # |x1| < ceiling * (N^2/q1 + q1^(5/4)*q2/N^2).  Clear q1*N^2, move
-            # the rational term left and decide the rest by 4th powers.
-            lhs = a1 * q1 * cap2 - RATIO_CEILING * cap2 * cap2
-            if lhs < 0 or lhs**4 < ceiling4 * target:
+            w2 = a2 * cap2
+            r2 = w2 / q1_225
+            # |x1| < ceiling * (N^2/q1 + q1^(5/4)*q2/N^2).  Clear q1*N^2 and move
+            # the rational term left: N^2 * (|x1|*q1 - ceiling*N^2) is negative,
+            # or decided by 4th powers.
+            if a1 * q1 < x1_fast or (a1 * q1 - x1_fast) ** 4 * cap2**4 < ceiling4 * q1_9 * q2**4:
                 x1_ratio_ok += 1
-            if (a2 * cap2) ** 4 < x2_bound:
+            if w2 <= x2_top:
                 x2_ratio_ok += 1
             if r1 > max_ratio_x1:
                 max_ratio_x1, argmax_x1 = r1, (q1, q2)

@@ -7,7 +7,11 @@ import argparse
 import csv
 import importlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,7 @@ from sqavoid.lowerbound import build_instance
 from sqavoid.sweep import SweepConfig
 
 F = Fraction
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv: str) -> tuple[int, list[dict], str]:
@@ -292,6 +297,59 @@ def test_unopenable_output_exits_two(capsys, tmp_path, run_python):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+def cli_process(*argv: str, stdout) -> subprocess.Popen:
+    """`python -m sqavoid.cli argv` on the checkout's src, writing its records to stdout.
+
+    Its stdout is buffered, as a shell gives it, whatever PYTHONUNBUFFERED says.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    return subprocess.Popen(
+        [sys.executable, "-m", "sqavoid.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, cwd=ROOT,
+    )
+
+
+def test_closed_pipe_exits_two():
+    # About 190 kB of records, far past a pipe's buffer: the reader takes the
+    # first line and closes the pipe while the command still writes.
+    with cli_process("scan-nqr", "--p-max", "20000", stdout=subprocess.PIPE) as proc:
+        first = json.loads(proc.stdout.readline())
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert first["kind"] == "NonResidue" and first["p"] == "13"
+    assert code == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
+    # One short record, which fits a buffer: the pipe is closed long before
+    # the interpreter has started, so the command's own flush must fail.
+    box = ["--q1", "13", "--q2", "15", "--x1", "12", "--x2", "1", "--t", "338"]
+    with cli_process("witness", *box, stdout=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert code == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="/dev/full is a Linux device")
+def test_full_disk_exits_two(capsys, run_python):
+    box = ["--q1", "13", "--q2", "15", "--x1", "12", "--x2", "1", "--t", "338"]
+    assert main(["witness", *box, "--output", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 28] No space left on device\n"
+    proc = run_python("-m", "sqavoid.cli", "witness", *box, "--output", "/dev/full")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: [Errno 28] No space left on device\n"
+    # The same with stdout itself on the full device.
+    with open("/dev/full", "w") as full, cli_process("witness", *box, stdout=full) as proc:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert code == 2
+    assert err == "error: [Errno 28] No space left on device\n"
 
 
 # ------------------------------------------------------- frozen payloads

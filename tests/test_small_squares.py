@@ -9,6 +9,8 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sqavoid import arith, small_squares
 from sqavoid.arith import DomainError, TooLarge
@@ -19,6 +21,7 @@ from sqavoid.small_squares import (
     SurveyReport,
     _sqrt_solver,
     _sqrt_table,
+    _x2_top,
     balanced_n,
     brute_force_small_square,
     construct_small_square,
@@ -458,21 +461,27 @@ def scan_order(q1: int) -> list[tuple[int, int]]:
     ]
 
 
-# Row 1320 of the last band draws multipliers up to |b| = 131, at q2 = 1451.
-@pytest.mark.parametrize("q_min, q_max", [(1, 60), (150, 260), (1320, 1451)])
-def test_survey_matches_pair_by_pair_reference(q_min, q_max, monkeypatch):
-    lists, construct = {}, small_squares._construct
+def assert_survey_matches_reference(q_min: int, q_max: int) -> int:
+    """Checks the survey, with a spy on its class step, against `reference_survey`.
+
+    Returns how many rows drew a multiplier past their first pair's b.
+    """
+    calls, lists, solve_class = [], {}, small_squares._solve_class
 
     def spy(q1, q2, cap, root, taken, more):
         assert lists.setdefault(q1, taken) is taken  # one list per row
-        return construct(q1, q2, cap, root, taken, more)
+        calls.append((q1, q2 % q1))
+        return solve_class(q1, q2, cap, root, taken, more)
 
     want_report, want_rows = reference_survey(q_max, q_min)
-    monkeypatch.setattr(small_squares, "_construct", spy)
     rows = []
-    report = small_square_survey(q_max, q_min=q_min, on_row=rows.append)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(small_squares, "_solve_class", spy)
+        report = small_square_survey(q_max, q_min=q_min, on_row=rows.append)
     assert rows == want_rows  # floats included, bit for bit
     assert report == want_report
+    # One class step per class q2 mod q1 of each row, at its first pair.
+    assert calls == list(dict.fromkeys((q1, q2 % q1) for q1, q2, *_ in rows))
     # Each row's list is the scan order up to the furthest b its pairs took:
     # grown only when needed, never restarted and with no magnitude skipped.
     grown = 0
@@ -481,7 +490,31 @@ def test_survey_matches_pair_by_pair_reference(q_min, q_max, monkeypatch):
         reach = [order.index((b, b % q1)) for r_q1, _, _, b, *_ in rows if r_q1 == q1]
         assert taken == order[: max(reach) + 1], q1
         grown += max(reach) > reach[0]
-    assert grown > 0
+    return grown
+
+
+# Row 1320 of the last band draws multipliers up to |b| = 131, at q2 = 1451.
+@pytest.mark.parametrize("q_min, q_max", [(1, 60), (150, 260), (1320, 1451)])
+def test_survey_matches_pair_by_pair_reference(q_min, q_max):
+    assert assert_survey_matches_reference(q_min, q_max) > 0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 300).flatmap(lambda q_max: st.tuples(st.integers(1, q_max), st.just(q_max))))
+@example((_SQRT_TABLE_BOUND - 3, _SQRT_TABLE_BOUND + 9))
+def test_survey_matches_pair_by_pair_reference_hypothesis(band):
+    assert_survey_matches_reference(*band)
+
+
+@pytest.mark.parametrize("ceiling", [1, 2, 64])
+def test_x2_threshold_is_exact(ceiling):
+    # m stands for |x2| * N^2 >= 0: m <= top exactly when m^4 < ceiling^4 * q1^9.
+    for q1 in range(1, 2001):
+        top = _x2_top(q1, ceiling)
+        for m in (top - 1, top, top + 1):
+            if m >= 0:
+                assert (m <= top) == (m**4 < ceiling**4 * q1**9), (q1, m)
+    assert all(_x2_top(q1, 0) == -1 for q1 in range(1, 2001))  # admits no m >= 0
 
 
 def test_survey_ceiling_decides_the_envelopes(monkeypatch):
@@ -550,6 +583,38 @@ _FORGED_ROOTS = textwrap.dedent(
         pass
     else:
         sys.exit("a survey on forged multipliers passed")
+    small_squares._multipliers = multipliers
+
+    # A class entry is checked, not trusted, when a later pair reuses it.  The
+    # entry of q2 = 2 (mod 7) unpacks true for its first pair, q2 = 9, and
+    # forged for every later one, from q2 = 16 on.
+    class Reused:
+        def __init__(self, true, forged):
+            self.next, self.forged = true, forged
+
+        def __iter__(self):
+            entry, self.next = self.next, self.forged
+            return iter(entry)
+
+    solve_class = small_squares._solve_class
+    for name, forge_entry in (
+        ("a wrong c_bar", lambda b, c, c_bar, dens: (b, c, c_bar + 1, dens)),
+        ("denominators past the cap", lambda b, c, c_bar, dens: (b, c, c_bar, [h * 10**6 for h in dens])),
+    ):
+        def forged_class(q1, q2, *rest, forge_entry=forge_entry):
+            entry = solve_class(q1, q2, *rest)
+            return Reused(entry, forge_entry(*entry)) if (q1, q2) == (7, 9) else entry
+
+        small_squares._solve_class = forged_class
+        rows = []
+        try:
+            small_squares.small_square_survey(40, on_row=rows.append)
+        except VerificationFailed:
+            if rows[-1][:2] != (7, 15):  # the pair before (7, 16)
+                sys.exit(f"the entry with {name} failed at {rows[-1][:2]}, not at its reuse")
+        else:
+            sys.exit(f"a survey reusing an entry with {name} passed")
+    small_squares._solve_class = solve_class
     """
 )
 
