@@ -333,6 +333,13 @@ def _emit(records: list[dict], fmt: str, stream) -> None:
     writer.writerows(stamped)
 
 
+def _say(line: str) -> None:
+    """Print a line to stderr, or nothing if stderr cannot take it (2>/dev/full):
+    the exit code, not this line, is the verdict."""
+    with contextlib.suppress(OSError):
+        print(line, file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -341,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         out = open(args.output, "w", encoding="utf-8", newline="") if args.output else None
     except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+        _say(f"error: {e}")
         return EXIT_ERROR
     try:
         with out or contextlib.nullcontext(sys.stdout) as stream:
@@ -360,9 +367,9 @@ def main(argv: list[str] | None = None) -> int:
                 devnull = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(devnull, sys.stdout.fileno())
                 os.close(devnull)
-        print(f"error: {e}", file=sys.stderr)
+        _say(f"error: {e}")
         return EXIT_ERROR
-    print(summary, file=sys.stderr)
+    _say(summary)
     return code
 
 

@@ -25,15 +25,13 @@ a step past 10^12, and cannot foresee an early witness):
   paper's non-residue boxes, cost almost nothing.
 
 `brute_force_witness`, the independent oracle, enumerates the whole
-coefficient box row by row along its longer axis, skipping only the
-values whose residue modulo the fixed SQUARE_MODULUS = 720 no square
-takes (it solves for where the 48 others fall in a row), and tests the
-rest against a set of squares (kept across calls up to SQUARE_TABLE_ROOTS
-roots) or by isqrt; it does no residue arithmetic modulo q1 or q2.  All
-three apply the same deterministic tie-break (smallest n, then smallest
-|x1|, positive x1 before negative), so their results are comparable
-object-for-object.  `certify_box`, behind the `witness` and `verify`
-commands, searches by the cheaper route.
+coefficient box row by row along its longer axis, sieving each row's
+values by their residues modulo the small SIEVE_MODULI, a bit per value,
+and testing the few left by isqrt; it does no residue arithmetic modulo
+q1 or q2.  All three apply the same deterministic tie-break (smallest n,
+then smallest |x1|, positive x1 before negative), so their results are
+comparable object-for-object.  `certify_box`, behind the `witness` and
+`verify` commands, searches by the cheaper route.
 
 `max_radius`, the largest square-free radius r on one axis, also walks
 rows, asking `_least_root` as the row route does: a row of the box holds
@@ -56,8 +54,8 @@ import math
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import accumulate, chain, compress, islice, repeat, tee
-from operator import mod, mul
+from itertools import accumulate, compress, islice, repeat, tee
+from operator import mod
 
 from .arith import (
     TRIAL_BOUND,
@@ -79,12 +77,6 @@ BRUTE_FORCE_GUARD = 100_000_000
 ROOT_WALK_LIMIT = 100_000_000
 # Most residues, and most root classes, a witness walk's filter holds at once.
 RESIDUE_SCAN_LIMIT = 1 << 20
-# Roots whose squares the brute-force oracle keeps between calls: 2^16
-# squares, about 6 MiB.  A call that needs more tests each value by isqrt.
-SQUARE_TABLE_ROOTS = 1 << 16
-# The modulus whose 48 square residues the brute-force oracle reads rows by;
-# 5040 = 720*7 would cost more in ranges than it saves in lookups.
-SQUARE_MODULUS = 720
 
 
 class TwoDAP(Record):
@@ -455,19 +447,24 @@ def certify_box(a: TwoDAP, t: int) -> Certificate:
     return _certificate(a, t, find_square_witness)
 
 
-# The brute-force oracle's squares 1, 4, ..., m^2 for the largest
-# m <= SQUARE_TABLE_ROOTS that a call has needed.  It only ever grows, and
-# holds the same squares whichever calls grew it.
-_square_table: set[int] = set()
-# The residues modulo SQUARE_MODULUS that squares take, by squaring every class.
-_SQUARE_RESIDUES = frozenset(n * n % SQUARE_MODULUS for n in range(SQUARE_MODULUS))
+# The moduli whose square residues the brute-force oracle sieves rows by: in
+# a row whose step is prime to them all, about 1 value in 4,500 passes.
+SIEVE_MODULI = (16, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Row values the sieve reads at once, one bit each.
+SIEVE_CHUNK = 1 << 13
+# (l, u) -> `_tile(l, u)`, for units u modulo each l: 196 at most, about 200 KiB.
+_tiles: dict[tuple[int, int], tuple[int, int]] = {}
 
 
-def _squares_through(m: int) -> set[int]:
-    """The kept table, grown to hold 1, 4, ..., m^2 (m <= SQUARE_TABLE_ROOTS)."""
-    r = range(len(_square_table) + 1, m + 1)
-    _square_table.update(map(mul, r, r))
-    return _square_table
+def _tile(ell: int, u: int) -> tuple[int, int]:
+    """(u^-1 mod ell, the bits k < SIEVE_CHUNK + ell set where u*k is a
+    square modulo ell), kept in `_tiles`."""
+    if (ell, u) not in _tiles:
+        squares = {n * n % ell for n in range(ell)}
+        period = sum(1 << k for k in range(ell) if u * k % ell in squares)
+        copies = ((1 << (SIEVE_CHUNK // ell + 2) * ell) - 1) // ((1 << ell) - 1)
+        _tiles[ell, u] = pow(u, -1, ell), period * copies & ((1 << SIEVE_CHUNK + ell) - 1)
+    return _tiles[ell, u]
 
 
 def _least(hits) -> SquareWitness | None:
@@ -476,58 +473,59 @@ def _least(hits) -> SquareWitness | None:
     return None if best is None else SquareWitness(best[1], best[2], best[0])
 
 
+def _least_square(first: int, count: int, step: int, sieve) -> int | None:
+    """The least square among first + i*step, 0 <= i < count, or None.
+
+    `sieve` holds (l, step^-1 mod l, tile) triples; the values it lets
+    through, a chunk at a time, are tested by isqrt in ascending order."""
+    for i in range(0, count, SIEVE_CHUNK):
+        start = first + i * step
+        bits = (1 << min(SIEVE_CHUNK, count - i)) - 1
+        for ell, inv, tile in sieve:
+            bits &= tile >> (start * inv % ell)
+        while bits:
+            low = bits & -bits
+            v = start + (low.bit_length() - 1) * step
+            if isqrt(v) ** 2 == v:
+                return v
+            bits ^= low
+    return None
+
+
 def _row_scan(a: TwoDAP, cap: int) -> SquareWitness | None:
-    """Brute force one row at a time along the longer axis, skipping non-square classes.
+    """Brute force one row at a time along the longer axis, by a square sieve.
 
     A row holds one coefficient fixed: x2 (values x1*q1 + x2*q2, a range
     with step q1), or x1 when b2 > b1 (a range with step q2), so that the
-    rows are few and long.  Each row is clipped to the values in [1, cap].
-    A row of at least 4*len(_SQUARE_RESIDUES) = 192 values (shorter ones
-    cost less whole) is read only where its residue modulo SQUARE_MODULUS
-    is one of the 48 in `_SQUARE_RESIDUES`: one range per residue, every
-    (720/g)-th value (g = gcd(step, 720)) from an offset solved by the
-    builtin pow, so 1/15 of the row when the step is prime to 30.  Each
-    value read is tested exactly: by hash lookup at C speed in the kept
-    table when isqrt(cap) <= min(pairs, SQUARE_TABLE_ROOTS), otherwise by
-    isqrt, so that no set is built and only the row's squares are held.
-    The table may also hold larger squares, which no clipped row can meet.
+    rows are few and long.  Each row is clipped to the values in [1, cap]
+    and read SIEVE_CHUNK values at a time, bit i standing for the value
+    first + i*step.  Each modulus l of SIEVE_MODULI prime to the step ANDs
+    in the tile of `_tile(l, step mod l)` shifted by first*step^-1 mod l,
+    which keeps the i whose value is a square modulo l.  A modulus dividing
+    the step fixes the row's residue, and a non-square one skips the row
+    whole; one that shares only part of it is dropped for the call.  The
+    bits left are read in ascending order and each value tested exactly by
+    isqrt, so the first square is the row's least and ends the row; no set
+    of squares is held.
     A row's least square is its only candidate: it alone has the row's
     smallest n, and one value of a row fixes its pair, so the tie-break
     (n, |x1|, x1 < 0) stays exact in either orientation.
     """
-    n_hi, m = isqrt(cap), SQUARE_MODULUS
-    kept = n_hi <= min(cardinality(a), SQUARE_TABLE_ROOTS)
-    squares = _squares_through(n_hi) if kept else None
     # Row y holds the values y*q_y + x*q_x, |x| <= b_x.
     across = a.b2 > a.b1  # rows of fixed x1
     q_y, b_y, q_x, b_x = (a.q1, a.b1, a.q2, a.b2) if across else (a.q2, a.b2, a.q1, a.b1)
-    # A row value start + i*q_x is r modulo m iff g divides r - start and
-    # i = (r - start)/g * inv (mod m/g), and so is every stride-th one on.
-    g = math.gcd(q_x, m)
-    period, stride = m // g, m // g * q_x
-    inv = pow(q_x // g, -1, period)
+    residues = [(ell, q_x % ell) for ell in SIEVE_MODULI]
+    sieve = [(ell, *_tile(ell, u)) for ell, u in residues if math.gcd(ell, u) == 1]
+    fixed = [(ell, _tile(ell, 1)[1]) for ell, u in residues if u == 0]
     hits = []
     for y in range(-b_y, b_y + 1):
         base = y * q_y
         lo = max(-b_x, -((base - 1) // q_x))  # least x with base + x*q_x >= 1
         hi = min(b_x, (cap - base) // q_x)
-        if lo > hi:
+        if lo > hi or not all(tile >> (base % ell) & 1 for ell, tile in fixed):
             continue
-        start, stop = base + lo * q_x, base + hi * q_x + 1
-        parts = [range(start, stop, q_x)]
-        if hi - lo + 1 >= 4 * len(_SQUARE_RESIDUES):
-            r0 = start % m
-            parts = [
-                range(start + (r - r0) // g * inv % period * q_x, stop, stride)
-                for r in _SQUARE_RESIDUES if (r - r0) % g == 0
-            ]
-        values = chain.from_iterable(parts)
-        if kept:
-            found = squares.intersection(values)
-        else:
-            found = [v for v in values if isqrt(v) ** 2 == v]
-        if found:
-            v = min(found)
+        v = _least_square(base + lo * q_x, hi - lo + 1, q_x, sieve)
+        if v is not None:
             x = (v - base) // q_x
             hits.append((isqrt(v), y, x) if across else (isqrt(v), x, y))
     return _least(hits)
@@ -542,10 +540,10 @@ def brute_force_witness(
     `find_square_witness` ((n, |x1|, sign of x1)).  Refuses t < 0 as the
     routes do, a guard outside 0..BRUTE_FORCE_GUARD (DomainError), and a box
     of more than `guard` coefficient pairs (TooLarge): guard = 0 refuses all.
-    Exact at any integer size.  Scans by rows (`_row_scan`), reading only
-    the values whose residue modulo SQUARE_MODULUS = 720 a square can take; its
-    memory is O(rows) beyond the kept table of at most SQUARE_TABLE_ROOTS
-    squares, which only boxes with at least isqrt(cap) pairs grow.
+    Exact at any integer size.  Scans by rows (`_row_scan`), sieving out by
+    their residues modulo SIEVE_MODULI values that cannot be squares; its
+    memory is O(rows) beyond the bounded `_tiles` cache, and it keeps no
+    squares.
     """
     if t < 0:
         raise DomainError(f"ambient bound must be non-negative, got {t}")

@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import csv
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -350,6 +351,35 @@ def test_full_disk_exits_two(capsys, run_python):
         code = proc.wait(timeout=120)
     assert code == 2
     assert err == "error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="/dev/full is a Linux device")
+def test_unwritable_stderr_keeps_the_verdict(capsys, monkeypatch):
+    # A summary or error line that stderr cannot take is dropped, and the
+    # exit code stays the verdict's: 0 for a square-free box, 1 for a
+    # witness (13*13 at --x1 13), 2 for an error.
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    box = ["--q1", "13", "--q2", "15", "--x2", "1", "--t", "338"]
+    for x1, code, kind in (("12", 0, "SquareFree"), ("13", 1, "Witness")):
+        for command in ("witness", "verify"):
+            argv = [command, *box, "--x1", x1]
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "sqavoid.cli", *argv],
+                    stdout=subprocess.PIPE, stderr=full, text=True, env=env, cwd=ROOT, timeout=120,
+                )
+            assert (proc.returncode, json.loads(proc.stdout)["kind"]) == (code, kind), argv
+            monkeypatch.setattr(sys, "stderr", Full())
+            assert main(argv) == code
+            monkeypatch.undo()
+            assert json.loads(capsys.readouterr().out)["kind"] == kind
+    monkeypatch.setattr(sys, "stderr", Full())
+    assert main(["witness", *box, "--x1", "12", "--output", str(ROOT / "no-such-dir" / "out")]) == 2
+    assert main(["witness", *box, "--x1", "12", "--q1", "0"]) == 2
 
 
 # ------------------------------------------------------- frozen payloads

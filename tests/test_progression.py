@@ -535,47 +535,26 @@ def test_too_large_is_refused_before_either_route(monkeypatch):
         certify_box(a, 1014 * 1015)
 
 
-def test_kept_square_table_matches_pair_scan(monkeypatch):
-    monkeypatch.setattr(progression, "_square_table", set())
-    rng = random.Random(16)
-
-    def check(cap: int) -> None:
-        # Boxes with a square planted at x1 = 1 near or below the cap, and
-        # with at least min(isqrt(cap), SQUARE_TABLE_ROOTS) pairs, so that
-        # within the bound the row scan reads the table.
-        for _ in range(12):
-            n = rng.choice([isqrt(cap), rng.randint(1, isqrt(cap))])
-            b2 = rng.randint(0, 15)
-            b1 = max(rng.randint(1, 15), min(isqrt(cap), progression.SQUARE_TABLE_ROOTS) // (2 * b2 + 1))
-            x2, q2 = rng.randint(-b2, b2), rng.randint(1, cap // 30 + 1)
-            q1 = n * n - x2 * q2 if n * n > x2 * q2 else n * n
-            a = TwoDAP(q1, q2, b1, b2)
-            assert _row_scan(a, cap) == oracle_witness(a, cap) is not None, (a, cap)
-        assert len(progression._square_table) <= progression.SQUARE_TABLE_ROOTS
-
-    # A box with fewer pairs than roots tests its values by isqrt.
-    a = TwoDAP(99 * 99 - 7, 7, 2, 1)
-    assert _row_scan(a, 10**8) == oracle_witness(a, 10**8) == SquareWitness(1, 1, 99)
-    assert not progression._square_table
-    caps = [10**8, 10**6, 4000, 50, 1]
-    for cap in caps:  # descending: the table keeps its largest size
-        check(cap)
-    assert len(progression._square_table) == 10**4
-    for cap in reversed(caps):  # ascending: nothing to add
-        check(cap)
-    assert len(progression._square_table) == 10**4
-    check(2**34)  # 2^17 roots, past the bound: each value tested by isqrt
-    assert len(progression._square_table) == 10**4
-    check(2**32)  # exactly the bound's 2^16 roots
-    assert progression._square_table == {n * n for n in range(1, 2**16 + 1)}
-    check(2**32 + 2**17 + 1)  # 2^16 + 1 roots: one past the bound
-    assert len(progression._square_table) == progression.SQUARE_TABLE_ROOTS == 2**16
-
-
-def test_square_residues_are_the_squares_mod_720():
-    assert progression.SQUARE_MODULUS == 720
-    assert progression._SQUARE_RESIDUES == {n * n % 720 for n in range(720)}
-    assert len(progression._SQUARE_RESIDUES) == 48
+def test_sieve_patterns_are_the_squares_mod_each_modulus(monkeypatch):
+    # Each tile is the period-l pattern of the k with u*k a square modulo l,
+    # over SIEVE_CHUNK + l bits, so any shift below l still covers a chunk.
+    # One tile per unit u of each modulus bounds the cache below 1 MiB.
+    monkeypatch.setattr(progression, "_tiles", {})
+    chunk = progression.SIEVE_CHUNK
+    for ell in progression.SIEVE_MODULI:
+        squares = {n * n % ell for n in range(ell)}
+        assert {k for k in range(ell) if progression._tile(ell, 1)[1] >> k & 1} == squares
+        for u in range(1, ell):
+            if math.gcd(u, ell) == 1:
+                inv, tile = progression._tile(ell, u)
+                assert inv * u % ell == 1 and tile >> (chunk + ell) == 0
+                assert [tile >> k & 1 for k in range(chunk + ell)] == [
+                    u * k % ell in squares for k in range(chunk + ell)
+                ]
+    tiles = progression._tiles
+    assert len(tiles) == sum(math.gcd(u, ell) == 1 for ell in progression.SIEVE_MODULI for u in range(ell))
+    assert len(tiles) <= sum(progression.SIEVE_MODULI)
+    assert sum(tile.bit_length() for _, tile in tiles.values()) < 8 * 2**20
 
 
 def test_row_scan_reads_every_class_that_holds_squares():
@@ -585,7 +564,7 @@ def test_row_scan_reads_every_class_that_holds_squares():
     # with n'^2 = n^2 (mod p) lies below n; row x2 = 0 is x1*p with |x1| < p,
     # and row x2 = -1 is -n^2 (mod p), a non-residue as p = 3 (mod 4).  So
     # n^2 is the box's least square, in the class of residue r.
-    for p in (10007, 10**9 + 7):  # the kept table, then isqrt
+    for p in (10007, 10**9 + 7):
         for k, r in enumerate(sorted({n * n % 720 for n in range(720)})):
             j = 8 * k + 17
             n = isqrt(j * p) + 1
@@ -596,41 +575,40 @@ def test_row_scan_reads_every_class_that_holds_squares():
             assert _row_scan(a, cap) == oracle_witness(a, cap) == SquareWitness(j, 1, n), (p, r)
 
 
-def test_row_scan_solves_for_the_classes_a_scan_would_keep(monkeypatch):
+def test_sieve_hands_the_exact_test_what_every_kept_modulus_passes(monkeypatch):
     # For every step residue s modulo 720, rows of 95 to 721 values starting
-    # at spread residues: a row of at least 4*48 = 192 values is read only at
-    # its values with a square residue modulo 720, each once, and a shorter
-    # row whole.  The kept table is replaced by one that records what is read.
-    residues = {n * n % 720 for n in range(720)}
+    # at spread residues, read 128 values to a chunk so that a row spans up
+    # to 6 chunks.  The exact test is replaced by one that records what it
+    # is handed and finds no square, so every row is read to its end.  A
+    # modulus sharing only part of the step is dropped for the call; one
+    # dividing it fixes each row's residue, and so passes a row whole or
+    # none of it.
     read = []
-
-    class Reads(set):
-        def intersection(self, part):
-            read.extend(part)
-            return set()
-
-    monkeypatch.setattr(progression, "_squares_through", lambda m: Reads())
-    # Row x2 = 0 holds `half` values and rows x2 = 1, 2, 3 hold 2*half + 1,
-    # so half = 95 reads rows of 95 and 191 whole, and half = 192 filters
-    # a row of 192.
+    monkeypatch.setattr(progression, "isqrt", lambda v: read.append(v) or 0)
+    monkeypatch.setattr(progression, "SIEVE_CHUNK", 128)
+    monkeypatch.setattr(progression, "_tiles", {})
+    squares = {ell: {n * n % ell for n in range(ell)} for ell in progression.SIEVE_MODULI}
+    # Row x2 = 0 holds `half` values and rows x2 = 1, 2, 3 hold 2*half + 1.
     for s, half in product(range(720), (95, 192, 360)):
         q1 = s + 720
         q2 = half * q1 + 1 + 131 * s  # rows x2 = 1, 2, 3 start at spread residues
         a = TwoDAP(q1, q2, half, 3)
         cap = a.value_bound()
-        expected = []
-        for x2 in range(4):  # rows x2 < 0 end at -1 - 131*s
-            row = [v for v in range(x2 * q2 - half * q1, x2 * q2 + half * q1 + 1, q1) if 1 <= v <= cap]
-            expected += [v for v in row if v % 720 in residues] if len(row) >= 192 else row
+        kept = [ell for ell in progression.SIEVE_MODULI if math.gcd(q1, ell) in (1, ell)]
+        expected = [
+            v
+            for x2 in range(4)  # rows x2 < 0 end at -1 - 131*s
+            for v in range(x2 * q2 - half * q1, x2 * q2 + half * q1 + 1, q1)
+            if 1 <= v <= cap and all(v % ell in squares[ell] for ell in kept)
+        ]
         read.clear()
         assert _row_scan(a, cap) is None
-        assert sorted(read) == sorted(expected), s
+        assert read == expected, s
 
 
-def test_oracle_past_the_table_keeps_no_set(monkeypatch):
+def test_oracle_past_the_table_keeps_no_set():
     # One row of 4*10^6 values up to 1.6*10^13: a set of the 4*10^6 squares
     # up to the cap would take about 285 MiB.
-    monkeypatch.setattr(progression, "_square_table", set())
     a = TwoDAP(4_000_001, 1, 4_000_000, 0)
     tracemalloc.start()
     try:
@@ -639,7 +617,6 @@ def test_oracle_past_the_table_keeps_no_set(monkeypatch):
     finally:
         tracemalloc.stop()
     assert w is None and peak < 2 * 2**20, peak
-    assert not progression._square_table
 
 
 def test_brute_force_refuses_a_negative_guard():
@@ -705,10 +682,11 @@ ORACLE = {
     "brute_force_witness",
     "_row_scan",
     "_least",
-    "_squares_through",
-    "_square_table",
-    "SQUARE_MODULUS",
-    "_SQUARE_RESIDUES",
+    "_least_square",
+    "_tile",
+    "_tiles",
+    "SIEVE_MODULI",
+    "SIEVE_CHUNK",
 }
 
 
@@ -805,16 +783,16 @@ def test_row_scan_matches_pair_scan_hypothesis(case):
 
 @st.composite
 def long_row_boxes(draw) -> tuple[TwoDAP, int]:
-    """Boxes whose rows hold 600 to 5,001 values before clipping, past the filter.
+    """Boxes whose rows hold 600 to 5,001 values before clipping.
 
-    q1 is a multiple of 1, 2, 3, 5, 16, 48, 80, 144 or 720, so a row reads
-    anywhere from none to 48 of its classes modulo 720, and log-uniform, so steps
-    past 2^64 are common.  Most boxes get a square planted at (x1, +-1),
-    which gives rows with negative bases; t falls in the upper half of the
-    value bound, past it, on either side of 2^32, or where isqrt(t) meets
-    the pair count, the edge between the kept table and isqrt.  Half the
-    boxes are transposed, (q2, q1, b2, b1), so that b2 > b1 and the oracle
-    reads them by rows of fixed x1.
+    q1 is a multiple of 1, 2, 3, 5, 16, 48, 80, 144 or 720, so the step
+    shares with the sieve moduli 16, 9 and 5 nothing, part of one, or the
+    whole of some, and log-uniform, so steps past 2^64 are common.  Most
+    boxes get a square planted at (x1, +-1), which gives rows with negative
+    bases; t falls in the upper half of the value bound, past it, on either
+    side of 2^32, or where isqrt(t) meets the pair count.  Half the boxes
+    are transposed, (q2, q1, b2, b1), so that b2 > b1 and the oracle reads
+    them by rows of fixed x1.
     """
     k = draw(st.integers(0, 70))
     q1 = draw(st.sampled_from([1, 2, 3, 5, 16, 48, 80, 144, 720])) * draw(st.integers(2**k, 2 ** (k + 1)))
@@ -847,11 +825,50 @@ def test_filtered_row_scan_matches_pair_oracle_hypothesis(case):
         assert _row_scan(a, cap) == oracle_witness(a, cap) == w
 
 
+# The product of the sieve moduli, 16*9*5*7*...*37, and of their primes.
+SIEVE_PRODUCT = math.prod(progression.SIEVE_MODULI)
+SIEVE_PRIMES = math.prod(squarefree_kernel(ell) for ell in progression.SIEVE_MODULI)
+
+
+@st.composite
+def shared_factor_boxes(draw) -> tuple[TwoDAP, int]:
+    """Long-row boxes whose row step shares a factor with every sieve modulus, or one.
+
+    The row step is SIEVE_PRODUCT (every modulus divides it, so each row is
+    passed whole or skipped by its residues), SIEVE_PRIMES (16 and 9 share
+    only part of it and are dropped) or one modulus, times a log-uniform
+    factor up to 2^61, so that steps past 2^64 occur.  Rows hold 201 to
+    1,201 values; most boxes get a square planted at (x1, +-1), and half
+    are transposed.
+    """
+    k = draw(st.integers(0, 60))
+    base = draw(st.sampled_from([SIEVE_PRODUCT, SIEVE_PRIMES, *progression.SIEVE_MODULI]))
+    q1 = base * draw(st.integers(2**k, 2 ** (k + 1)))
+    b1, b2 = draw(st.integers(100, 600)), draw(st.integers(0, 2))
+    q2 = draw(st.integers(1, b1 * q1))
+    if b2 and draw(st.booleans()):
+        x1 = draw(st.integers(-b1, b1))
+        q2 = abs(draw(st.integers(1, isqrt(2 * b1 * q1))) ** 2 - x1 * q1) or q2
+    a = TwoDAP(q2, q1, b2, b1) if draw(st.booleans()) else TwoDAP(q1, q2, b1, b2)
+    bound = a.value_bound()
+    return a, draw(st.one_of(st.integers(bound // 2, bound), st.integers(bound, 2 * bound)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(shared_factor_boxes())
+def test_sieve_with_shared_factors_matches_pair_oracle_hypothesis(case):
+    a, t = case
+    w = find_square_witness(a, t)
+    assert brute_force_witness(a, t) == w
+    cap = min(t, a.value_bound())
+    if cap >= 1:
+        assert _row_scan(a, cap) == oracle_witness(a, cap) == w
+
+
 def test_row_scan_reads_the_longer_axis(monkeypatch):
-    # One column x1 = 0 of 2*10^6 + 1 values up to about 10^12, past the
-    # kept table, and its transpose: each is read as one row of which the
-    # filter keeps the 48 classes of 720 that hold squares, so about 6.7*10^4
-    # values take isqrt, not one per row of 2*10^6 one-value rows.
+    # One column x1 = 0 of 2*10^6 + 1 values up to about 10^12, and its
+    # transpose: each is read as one row, whose sieve hands a few hundred
+    # values to isqrt, not one per row of 2*10^6 one-value rows.
     calls = []
     monkeypatch.setattr(progression, "isqrt", lambda n: calls.append(n) or isqrt(n))
     for a in (TwoDAP(7, 1000003, 0, 10**6), TwoDAP(1000003, 7, 10**6, 0)):
