@@ -18,6 +18,7 @@ from sqavoid import (
     brute_force_small_square,
     construct_small_square,
     convergent_denominators,
+    least_qnr,
     small_square_survey,
     square_cover_height,
 )
@@ -45,8 +46,17 @@ print(f"construction used |x2| = {abs(w.x2)}, exhaustive best |x2| = {abs(best.x
 # The cover height H(k) is the least h such that every unit mod k is y*z^2
 # with |y| <= h.  It bounds |b|: the scan for b stops by |b| = H(q1).
 print(f"\ncover height H({q1}) = {square_cover_height(q1)} >= |b| = {abs(trace.b)}")
-for k in (1, 2, 3, 10):
-    print(f"cover height H({k}) = {square_cover_height(k)}")
+# For a prime p = 1 (mod 4), -1 is a square, so H(p) is the least
+# quadratic non-residue n(p), the quantity the lower bounds rest on.
+for p in (13, 73, 193, 1201, 2521):
+    h, n = square_cover_height(p), least_qnr(p)
+    assert h == n
+    print(f"cover height H({p}) = {h} = n({p})")
+# One factorization and a scan up to H: a modulus with many prime factors
+# is as quick as any other.
+h = square_cover_height(157080)
+assert h == 1511
+print(f"cover height H(157080 = 8*3*5*7*11*17) = {h}")
 
 # Survey every coprime pair 2 <= q1 <= q2 <= 300: each construction is
 # verified and its coefficient ratios compared to the theoretical ceilings.

@@ -322,7 +322,7 @@ _HANDLERS = {
 
 def _emit(records: list[dict], fmt: str, stream) -> None:
     stamped = [{"schema_version": SCHEMA_VERSION} | r for r in records]
-    if fmt == "jsonl":
+    if fmt == "jsonl" or not stamped:  # a run with no records writes no CSV header either
         for rec in stamped:
             stream.write(json.dumps(rec, sort_keys=True))
             stream.write("\n")

@@ -10,8 +10,8 @@ deterministic given the configuration:
 * ``lower_bound``- the non-residue construction over every prime
                    p = 1 (mod 4) whose box lies in [-T, T]; that value
                    bound sits below 2*p^2, where its certificate holds.
-                   Boxes are compared in closed form, one least_qnr per
-                   prime; only the winner is built and certified.
+                   Boxes are compared in closed form, n(p) from
+                   `least_nonresidues`; only the winner is built and certified.
 * ``random_local``- seeded random coprime pairs q1 < q2 up to 2*sqrt(T):
                    X1 = one_d_bound(q1, T), exact while X2 = 0, then
                    X2 = max_radius(q2, q1, factors of q1, X1, T) in the
@@ -130,9 +130,9 @@ def _one_d_family(t: int) -> FamilyBest:
 def _lower_bound_family(t: int) -> FamilyBest | None:
     """The largest non-residue box in [-t, t], ties to the smaller p.
 
-    Each box (p, p + n, p - 1, n - 1), n = least_qnr(p), is judged by its
-    closed-form size and value bound; only the winner is built, checked
-    against them and certified.
+    Each box (p, p + n, p - 1, n - 1), with n = n(p) from
+    `least_nonresidues`, is judged by its closed-form size and value bound;
+    only the winner is built, checked against them and certified.
     """
     best = None  # (size, value bound, p)
     for p, n in least_nonresidues(isqrt(t)):

@@ -713,6 +713,18 @@ def test_csv_format_round_trip(capsys, tmp_path):
     assert rows[0]["schema_version"] == SCHEMA_VERSION
 
 
+def test_a_run_with_no_records_writes_nothing(capsys, tmp_path):
+    # No prime p = 1 (mod 4) reaches 13 below 10: no record, so no CSV header
+    # and no blank line either, as in JSONL.
+    for fmt in ("jsonl", "csv"):
+        assert main(["scan-nqr", "--p-max", "10", "--format", fmt]) == 0
+        assert capsys.readouterr() == ("", "0 primes scanned\n")
+        out = tmp_path / f"empty.{fmt}"
+        assert main(["scan-nqr", "--p-max", "10", "--format", fmt, "--output", str(out)]) == 0
+        assert out.read_bytes() == b""
+        assert capsys.readouterr() == ("", "0 primes scanned\n")
+
+
 def test_output_file_and_byte_determinism(capsys, tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     argv = ["sweep", "--t", "5000", "--seed", "11", "--budget", "30"]

@@ -34,6 +34,21 @@ from sqavoid.small_squares import (
 # ---------------------------------------------------------------- oracles
 
 
+def oracle_cover_height_sets(k: int) -> int:
+    """The cover height by set algebra: strike +/- h * (unit squares) off the
+    units for units h = 1, 2, ... until none is left (k up to a few 10^5)."""
+    if k <= 2:
+        return 1
+    units = [x for x in range(1, k) if math.gcd(x, k) == 1]
+    unit_squares = {z * z % k for z in units}
+    uncovered = set(units)
+    for h in units:
+        uncovered -= {y * s % k for s in unit_squares for y in (h, -h)}
+        if not uncovered:
+            return h
+    raise AssertionError(f"no cover height below {k}")
+
+
 def oracle_cover_height(k: int) -> int:
     """Direct two-loop definition of the cover height (tiny k only)."""
     if k <= 2:
@@ -101,16 +116,50 @@ def test_cover_height_frozen():
 
 
 def test_cover_height_matches_oracle():
-    # The oracle's cost grows about as k^4: k < 180 takes about a second.
+    # The character scan against the set algebra for k <= 3000 (about 2 s),
+    # and against the two-loop definition, whose cost grows about as k^4,
+    # for k < 180 (about a second).
+    for k in range(1, 3001):
+        assert square_cover_height(k) == oracle_cover_height_sets(k), k
     for k in range(1, 180):
         assert square_cover_height(k) == oracle_cover_height(k), k
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 10**5))
+@example(10**5)
+@example(2 * 3 * 5 * 7 * 11 * 13)
+def test_cover_height_matches_set_algebra_hypothesis(k):
+    assert square_cover_height(k) == oracle_cover_height_sets(k)
+
+
 def test_cover_height_guard():
-    with pytest.raises(TooLarge):
-        square_cover_height(200_000)
+    # No size guard is left: past the old one at 10^5 the scan still
+    # answers, and it refuses only a modulus below 1.
+    assert square_cover_height(200_000) == oracle_cover_height_sets(200_000) == 11
+    assert square_cover_height(157_080) == 1511  # 8*3*5*7*11*17
     with pytest.raises(DomainError):
         square_cover_height(0)
+
+
+def test_cover_height_of_a_prime_is_its_least_non_residue():
+    # H(p) = n(p) for p = 1 (mod 4), and 1 for p = 3 (mod 4), where -1 is a
+    # non-residue.  The character scan and least_qnr's Jacobi scan share no code.
+    primes = list(arith.primes_up_to(3000))[1:]
+    assert len(primes) == 429
+    for p in primes:
+        assert square_cover_height(p) == (arith.least_qnr(p) if p % 4 == 1 else 1), p
+
+
+def test_survey_multipliers_stay_within_the_cover_height():
+    # The lemma's constant: the scan for b stops by |b| = H(q1) on every
+    # pair, and some rows need all of it.
+    rows = []
+    small_square_survey(300, on_row=rows.append)
+    heights = {q1: square_cover_height(q1) for q1 in range(2, 301)}
+    assert all(abs(row[3]) <= heights[row[0]] for row in rows)
+    tight = {row[0] for row in rows if abs(row[3]) == heights[row[0]]}
+    assert len(tight) > 10 and 157 in tight, sorted(tight)[:20]
 
 
 def test_cover_height_envelope():
