@@ -22,6 +22,7 @@ from sqavoid import (
     small_square_survey,
     square_cover_height,
 )
+from sqavoid.small_squares import RATIO_CEILING
 
 q1, q2 = 120, 1963
 n_cap = balanced_n(q1, q2)
@@ -64,3 +65,16 @@ report = small_square_survey(300)
 print(f"\nsurvey up to 300: {report.pairs} coprime pairs, all verified: {report.all_ok}")
 print(f"  max |x1| ratio {report.max_ratio_x1:.3f} at {report.argmax_x1}")
 print(f"  max |x2| ratio {report.max_ratio_x2:.3f} at {report.argmax_x2}")
+
+# |x2|*N^2 <= |b|*q1^2 and |b| <= H(q1), so a row with H(q1)/q1^(1/4) below
+# the ceiling keeps every |x2| ratio below it by proof, not only by count.
+heights = {q1: square_cover_height(q1) for q1 in range(2, 301)}
+proven = sum(h**4 < RATIO_CEILING**4 * q1 for q1, h in heights.items())
+assert proven == len(heights) == 299
+top = max(heights, key=lambda q1: heights[q1] / q1**0.25)
+print(f"  proven x2 ceiling H(q1)/q1^(1/4): max {heights[top] / top**0.25:.2f} "
+      f"at q1 = {top} (H = {heights[top]}); {proven} of {len(heights)} rows "
+      f"below {RATIO_CEILING}")
+k = 157080
+print(f"  at q1 = {k}: H/q1^(1/4) = {square_cover_height(k) / k**0.25:.1f} > {RATIO_CEILING}, "
+      f"so there the x2 envelope is only measured")

@@ -34,7 +34,7 @@ from sqavoid.progression import (
     find_square_witness,
     is_proper,
 )
-from sqavoid.small_squares import small_square_survey
+from sqavoid.small_squares import small_square_survey, square_cover_height
 
 F = Fraction
 
@@ -80,7 +80,8 @@ def test_criterion_1_exponent_supremum(capsys):
 
 def test_criterion_2_constructive_lemma_soundness(capsys):
     """Every coprime pair 2 <= q1 <= q2 <= 2000 yields a verified witness
-    with 1 <= n <= N and coefficient ratios under 64.  Runtime < 2 min."""
+    with 1 <= n <= N and coefficient ratios under 64, and every row's x2
+    ratio is under 64 by the cover-height bound as well.  Runtime < 2 min."""
     t0 = time.perf_counter()
     report = small_square_survey(2000)
     elapsed = time.perf_counter() - t0
@@ -88,11 +89,18 @@ def test_criterion_2_constructive_lemma_soundness(capsys):
     assert report.all_ok, report
     assert report.max_ratio_x2 < 64 and report.max_ratio_x1 < 64
     assert elapsed < 120.0
+    # |x2|*N^2 <= |b|*q1^2 and |b| <= H(q1), so a row with H(q1)^4 < 64^4*q1
+    # cannot break the ceiling |x2|*N^2 < 64*q1^(9/4): proven, not only counted.
+    heights = {q1: square_cover_height(q1) for q1 in range(2, 2001)}
+    assert all(h**4 < 64**4 * q1 for q1, h in heights.items())
+    top = max(heights, key=lambda q1: heights[q1] / q1**0.25)
     with capsys.disabled():
         print(f"criterion 2 constructive-lemma: PASS "
               f"({report.pairs} pairs; max |x2| ratio {report.max_ratio_x2:.2f} "
               f"at {report.argmax_x2}, max |x1| ratio {report.max_ratio_x1:.2f} "
-              f"at {report.argmax_x1}; {elapsed:.1f}s)")
+              f"at {report.argmax_x1}; max H(q1)/q1^(1/4) "
+              f"{heights[top] / top**0.25:.2f} at q1 = {top}, H = {heights[top]}; "
+              f"{elapsed:.1f}s)")
 
 
 def test_criterion_3_oracle_equivalence(capsys):

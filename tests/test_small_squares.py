@@ -515,22 +515,37 @@ def assert_survey_matches_reference(q_min: int, q_max: int) -> int:
 
     Returns how many rows drew a multiplier past their first pair's b.
     """
-    calls, lists, solve_class = [], {}, small_squares._solve_class
+    calls, lists, memos, roots, inverses = [], {}, {}, {}, []
+    solve_class, inverse = small_squares._solve_class, small_squares.mod_inverse
 
-    def spy(q1, q2, cap, root, taken, more):
+    def spy(q1, q2, cap, root, taken, more, by_root):
         assert lists.setdefault(q1, taken) is taken  # one list per row
+        assert memos.setdefault(q1, by_root) is by_root  # one memo per row
         calls.append((q1, q2 % q1))
-        return solve_class(q1, q2, cap, root, taken, more)
+        entry = solve_class(q1, q2, cap, root, taken, more, by_root)
+        roots.setdefault(q1, []).append(entry[1])
+        return entry
 
     want_report, want_rows = reference_survey(q_max, q_min)
     rows = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(small_squares, "_solve_class", spy)
+        mp.setattr(small_squares, "mod_inverse", lambda a, m: inverses.append((m, a)) or inverse(a, m))
         report = small_square_survey(q_max, q_min=q_min, on_row=rows.append)
     assert rows == want_rows  # floats included, bit for bit
     assert report == want_report
     # One class step per class q2 mod q1 of each row, at its first pair.
     assert calls == list(dict.fromkeys((q1, q2 % q1) for q1, q2, *_ in rows))
+    # Each row's memo ends holding exactly the distinct roots of its classes,
+    # in the order they came, each inverted once and walked to the row's cap.
+    assert {q1: list(memo) for q1, memo in memos.items()} == {
+        q1: list(dict.fromkeys(cs)) for q1, cs in roots.items()
+    }
+    assert inverses == [(q1, c) for q1, memo in memos.items() if q1 > 1 for c in memo]
+    for q1, memo in memos.items():
+        row_cap = balanced_n(q1, q_max)
+        for c, (c_bar, dens) in memo.items():
+            assert dens == [h for h in convergent_denominators(c_bar, q1) if h <= row_cap]
     # Each row's list is the scan order up to the furthest b its pairs took:
     # grown only when needed, never restarted and with no magnitude skipped.
     grown = 0
@@ -634,6 +649,21 @@ _FORGED_ROOTS = textwrap.dedent(
         sys.exit("a survey on forged multipliers passed")
     small_squares._multipliers = multipliers
 
+    solve_class = small_squares._solve_class
+
+    # The survey to 40 on the class step `solve` must fail just after the pair `last`.
+    def fails_after(name, solve, last):
+        small_squares._solve_class = solve
+        rows = []
+        try:
+            small_squares.small_square_survey(40, on_row=rows.append)
+        except VerificationFailed:
+            if rows[-1][:2] != last:
+                sys.exit(f"the entry with {name} failed after {rows[-1][:2]}, not after {last}")
+        else:
+            sys.exit(f"a survey reusing an entry with {name} passed")
+        small_squares._solve_class = solve_class
+
     # A class entry is checked, not trusted, when a later pair reuses it.  The
     # entry of q2 = 2 (mod 7) unpacks true for its first pair, q2 = 9, and
     # forged for every later one, from q2 = 16 on.
@@ -645,25 +675,38 @@ _FORGED_ROOTS = textwrap.dedent(
             entry, self.next = self.next, self.forged
             return iter(entry)
 
-    solve_class = small_squares._solve_class
-    for name, forge_entry in (
-        ("a wrong c_bar", lambda b, c, c_bar, dens: (b, c, c_bar + 1, dens)),
-        ("denominators past the cap", lambda b, c, c_bar, dens: (b, c, c_bar, [h * 10**6 for h in dens])),
-    ):
-        def forged_class(q1, q2, *rest, forge_entry=forge_entry):
+    def forged_class(forge):
+        def solve(q1, q2, *rest):
             entry = solve_class(q1, q2, *rest)
-            return Reused(entry, forge_entry(*entry)) if (q1, q2) == (7, 9) else entry
+            if (q1, q2) == (7, 9):
+                return Reused(entry, (*entry[:2], *forge(*entry[2:])))
+            return entry
+        return solve
 
-        small_squares._solve_class = forged_class
-        rows = []
-        try:
-            small_squares.small_square_survey(40, on_row=rows.append)
-        except VerificationFailed:
-            if rows[-1][:2] != (7, 15):  # the pair before (7, 16)
-                sys.exit(f"the entry with {name} failed at {rows[-1][:2]}, not at its reuse")
-        else:
-            sys.exit(f"a survey reusing an entry with {name} passed")
-    small_squares._solve_class = solve_class
+    def past_cap(c_bar, dens):
+        return c_bar, [h * 10**6 for h in dens]
+
+    fails_after("a wrong c_bar", forged_class(lambda c_bar, dens: (c_bar + 1, dens)), (7, 15))
+    fails_after("denominators past the cap", forged_class(past_cap), (7, 15))
+
+    # A root's memo entry is checked, not trusted, when a later class reuses
+    # it.  Row 7 solves root 3 at q2 = 9 (b = 1) and reuses it at q2 = 12
+    # (b = -1); its entry is forged after the first class, so (7, 12) fails.
+    # c_bar -> 7 - c_bar keeps b*q2*c_bar^2 = 1 (mod 7), so every pair check
+    # passes and only the class step's c*c_bar = 1 can catch it.
+    def forged_root(forge):
+        def solve(q1, q2, *rest):
+            entry = solve_class(q1, q2, *rest)
+            if (q1, q2) == (7, 9):
+                by_root = rest[-1]
+                if entry[1] != 3 or set(by_root) != {1, 3}:
+                    sys.exit(f"row 7 solved root {entry[1]} at q2 = 9 with memo {by_root}")
+                by_root[3] = forge(*by_root[3])
+            return entry
+        return solve
+
+    fails_after("the inverse of -c", forged_root(lambda c_bar, dens: (7 - c_bar, dens)), (7, 11))
+    fails_after("denominators past the cap", forged_root(past_cap), (7, 11))
     """
 )
 
